@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import cycle_length, get_ingredient, list_ingredients, spec_from_dict, verify_catalog
 from .construct import NotAdmissibleError, UnsatisfiableError, construct_pair
-from .core import CycleSystem, OrthogonalPair, complete
+from .core import GraphSpec, OrthogonalPair, complete
 from .heffter import check_simple, parse_array, validate_heffter
 from .search import SearchBudget, search_pair
 from .verify import VerificationReport, verify_pair
@@ -41,18 +42,31 @@ def design_text(pair: OrthogonalPair, length: int) -> str:
         "format_version": FORMAT_VERSION,
         "spec": g,
         "systems": {
-            "first": pair.first.labelled(),
-            "second": pair.second.labelled(),
+            name: [[spec.labels[x] for x in c] for c in system.cycles]
+            for name, system in (("first", pair.first), ("second", pair.second))
         },
         "meta": meta,
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def load_design(text: str) -> tuple[OrthogonalPair, int]:
-    """Parse a design file back into a pair and its cycle length.
+@dataclass(frozen=True)
+class DesignSystem:
+    """One system of a design file: its cycles as vertex-id tuples in the
+    order written, not canonicalised, so that a loop or repeated vertex
+    reaches the verifier as a reported defect instead of failing the load."""
 
-    Raises ValueError on any structural problem.
+    spec: GraphSpec
+    cycles: tuple
+    meta: tuple = ()
+
+
+def load_design(text: str) -> tuple[OrthogonalPair, int]:
+    """Parse a design file back into a pair of DesignSystems and its cycle
+    length.  A file written by design_text reads back to the same bytes.
+
+    Raises ValueError on a structural problem (bad JSON, missing fields,
+    unknown labels); the cycles themselves are left to the verifier.
     """
     try:
         doc = json.loads(text)
@@ -66,12 +80,12 @@ def load_design(text: str) -> tuple[OrthogonalPair, int]:
             raise ValueError("declared vertex count disagrees with the labels")
         meta = tuple(sorted(doc.get("meta", {}).items()))
         length = int(dict(meta).get("length", 0))
-        systems = []
-        for name in ("first", "second"):
-            cycles = [tuple(spec.index(lab) for lab in c)
-                      for c in doc["systems"][name]]
-            systems.append(CycleSystem(spec, cycles, meta=meta))
-        return OrthogonalPair(spec, systems[0], systems[1]), length
+        systems = [
+            DesignSystem(spec, tuple(tuple(spec.index(lab) for lab in c)
+                                     for c in doc["systems"][name]), meta)
+            for name in ("first", "second")
+        ]
+        return OrthogonalPair(spec, *systems), length
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed design file: missing or bad field {exc}") from None
 
@@ -87,13 +101,14 @@ def _print_report(report: VerificationReport) -> None:
     if report.ok:
         print("ok: both systems decompose the host and the pair is orthogonal")
         return
-    for e, d in sorted(report.edge_deficits.items())[:20]:
-        print(f"edge {e}: covered {d:+d} times relative to the host")
-    for tag, reason in report.bad_cycles[:20]:
-        print(f"cycle {tag}: {reason}")
+    for (tag, e), d in sorted(report.edge_deficits.items())[:20]:
+        print(f"{tag} system, edge {e}: covered {d:+d} times relative to the host")
+    for (tag, i), reason in report.bad_cycles[:20]:
+        print(f"{tag} system, {'cycle count' if i is None else f'cycle {i}'}: {reason}")
     if report.max_cross_intersection > 1:
-        print(f"cycle pair {report.witness} shares "
-              f"{report.max_cross_intersection} edges across systems")
+        i, j = report.witness
+        print(f"first system cycle {i} and second system cycle {j} share "
+              f"{report.max_cross_intersection} edges")
     total = len(report.edge_deficits) + len(report.bad_cycles)
     if total > 40:
         print(f"({total} defects in total)")

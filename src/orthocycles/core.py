@@ -90,12 +90,6 @@ class GraphSpec:
         except KeyError:
             raise ValueError(f"label {label!r} not in graph") from None
 
-    def part_of(self, vertex: int) -> int:
-        for i, part in enumerate(self.parts):
-            if vertex in part:
-                return i
-        raise ValueError(f"vertex {vertex} in no part")
-
 
 def complete(v: int, labels=None) -> GraphSpec:
     if labels is None:
@@ -169,9 +163,6 @@ class CycleSystem:
     @property
     def cycle_length(self) -> int:
         return len(self.cycles[0]) if self.cycles else 0
-
-    def labelled(self) -> list[list[str]]:
-        return [[self.spec.labels[x] for x in c] for c in self.cycles]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orthocycles.catalog import cycle_length, get_ingredient
 from orthocycles.cli import design_text, load_design, main
 from orthocycles.construct import construct_pair
 from orthocycles.heffter import format_array, search_3x3
@@ -46,6 +52,20 @@ def test_verify_flags_a_tampered_file(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     assert run("verify", str(out)) == 1
     assert "edge" in capsys.readouterr().out
+
+
+def test_verify_reports_a_repeated_vertex(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    run("generate", "--length", "5", "--order", "11", "--out", str(out))
+    doc = json.loads(out.read_text())
+    cycle = doc["systems"]["second"][3]
+    cycle[2] = cycle[0]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", str(out)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "second system, cycle 3: repeated vertex in cycle" in "\n".join(lines)
+    assert all(line.startswith("second system, ") for line in lines)
 
 
 def test_verify_rejects_malformed_files(tmp_path, capsys):
@@ -141,3 +161,46 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run("nonsense")
     assert exc.value.code == 2
+
+
+# designs with l >= 5, where swapping two vertices of a cycle always changes
+# its edge set; one of each host kind
+MUTATION_BASES = (
+    design_text(construct_pair(5, 11), 5),
+    design_text(construct_pair(7, 15), 7),
+    design_text(get_ingredient("l5_K15mK5"), cycle_length("l5_K15mK5")),
+    design_text(get_ingredient("l6_K444"), cycle_length("l6_K444")),
+)
+
+
+@st.composite
+def mutated_designs(draw):
+    doc = json.loads(draw(st.sampled_from(MUTATION_BASES)))
+    cycles = doc["systems"][draw(st.sampled_from(("first", "second")))]
+    k = draw(st.integers(0, len(cycles) - 1))
+    c = cycles[k]
+    i, j = draw(st.lists(st.integers(0, len(c) - 1), min_size=2, max_size=2, unique=True))
+    kind = draw(st.sampled_from(("swap", "drop", "repeat", "duplicate")))
+    if kind == "swap":
+        c[i], c[j] = c[j], c[i]
+    elif kind == "drop":
+        del cycles[k]
+    elif kind == "repeat":
+        c[i] = c[j]
+    else:
+        cycles.insert(draw(st.integers(0, len(cycles))), list(c))
+    return json.dumps(doc)
+
+
+@given(mutated_designs())
+@settings(max_examples=80, deadline=None)
+def test_verify_reports_every_mutated_design(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.json"
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run("verify", str(path))
+    assert code == 1
+    report = out.getvalue().splitlines()
+    assert report and all(line.startswith(("first system", "second system")) for line in report)

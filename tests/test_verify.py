@@ -1,12 +1,16 @@
+from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orthocycles.catalog import cycle_length, get_ingredient
 from orthocycles.core import (
     CycleSystem,
     OrthogonalPair,
     complete,
+    complete_minus_hole,
     cycle_edges,
     graph_edges,
     multipartite,
@@ -133,3 +137,149 @@ def test_report_merge_keeps_defects(v):
     merged = good.merge(bad)
     assert merged.ok is False
     assert merged.edge_deficits == bad.edge_deficits
+
+
+def test_pair_report_keeps_each_systems_deficits_apart():
+    # both systems miss the same cycle: 5 deficits each, none overwritten
+    spec = complete(5)
+    half = CycleSystem(spec, K5_FIRST[:1])
+    rep = verify_pair(OrthogonalPair(spec, half, half), 5)
+    assert not rep.ok
+    assert len(rep.edge_deficits) == 10
+    assert Counter(tag for tag, _ in rep.edge_deficits) == {"first": 5, "second": 5}
+    for tag in ("first", "second"):
+        missing = {e for t, e in rep.edge_deficits if t == tag}
+        assert missing == cycle_edges(K5_FIRST[1])
+    assert all(d == -1 for d in rep.edge_deficits.values())
+
+
+def raw(spec, cycles):
+    """A system as written, not canonicalised (CycleSystem would refuse it)."""
+    return SimpleNamespace(spec=spec, cycles=[tuple(c) for c in cycles])
+
+
+def test_raw_cycles_with_a_loop_or_repeat_are_reported_not_raised():
+    spec = complete(5)
+    looped = raw(spec, [(0, 1, 2, 3, 0), K5_FIRST[1]])
+    repeated = raw(spec, [(0, 1, 2, 0, 3), K5_FIRST[1]])
+    for system, word in ((looped, "loop"), (repeated, "repeated vertex")):
+        pair = SimpleNamespace(spec=spec, first=system, second=raw(spec, K5_FIRST))
+        rep = verify_pair(pair, 5)
+        assert not rep.ok
+        [(where, reason)] = rep.bad_cycles
+        assert where == ("first", 0) and reason.startswith(word)
+        # the defective cycle covers nothing, so its five edges are missing
+        assert {e for _, e in rep.edge_deficits} == cycle_edges(K5_FIRST[0])
+        # and it is skipped when counting shared edges: counted, it would
+        # share three edges with (0, 1, 2, 3, 4)
+        rep = verify_orthogonality(system, raw(spec, K5_FIRST[:1]))
+        assert rep.ok and rep.max_cross_intersection == 0
+
+
+def test_short_and_out_of_range_cycles_are_reported():
+    spec = complete(5)
+    system = raw(spec, [(0, 1), (0, 1, 9), (), K5_FIRST[1]])
+    rep = verify_decomposition(system, 5)
+    reasons = dict(rep.bad_cycles)
+    assert "at least 3 vertices" in reasons[("", 0)]
+    assert "vertex range" in reasons[("", 1)]
+    assert "at least 3 vertices" in reasons[("", 2)]
+    assert not rep.ok
+
+
+# ------------------------------------------------- differential reference
+
+def reference_decomposition(system, length):
+    """The frozenset/Counter verifier the integer-id scan replaced, per system."""
+    ok = all(len(c) == length for c in system.cycles)
+    covered = Counter()
+    for c in system.cycles:
+        covered.update(cycle_edges(c))
+    deficits = {}
+    for e in graph_edges(system.spec):
+        got = covered.pop(e, 0)
+        if got != 1:
+            deficits[e] = got - 1
+    deficits.update(covered)  # edges outside the host
+    return ok and not deficits, deficits
+
+
+def reference_cross(first, second):
+    owners: dict = {}
+    for j, c in enumerate(second.cycles):
+        for e in cycle_edges(c):
+            owners.setdefault(e, []).append(j)
+    worst = 0
+    for c in first.cycles:
+        shared = Counter(j for e in cycle_edges(c) for j in owners.get(e, ()))
+        worst = max(worst, max(shared.values(), default=0))
+    return worst
+
+
+HOSTS = (
+    lambda v: complete(v),
+    lambda v: complete_minus_hole(v, range(v - 3, v)),
+    lambda v: multipartite((v // 2, v - v // 2)),
+    lambda v: multipartite((2,) * (v // 2) + (v % 2,) * (v % 2)),
+)
+
+
+@st.composite
+def random_pairs(draw):
+    """Random cycles on a random host, with the length the check expects."""
+    v = draw(st.integers(5, 9))
+    spec = draw(st.sampled_from(HOSTS))(v)
+    length = draw(st.integers(3, 6))
+    verts = st.lists(st.integers(0, v - 1), min_size=3, max_size=6, unique=True)
+    systems = [CycleSystem(spec, draw(st.lists(verts, max_size=8))) for _ in range(2)]
+    return OrthogonalPair(spec, *systems), length
+
+
+SMALL_KEYS = ("l3_v7", "l5_v11", "l5_K15mK5", "l6_v9", "l6_K444", "l6_K6x10", "l7_v15")
+
+
+@st.composite
+def mutated_catalog_pairs(draw):
+    """A verified catalog pair with zero to three random edits."""
+    key = draw(st.sampled_from(SMALL_KEYS))
+    pair = get_ingredient(key)
+    spec = pair.spec
+    systems = [list(pair.first.cycles), list(pair.second.cycles)]
+    for _ in range(draw(st.integers(0, 3))):
+        cycles = systems[draw(st.integers(0, 1))]
+        kind = draw(st.sampled_from(("drop", "duplicate", "swap", "replace")))
+        k = draw(st.integers(0, len(cycles) - 1))
+        if kind == "drop" and len(cycles) > 1:
+            del cycles[k]
+        elif kind == "duplicate":
+            cycles.append(cycles[k])
+        elif kind == "swap":
+            c = list(cycles[k])
+            i, j = draw(st.lists(st.integers(0, len(c) - 1), min_size=2, max_size=2, unique=True))
+            c[i], c[j] = c[j], c[i]
+            cycles[k] = tuple(c)
+        elif kind == "replace":
+            cycles[k] = tuple(draw(st.lists(st.integers(0, spec.v - 1), min_size=3,
+                                            max_size=cycle_length(key), unique=True)))
+    return OrthogonalPair(spec, *(CycleSystem(spec, c) for c in systems)), cycle_length(key)
+
+
+@given(st.one_of(random_pairs(), mutated_catalog_pairs()))
+@settings(max_examples=300, deadline=None)
+def test_scan_agrees_with_the_reference_verifier(case):
+    pair, length = case
+    rep = verify_pair(pair, length)
+    want_ok, want_deficits = True, {}
+    for tag, system in (("first", pair.first), ("second", pair.second)):
+        ok, deficits = reference_decomposition(system, length)
+        want_deficits.update({(tag, e): d for e, d in deficits.items()})
+        want_ok &= ok and length * len(system.cycles) == len(graph_edges(pair.spec))
+        single = verify_decomposition(system, length, tag=tag)
+        assert single.ok == ok
+        assert single.edge_deficits == deficits
+    worst = reference_cross(pair.first, pair.second)
+    assert rep.edge_deficits == want_deficits
+    assert rep.max_cross_intersection == worst
+    assert rep.ok == (want_ok and worst <= 1)
+    cross = verify_orthogonality(pair.first, pair.second)
+    assert (cross.ok, cross.max_cross_intersection) == (worst <= 1, worst)
