@@ -2,9 +2,12 @@
 triple systems, group divisible designs with block size three, and symmetric
 quasigroups whose holes are the pairs {2i, 2i+1}.
 
-Everything is deterministic: direct algebraic constructions where they exist,
-otherwise a seeded Stinson-style hill climb with a fixed internal seed.  Every
-builder self-checks before returning, so a returned object is always valid.
+Everything is deterministic.  Triple systems and quasigroups with holes are
+built by direct algebra for every order.  Only block-three designs with mixed
+group sizes, which the constructions ask for as types (4, 2^m) and (5, 3^2m),
+still fall back to a Stinson-style hill climb with a fixed internal seed.
+Every builder self-checks before returning, so a returned object is always
+valid.
 """
 
 from __future__ import annotations
@@ -253,63 +256,32 @@ def _qh_from_gdd(k: int):
                        for y in range(n)) for x in range(n))
 
 
-def _qh_hill_climb(k: int, seed: int):
-    # climb on missing (row, value) slots: place value z in row x at a column
-    # where the cell is empty, evicting at most the one cell of the column's
-    # row that already holds z, so progress is never undone wholesale
-    n = 2 * k
-
-    for attempt in range(_MAX_RESTARTS):
-        rng = Random(seed + attempt)
-        rowval = [dict() for _ in range(n)]  # value -> column holding it
-        cell = [[None] * n for _ in range(n)]
-        missing = [(x, z) for x in range(n) for z in range(n) if x // 2 != z // 2]
-        pos = {s: i for i, s in enumerate(missing)}
-
-        def mark_missing(s):
-            if s not in pos:
-                pos[s] = len(missing)
-                missing.append(s)
-
-        def mark_filled(s):
-            i = pos.pop(s)
-            last = missing.pop()
-            if i < len(missing):
-                missing[i] = last
-                pos[last] = i
-
-        def unset(x, y):
-            z = cell[x][y]
-            cell[x][y] = cell[y][x] = None
-            del rowval[x][z]
-            del rowval[y][z]
-            mark_missing((x, z))
-            mark_missing((y, z))
-
-        steps = 400 * n * n
-        while missing and steps > 0:
-            steps -= 1
-            x, z = missing[rng.randrange(len(missing))]
-            cols = [y for y in range(n) if y // 2 not in (x // 2, z // 2)]
-            empty = [y for y in cols if cell[x][y] is None]
-            if empty:
-                prefer = [y for y in empty if z not in rowval[y]]
-                pool = prefer or empty
-                y = pool[rng.randrange(len(pool))]
-            else:
-                y = cols[rng.randrange(len(cols))]
-                unset(x, y)
-            holder = rowval[y].get(z)
-            if holder is not None:
-                unset(y, holder)
-            cell[x][y] = cell[y][x] = z
-            rowval[x][z] = y
-            rowval[y][z] = x
-            mark_filled((x, z))
-            mark_filled((y, z))
-        if not missing:
-            return tuple(tuple(row) for row in cell)
-    raise RuntimeError(f"no quasigroup with {k} holes found")
+def _qh_doubled(k: int):
+    # even k, after the 6n+5 construction (Lindner & Rodger, Design Theory):
+    # m = k-1 is odd, (x,a) = 2x+a, and (x,a)(y,b) = (f(x,y), a+b+[y-x = +-2])
+    # with an extra hole {inf0, inf1}.  The cells {(x,0),(x+1,1)} and
+    # {(x,0),(x+2,1)} form an even 2-factor, bipartite between the levels and
+    # holding every symbol once, so they can take inf0 and inf1 while each
+    # displaced symbol moves to the extra hole's rows at the cell's endpoints
+    m = k - 1
+    f = idempotent_symmetric_quasigroup(m)
+    inf0, inf1 = 2 * m, 2 * m + 1
+    t = [[None] * (2 * k) for _ in range(2 * k)]
+    for x in range(m):
+        for y in range(m):
+            if x != y:
+                s = (y - x) % m in (2, m - 2)
+                for a in (0, 1):
+                    for b in (0, 1):
+                        t[2 * x + a][2 * y + b] = 2 * f[x][y] + ((a + b + s) & 1)
+    for x in range(m):
+        p, q, r = 2 * x, 2 * ((x + 1) % m) + 1, 2 * ((x + 2) % m) + 1
+        one, two = t[p][q], t[p][r]
+        t[p][q] = t[q][p] = inf0
+        t[p][r] = t[r][p] = inf1
+        for u, w, z in ((p, inf0, one), (q, inf1, one), (p, inf1, two), (r, inf0, two)):
+            t[u][w] = t[w][u] = z
+    return tuple(map(tuple, t))
 
 
 def _check_qh(q: QuasigroupWithHoles):
@@ -341,7 +313,7 @@ def build_quasigroup_with_holes(k: int) -> QuasigroupWithHoles:
     elif k % 3 in (0, 1):
         table = _qh_from_gdd(k)
     else:
-        table = _qh_hill_climb(k, _CLIMB_SEED)
+        table = _qh_doubled(k)
     q = QuasigroupWithHoles(k, table)
     _check_qh(q)
     return q

@@ -32,13 +32,12 @@ def canonical_cycle(vertices) -> Cycle:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     if len(set(seq)) != n:
         raise ValueError(f"repeated vertex in cycle {seq}")
-    best = None
-    for cand in (seq, seq[::-1]):
-        for r in range(n):
-            rot = cand[r:] + cand[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
+    # distinct vertices: the least rotation starts at the minimum, read
+    # forwards or backwards from it
+    i = seq.index(min(seq))
+    fwd = seq[i:] + seq[:i]
+    back = fwd[:1] + fwd[:0:-1]
+    return min(fwd, back)
 
 
 def cycle_edges(cycle) -> frozenset[Edge]:
@@ -156,7 +155,7 @@ class CycleSystem:
         v = self.spec.v
         canon = sorted(canonical_cycle(c) for c in self.cycles)
         for c in canon:
-            if any(not 0 <= x < v for x in c):
+            if c[0] < 0 or max(c) >= v:
                 raise ValueError(f"cycle {c} leaves the vertex range")
         object.__setattr__(self, "cycles", tuple(canon))
 

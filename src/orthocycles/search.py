@@ -39,7 +39,6 @@ from .verify import verify_decomposition, verify_pair
 class SearchBudget:
     max_nodes: int = 1_000_000
     seed: int = 1
-    time_hint_ms: int = 0
 
     def __post_init__(self):
         if self.max_nodes < 1 or self.seed < 0:

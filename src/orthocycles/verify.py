@@ -43,17 +43,6 @@ class VerificationReport:
     max_cross_intersection: int = 0
     witness: tuple | None = None
 
-    def merge(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(
-            ok=self.ok and other.ok,
-            edge_deficits={**self.edge_deficits, **other.edge_deficits},
-            bad_cycles=self.bad_cycles + other.bad_cycles,
-            max_cross_intersection=max(
-                self.max_cross_intersection, other.max_cross_intersection
-            ),
-            witness=self.witness or other.witness,
-        )
-
 
 # ------------------------------------------------------------------ host
 

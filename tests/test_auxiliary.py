@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthocycles import auxiliary
 from orthocycles.auxiliary import (
     QuasigroupWithHoles,
+    _check_qh,
     _gdd_hill_climb,
-    _qh_hill_climb,
     build_gdd,
     build_quasigroup_with_holes,
     half_idempotent_quasigroup,
@@ -116,7 +117,7 @@ def test_gdd_hill_climb_is_deterministic():
     assert a.triples == b.triples
 
 
-@pytest.mark.parametrize("k", range(3, 21))
+@pytest.mark.parametrize("k", range(3, 41))
 def test_quasigroup_with_holes_properties(k):
     q = build_quasigroup_with_holes(k)
     n = 2 * k
@@ -147,5 +148,12 @@ def test_quasigroup_with_holes_rejects_small_k():
             build_quasigroup_with_holes(k)
 
 
-def test_quasigroup_hill_climb_is_deterministic():
-    assert _qh_hill_climb(8, 7) == _qh_hill_climb(8, 7)
+def test_quasigroup_with_holes_never_searches(monkeypatch):
+    # every k has a closed form, so no random source is ever consulted
+    def refuse(*args, **kwargs):
+        raise AssertionError("quasigroup with holes reached a random search")
+
+    monkeypatch.setattr(auxiliary, "Random", refuse)
+    build_quasigroup_with_holes.cache_clear()
+    for k in range(3, 61):
+        _check_qh(build_quasigroup_with_holes(k))

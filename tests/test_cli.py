@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -152,6 +153,26 @@ def test_design_text_is_deterministic_and_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     pair, length = load_design(a.read_text())
     assert design_text(pair, length).encode() == a.read_bytes()
+
+
+# sha256 of the design files `generate` writes; a change here changes a
+# published design, so it must be deliberate
+GENERATED_SHA256 = {
+    (5, 191): "bea1ffd7b682825cbb6723c9fd4b8bad08164800981300f6bce8d7f56ed1c95d",
+    (6, 189): "b8d8f710b90e2bfd6771a74cd4451755c3d9d4dfd2db34b835d1a6dbebc59638",
+    (7, 183): "cef9bf3c366ce14fc994c56eb6e30f355617f35f364ac44f427c3f228fc957eb",
+    (8, 193): "561a8f717fbe3ce60c6177652c2b3c473bde899ce1168dfd2ef026c0eb55a59e",
+    (9, 199): "23befc913b44aa3f6e0a3754751f1137d188e0eee8662dd8eea8e2f30ca5217a",
+    (6, 45): "f9c216fd1bdf1e2ef0308250fd2b5e8789731ff9965b6826531a42bbeaa75ebd",
+}
+
+
+@pytest.mark.parametrize("lv", GENERATED_SHA256, ids=lambda lv: f"l{lv[0]}v{lv[1]}")
+def test_generate_output_is_pinned(tmp_path, lv):
+    l, v = lv
+    out = tmp_path / "d.json"
+    assert run("generate", "--length", str(l), "--order", str(v), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATED_SHA256[lv]
 
 
 def test_usage_errors_exit_2():

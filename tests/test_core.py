@@ -34,6 +34,18 @@ def test_canonical_cycle_rejects_bad_input():
         canonical_cycle((0, 1, 0, 2))
 
 
+def brute_canonical(seq):
+    """Reference: least tuple over every rotation of the sequence and of its
+    reversal."""
+    seq = tuple(seq)
+    return min(cand[r:] + cand[:r] for cand in (seq, seq[::-1]) for r in range(len(seq)))
+
+
+@given(st.lists(st.integers(-50, 200), min_size=3, max_size=16, unique=True))
+def test_canonical_cycle_matches_bruteforce(seq):
+    assert canonical_cycle(seq) == brute_canonical(seq)
+
+
 @given(st.lists(st.integers(0, 200), min_size=3, max_size=12, unique=True))
 def test_canonical_cycle_idempotent_and_rotation_invariant(seq):
     c = canonical_cycle(seq)
@@ -91,5 +103,6 @@ def test_cycle_system_canonicalizes_and_sorts():
 
 
 def test_cycle_system_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        CycleSystem(complete(4), [(0, 1, 7)])
+    for cyc in [(0, 1, 7), (0, 1, 4), (2, -1, 3)]:
+        with pytest.raises(ValueError):
+            CycleSystem(complete(4), [cyc])

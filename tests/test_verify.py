@@ -129,16 +129,6 @@ def test_orthogonality_matches_bruteforce(systems):
     assert rep.ok == (worst <= 1)
 
 
-@given(st.integers(5, 9))
-def test_report_merge_keeps_defects(v):
-    spec = complete(v)
-    good = verify_decomposition(CycleSystem(complete(5), K5_FIRST), 5)
-    bad = verify_decomposition(CycleSystem(spec, [tuple(range(5))]), 5)
-    merged = good.merge(bad)
-    assert merged.ok is False
-    assert merged.edge_deficits == bad.edge_deficits
-
-
 def test_pair_report_keeps_each_systems_deficits_apart():
     # both systems miss the same cycle: 5 deficits each, none overwritten
     spec = complete(5)
