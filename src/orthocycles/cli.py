@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import cycle_length, get_ingredient, list_ingredients, spec_from_dict, verify_catalog
-from .construct import NotAdmissibleError, UnsatisfiableError, construct_pair
+from .construct import NotAdmissibleError, UnsatisfiableError, construct_pair, no_pair_reason
 from .core import GraphSpec, OrthogonalPair, complete
 from .heffter import check_simple, parse_array, validate_heffter
 from .search import SearchBudget, search_pair
@@ -189,9 +189,7 @@ def cmd_search(args) -> int:
         _reason("not admissible", str(exc))
         return 3
     if result.status == "unsatisfiable":
-        _reason("unsatisfiable",
-                f"exhaustive search proved no pair exists "
-                f"(explored {result.nodes} nodes)")
+        _reason("unsatisfiable", no_pair_reason(args.length, args.order))
         return 3
     if result.status == "exhausted":
         _reason("budget exhausted",

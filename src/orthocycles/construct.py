@@ -1,26 +1,30 @@
 """Assembly of orthogonal cycle-system pairs for cycle lengths five through
 nine, one verified pair for every admissible order.
 
-Small orders come straight from the embedded catalog.  Larger orders are
-assembled from catalog blocks placed on a scaffold:
+Small orders come straight from the embedded catalog.  Every larger order is
+one assembly: catalog pairs placed on the groups (or around the holes) of a
+scaffold, multipartite pairs or generated cross cycles on the edges between
+groups, and the verifier on the result.  All routes but one use columns of
+height h over the scaffold's points plus fixed points:
 
-- lengths 5 and 7: symbol columns of height l over a quasigroup with holes,
-  plus 1 or l fixed points; cross-hole column joins come from the quasigroup,
-- lengths 6 and 9: symbol columns of height 4 or 9 over a group divisible
-  design; groups carry small complete pairs, triples carry tripartite pairs,
-- length 8: blocks of sixteen around one fixed point, joined pairwise by
-  complete bipartite pairs,
+- lengths 5 and 7: height l over a quasigroup with holes, plus 1 or l fixed
+  points; cross-hole column joins come from the quasigroup,
+- lengths 6 and 9: height 4 or 9 over a group divisible design; groups carry
+  small complete or holed pairs, triples carry tripartite pairs,
+- length 8: height 16 over singleton groups around one fixed point, every
+  two columns joined by a complete bipartite pair,
 - length 6, order 45: a pasted join of an order-25 pair, an order-21 pair,
   and eight complete bipartite 6x10 pairs (no suitable group design exists).
 
-Every assembled pair is re-verified before it is returned; a verification
-failure here is a bug, not an input error, and raises AssertionError.
+A verification failure in assembly is a bug, not an input error, and raises
+AssertionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .auxiliary import build_gdd, build_quasigroup_with_holes
 from .catalog import get_ingredient, has_ingredient
@@ -40,13 +44,19 @@ class UnsatisfiableError(ValueError):
 _SPECTRUM = {5: ((1, 5), 10), 6: ((1, 9), 12), 7: ((1, 7), 14),
              8: ((1,), 16), 9: ((1, 9), 18)}
 
-# v = l (odd): the system has (l-1)/2 cycles, and the l edges of any crossing
-# cycle pigeonhole at least three into one of them, so no mate system exists
 UNSATISFIABLE = frozenset({(5, 5), (7, 7), (9, 9)})
+
+
+def no_pair_reason(l: int, v: int) -> str:
+    """The pigeonhole proof that no orthogonal pair exists at v = l (odd)."""
+    return (f"order {v} admits {l}-cycle systems but no orthogonal pair: "
+            f"a system has only {(l - 1) // 2} cycles, so any cycle of a "
+            f"mate system would share at least three edges with one of them")
 
 _L6_GROUP_KEY = {2: "l6_v9", 3: "l6_v13", 5: "l6_v21"}
 _L9_FIRST_KEY = {(2, 1): "l9_v19", (2, 9): "l9_v27",
                  (4, 1): "l9_v37", (4, 9): "l9_v45"}
+_BLOCK_KEY = {6: "l6_K444", 8: "l8_K16x16", 9: "l9_K999"}
 
 
 def admissible(l: int, v: int) -> bool:
@@ -67,7 +77,7 @@ class ConstructionPlan:
     route: str  # catalog | quasigroup-columns | four-level-gdd | sixteen-blocks | nine-level-gdd | paste-45
     ingredients: tuple
     k: int = 0  # scaffold size: holes / blocks / group count
-    r: int = 0  # fixed points
+    r: int = 0  # fixed points; for length 6, v mod 24 (one fixed point)
     group_sizes: tuple = ()
 
 
@@ -80,10 +90,7 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
             f"order {v} is not admissible for length {l}: "
             f"need v >= {l} and v mod {mod} in {residues}")
     if (l, v) in UNSATISFIABLE:
-        raise UnsatisfiableError(
-            f"order {v} admits {l}-cycle systems but no orthogonal pair: "
-            f"a system has only {(l - 1) // 2} cycles, so any cycle of a "
-            f"mate system would share at least three edges with one of them")
+        raise UnsatisfiableError(no_pair_reason(l, v))
     key = f"l{l}_v{v}"
     if has_ingredient(key):
         return ConstructionPlan(l, v, "catalog", (key,))
@@ -121,44 +128,39 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
                             k=k, r=r, group_sizes=sizes)
 
 
-# ---------------------------------------------------------------- embedding
-
-def _place(out1, out2, pair: OrthogonalPair, mapping: dict):
-    out1.extend(tuple(mapping[x] for x in c) for c in pair.first.cycles)
-    out2.extend(tuple(mapping[x] for x in c) for c in pair.second.cycles)
-
+# ----------------------------------------------------------------- assembly
 
 def _onto(pair: OrthogonalPair, targets) -> dict:
-    """Complete host: small ids in ascending order onto the listed targets."""
-    if len(targets) != pair.spec.v:
-        raise ValueError(f"need {pair.spec.v} targets, got {len(targets)}")
-    return dict(enumerate(targets))
+    """Vertex map of pair's host onto targets, one target list per host part
+    in order: every vertex of a complete host, the hole and then the rest of
+    a holed host, each part of a multipartite host (ids ascending)."""
+    spec = pair.spec
+    if spec.kind == "complete":
+        parts = [range(spec.v)]
+    elif spec.kind == "complete_minus_hole":
+        parts = [sorted(spec.hole), sorted(set(range(spec.v)) - spec.hole)]
+    else:
+        parts = [sorted(part) for part in spec.parts]
+    if [len(p) for p in parts] != [len(t) for t in targets]:
+        raise ValueError(f"target sizes {[len(t) for t in targets]} disagree "
+                         f"with the host parts {[len(p) for p in parts]}")
+    return {x: y for part, t in zip(parts, targets) for x, y in zip(part, t)}
 
 
-def _onto_hole(pair: OrthogonalPair, hole_targets, rest_targets) -> dict:
-    """Holed host: hole ids (ascending) onto hole_targets, rest onto rest."""
-    hole = sorted(pair.spec.hole)
-    rest = [x for x in range(pair.spec.v) if x not in pair.spec.hole]
-    if len(hole) != len(hole_targets) or len(rest) != len(rest_targets):
-        raise ValueError("target sizes disagree with the host split")
-    return {**dict(zip(hole, hole_targets)), **dict(zip(rest, rest_targets))}
-
-
-def _onto_parts(pair: OrthogonalPair, part_targets) -> dict:
-    """Multipartite host: each part (ascending) onto its target list."""
-    mapping = {}
-    for part, targets in zip(pair.spec.parts, part_targets, strict=True):
-        if len(part) != len(targets):
-            raise ValueError("part sizes disagree with the host parts")
-        mapping.update(zip(sorted(part), targets))
-    return mapping
-
-
-def _finish(spec, l: int, first, second, **prov) -> OrthogonalPair:
-    m = meta(source="construct", **prov)
+def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> OrthogonalPair:
+    """Place each (pair, target lists) block next to the generated cross
+    cycles (first-system list, second-system list), and verify the result."""
+    spec = complete(plan.v, labels)
+    first, second = list(cross[0]), list(cross[1])
+    for pair, targets in placements:
+        mapping = _onto(pair, targets)
+        first.extend(tuple(mapping[x] for x in c) for c in pair.first.cycles)
+        second.extend(tuple(mapping[x] for x in c) for c in pair.second.cycles)
+    scaffold = {} if plan.route == "paste-45" else {"k": plan.k, "r": plan.r}
+    m = meta(source="construct", route=plan.route, length=plan.l, order=plan.v, **scaffold)
     pair = OrthogonalPair(spec, CycleSystem(spec, first, meta=m),
                           CycleSystem(spec, second, meta=m))
-    report = verify_pair(pair, l)
+    report = verify_pair(pair, plan.l)
     if not report.ok:
         raise AssertionError(
             f"assembled pair is invalid (bug): {len(report.edge_deficits)} "
@@ -167,46 +169,18 @@ def _finish(spec, l: int, first, second, **prov) -> OrthogonalPair:
     return pair
 
 
-# ------------------------------------------------------------------ engines
+# ------------------------------------------------------------------- routes
 
-def quasigroup_columns_pair(l: int, k: int, r: int) -> OrthogonalPair:
-    """Pair of order 2lk + r for l in {5, 7}, r in {1, l}, k >= 3.
-
-    2k symbol columns of height l plus r fixed points.  Each hole's two
-    columns and the fixed points carry a small catalog pair (every hole when
-    r = 1, else the first hole, the rest getting holed pairs around the fixed
-    points).  Columns of symbols from different holes are joined by l-cycle
-    orbits steered by a quasigroup with holes.
-    """
-    if l not in (5, 7):
-        raise ValueError("column construction applies to lengths 5 and 7")
-    if r not in (1, l):
-        raise ValueError(f"r must be 1 or {l}")
-    if k < 3:
-        raise ValueError("need k >= 3 (no quasigroup with fewer holes)")
-    q = build_quasigroup_with_holes(k)
-    n = 2 * k
-    v = l * n + r
-
-    def col(x, t):
-        return l * x + t % l
-
-    infs = [l * n + j for j in range(r)]
-    labels = ([f"({x},{t})" for x in range(n) for t in range(l)]
-              + [f"inf{j}" for j in range(r)])
-    spec = complete(v, labels)
+def _quasigroup_cross(l: int, q):
+    """Cycles of each system joining the columns of symbols x, y from
+    different holes, one orbit of l per pair, steered by z = x * y in the
+    quasigroup q."""
+    n = 2 * q.k
     first: list = []
     second: list = []
 
-    base = get_ingredient(f"l{l}_v{2 * l + r}")
-    for i in range(k if r == 1 else 1):
-        cols = [col(x, t) for x in (2 * i, 2 * i + 1) for t in range(l)]
-        _place(first, second, base, _onto(base, cols + infs))
-    if r == l:
-        holed = get_ingredient("l5_K15mK5" if l == 5 else "l7_K21mK7")
-        for i in range(1, k):
-            cols = [col(x, t) for x in (2 * i, 2 * i + 1) for t in range(l)]
-            _place(first, second, holed, _onto_hole(holed, infs, cols))
+    def col(x, t):
+        return l * x + t % l
 
     for x in range(n):
         for y in range(x + 1, n):
@@ -221,139 +195,86 @@ def quasigroup_columns_pair(l: int, k: int, r: int) -> OrthogonalPair:
                                    col(z, i + 3), col(y, i + 2)))
                 else:
                     xp, yp = x ^ 1, y ^ 1
-                    first.append((col(x, i), col(y, i), col(x, i + 1),
-                                  col(y, i + 3), col(z, i + 6),
-                                  col(x, i + 3), col(y, i + 1)))
-                    second.append((col(x, i), col(y, i), col(xp, i + 3),
-                                   col(y, i + 4), col(z, i + 6),
-                                   col(x, i + 4), col(yp, i + 3)))
-    return _finish(spec, l, first, second,
-                   route="quasigroup-columns", length=l, order=v, k=k, r=r)
+                    first.append((col(x, i), col(y, i), col(x, i + 1), col(y, i + 3),
+                                  col(z, i + 6), col(x, i + 3), col(y, i + 1)))
+                    second.append((col(x, i), col(y, i), col(xp, i + 3), col(y, i + 4),
+                                   col(z, i + 6), col(x, i + 4), col(yp, i + 3)))
+    return first, second
 
 
-def four_level_gdd_pair(v: int) -> OrthogonalPair:
-    """Length-6 pair: columns of height 4 over a group divisible design plus
-    one fixed point.  Groups carry complete pairs of order 4|g|+1, design
-    triples carry tripartite 4x4x4 pairs."""
-    plan = plan_for(6, v)
-    if plan.route != "four-level-gdd":
-        raise ValueError(f"order {v} is not built by the four-level route")
-    gdd = build_gdd(plan.group_sizes)
-    n = gdd.points
+def _columns(plan: ConstructionPlan):
+    """Columns of height h over the points of a scaffold, plus fixed points.
 
-    def col(x, t):
-        return 4 * x + t
+    Each scaffold group's columns and the fixed points carry a complete
+    catalog pair, or a holed one whose hole sits on the fixed points; each
+    scaffold block carries a multipartite pair, one column per part.
 
-    inf = 4 * n
-    labels = [f"({x},{t})" for x in range(n) for t in range(4)] + ["inf0"]
-    spec = complete(v, labels)
-    first: list = []
-    second: list = []
-
-    for group in gdd.groups():
-        block = get_ingredient(_L6_GROUP_KEY[len(group)])
-        cols = [col(x, t) for x in group for t in range(4)]
-        _place(first, second, block, _onto(block, cols + [inf]))
-    tri = get_ingredient("l6_K444")
-    for a, b, c in gdd.triples:
-        parts = [[col(x, t) for t in range(4)] for x in (a, b, c)]
-        _place(first, second, tri, _onto_parts(tri, parts))
-    return _finish(spec, 6, first, second,
-                   route="four-level-gdd", length=6, order=v, k=plan.k, r=plan.r)
-
-
-def sixteen_block_pair(v: int) -> OrthogonalPair:
-    """Length-8 pair: k blocks of sixteen around one fixed point; each block
-    carries an order-17 pair, each block pair a complete bipartite pair."""
-    plan = plan_for(8, v)
-    if plan.route != "sixteen-blocks":
-        raise ValueError(f"order {v} is not built by the sixteen-block route")
-    k = plan.k
-    inf = 16 * k
-    labels = [f"({i},{j})" for i in range(k) for j in range(16)] + ["inf0"]
-    spec = complete(v, labels)
-    first: list = []
-    second: list = []
-
-    block = get_ingredient("l8_v17")
-    for i in range(k):
-        ids = list(range(16 * i, 16 * i + 16))
-        _place(first, second, block, _onto(block, ids + [inf]))
-    join = get_ingredient("l8_K16x16")
-    for x in range(k):
-        for y in range(x + 1, k):
-            parts = [list(range(16 * x, 16 * x + 16)),
-                     list(range(16 * y, 16 * y + 16))]
-            _place(first, second, join, _onto_parts(join, parts))
-    return _finish(spec, 8, first, second,
-                   route="sixteen-blocks", length=8, order=v, k=k, r=1)
-
-
-def nine_level_gdd_pair(v: int) -> OrthogonalPair:
-    """Length-9 pair: columns of height 9 over a group divisible design plus
-    r fixed points.  The first group carries a full pair of order 9|g|+r; the
-    others carry order-19 pairs (r=1) or holed order-27 pairs whose hole sits
-    on the fixed points (r=9); design triples carry tripartite 9x9x9 pairs."""
-    plan = plan_for(9, v)
-    if plan.route != "nine-level-gdd":
-        raise ValueError(f"order {v} is not built by the nine-level route")
-    r = plan.r
-    gdd = build_gdd(plan.group_sizes)
-    n = gdd.points
-
-    def col(x, t):
-        return 9 * x + t
-
-    infs = [9 * n + j for j in range(r)]
-    labels = ([f"({x},{t})" for x in range(n) for t in range(9)]
-              + [f"inf{j}" for j in range(r)])
-    spec = complete(v, labels)
-    first: list = []
-    second: list = []
-
-    groups = gdd.groups()
-    lead = get_ingredient(_L9_FIRST_KEY[(len(groups[0]), r)])
-    cols = [col(x, t) for x in groups[0] for t in range(9)]
-    _place(first, second, lead, _onto(lead, cols + infs))
-    for group in groups[1:]:
-        cols = [col(x, t) for x in group for t in range(9)]
-        if r == 1:
-            block = get_ingredient("l9_v19")
-            _place(first, second, block, _onto(block, cols + infs))
+    - lengths 5, 7: height l, groups are the holes {2i, 2i+1} of a quasigroup
+      with holes, and the cross edges come from _quasigroup_cross;
+    - lengths 6, 9: height 4 or 9, groups and triples of a group divisible
+      design;
+    - length 8: height 16, singleton groups, every pair of points a block.
+    """
+    l, k, r = plan.l, plan.k, plan.r
+    blocks, cross = (), ((), ())
+    if plan.route == "quasigroup-columns":
+        h, fixed = l, r
+        groups = [(2 * i, 2 * i + 1) for i in range(k)]
+        # the full pair on the first hole, then the holed pair when r = l
+        keys = plan.ingredients[:1] + plan.ingredients[-1:] * (k - 1)
+        cross = _quasigroup_cross(l, build_quasigroup_with_holes(k))
+    elif plan.route == "sixteen-blocks":
+        h, fixed = 16, 1
+        groups = [(x,) for x in range(k)]
+        keys = ("l8_v17",) * k
+        blocks = combinations(range(k), 2)
+    else:
+        gdd = build_gdd(plan.group_sizes)
+        groups, blocks = gdd.groups(), gdd.triples
+        if l == 6:
+            h, fixed = 4, 1
+            keys = [_L6_GROUP_KEY[len(g)] for g in groups]
         else:
-            block = get_ingredient("l9_K27mK9")
-            _place(first, second, block, _onto_hole(block, infs, cols))
-    tri = get_ingredient("l9_K999")
-    for a, b, c in gdd.triples:
-        parts = [[col(x, t) for t in range(9)] for x in (a, b, c)]
-        _place(first, second, tri, _onto_parts(tri, parts))
-    return _finish(spec, 9, first, second,
-                   route="nine-level-gdd", length=9, order=v, k=plan.k, r=r)
+            h, fixed = 9, r
+            rest = "l9_v19" if r == 1 else "l9_K27mK9"
+            keys = [_L9_FIRST_KEY[(len(groups[0]), r)]] + [rest] * (len(groups) - 1)
+    n = sum(len(g) for g in groups)
+
+    def cols(points):
+        return [h * x + t for x in points for t in range(h)]
+
+    infs = list(range(h * n, h * n + fixed))
+    labels = ([f"({x},{t})" for x in range(n) for t in range(h)]
+              + [f"inf{j}" for j in range(fixed)])
+    ing = {key: get_ingredient(key) for key in plan.ingredients}
+    placements = []
+    for group, key in zip(groups, keys, strict=True):
+        pair = ing[key]
+        holed = pair.spec.kind == "complete_minus_hole"
+        placements.append((pair, [infs, cols(group)] if holed else [cols(group) + infs]))
+    placements += [(ing[_BLOCK_KEY[l]], [cols((x,)) for x in block]) for block in blocks]
+    return labels, placements, cross
 
 
-def pasted_order_45() -> OrthogonalPair:
-    """Length-6 pair of order 45: no usable group design exists at this
-    order, so paste an order-25 pair on one side, an order-21 pair on the
-    other, sharing one fixed point, and bridge the 24 x 20 remainder with
-    eight complete bipartite 6x10 pairs."""
-    inf = 44
-    labels = ([f"x{i}" for i in range(24)] + [f"y{i}" for i in range(20)]
-              + ["inf0"])
-    spec = complete(45, labels)
-    first: list = []
-    second: list = []
-
-    left = construct_pair(6, 25)
-    _place(first, second, left, _onto(left, list(range(24)) + [inf]))
-    right = get_ingredient("l6_v21")
-    _place(first, second, right, _onto(right, list(range(24, 44)) + [inf]))
+def _paste_45():
+    """Order 45 has no usable group design: an order-25 pair on 24 points
+    and an order-21 pair on 20 more share one fixed point, and eight
+    complete bipartite 6x10 pairs bridge the 24 x 20 remainder."""
+    labels = [f"x{i}" for i in range(24)] + [f"y{i}" for i in range(20)] + ["inf0"]
+    placements = [(construct_pair(6, 25), [list(range(24)) + [44]]),
+                  (get_ingredient("l6_v21"), [list(range(24, 44)) + [44]])]
     bridge = get_ingredient("l6_K6x10")
-    for i in range(4):
-        for j in range(2):
-            parts = [list(range(6 * i, 6 * i + 6)),
-                     list(range(24 + 10 * j, 34 + 10 * j))]
-            _place(first, second, bridge, _onto_parts(bridge, parts))
-    return _finish(spec, 6, first, second, route="paste-45", length=6, order=45)
+    placements += [(bridge, [range(6 * i, 6 * i + 6), range(24 + 10 * j, 34 + 10 * j)])
+                   for i in range(4) for j in range(2)]
+    return labels, placements
+
+
+def _build(plan: ConstructionPlan) -> OrthogonalPair:
+    if plan.route == "catalog":
+        return get_ingredient(plan.ingredients[0])
+    if plan.route == "paste-45":
+        return _assemble(plan, *_paste_45())
+    return _assemble(plan, *_columns(plan))
 
 
 @lru_cache(maxsize=None)
@@ -363,15 +284,4 @@ def construct_pair(l: int, v: int) -> OrthogonalPair:
     Raises NotAdmissibleError off the spectrum and UnsatisfiableError for the
     three admissible orders (5,5), (7,7), (9,9) where no pair exists.
     """
-    plan = plan_for(l, v)
-    if plan.route == "catalog":
-        return get_ingredient(plan.ingredients[0])
-    if plan.route == "quasigroup-columns":
-        return quasigroup_columns_pair(l, plan.k, plan.r)
-    if plan.route == "four-level-gdd":
-        return four_level_gdd_pair(v)
-    if plan.route == "sixteen-blocks":
-        return sixteen_block_pair(v)
-    if plan.route == "nine-level-gdd":
-        return nine_level_gdd_pair(v)
-    return pasted_order_45()
+    return _build(plan_for(l, v))

@@ -1,15 +1,14 @@
 """Bounded exact search for small orthogonal pairs.
 
-Three engines behind search_pair:
+Three routes behind search_pair:
   * v = 2l+1 over Z_v: enumerate base cycles whose edge differences hit every
     class 1..l once, then pair two bases whose orbits cross in <= 1 edge.
     Translation invariance means one base against all v translates of the
-    other covers every cross pair.
-  * v = l (each system is a Hamiltonian decomposition): full exhaustion.
-    Relabeling maps any pair onto one whose first system contains the
-    standard cycle (0,1,...,v-1), so fixing that cycle loses no generality;
-    if the whole tree is explored within budget and no mate ever appears the
-    instance is unsatisfiable, not merely exhausted.
+    other covers every cross pair.  search_second takes the same mate step
+    when its first system is one full orbit over Z_v.
+  * v = l: no search.  A system has only (l-1)/2 cycles, so the l edges of
+    any cycle of a mate fall at least three into one of them (pigeonhole),
+    and the result is "unsatisfiable" with no nodes spent.
   * anything else: randomized greedy first system + depth-first mate search
     with per-cycle shared-edge counters pruned at 2.
 
@@ -133,158 +132,37 @@ def _orbit_cycles(base, v: int):
     return list(seen)
 
 
+def _cyclic_mate(first: CycleSystem, base, b: _Budget, rng: Random, m) -> OrthogonalPair | None:
+    """Mate of first, the full orbit of base over Z_v: the orbit of the first
+    full-orbit difference base whose translates each cross base in at most
+    one edge (base itself fails at shift 0).  None if the bases run out."""
+    spec, l = first.spec, len(base)
+    for cand in _difference_bases(spec.v, l, b, rng):
+        orbit = _orbit_cycles(cand, spec.v)
+        if len(orbit) != spec.v or not _translates_cross_ok(base, cand, spec.v):
+            continue
+        pair = OrthogonalPair(spec, first, CycleSystem(spec, orbit, meta=m))
+        rep = verify_pair(pair, l)
+        if not rep.ok:
+            raise AssertionError(f"search produced an invalid pair: {rep}")
+        return pair
+    return None
+
+
 def _cyclic_pair(spec: GraphSpec, l: int, budget: SearchBudget) -> SearchResult:
     v = spec.v
     b = _Budget(budget.max_nodes)
-    rng = Random(budget.seed)
+    m = meta(route="search", seed=budget.seed)
     try:
-        first_base = None
-        for cand in _difference_bases(v, l, b, rng):
-            if len(_orbit_cycles(cand, v)) == v:
-                first_base = cand
-                break
-        if first_base is None:
-            return SearchResult("exhausted", None, budget.max_nodes - b.left)
-        for cand in _difference_bases(v, l, b, Random(budget.seed + 1)):
-            if cand == first_base or len(_orbit_cycles(cand, v)) != v:
-                continue
-            if not _translates_cross_ok(first_base, cand, v):
-                continue
-            pair = OrthogonalPair(
-                spec,
-                CycleSystem(spec, _orbit_cycles(first_base, v),
-                            meta=meta(route="search", seed=budget.seed)),
-                CycleSystem(spec, _orbit_cycles(cand, v),
-                            meta=meta(route="search", seed=budget.seed)),
-            )
-            rep = verify_pair(pair, l)
-            if not rep.ok:
-                raise AssertionError(f"search produced an invalid pair: {rep}")
-            return SearchResult("found", pair, budget.max_nodes - b.left)
-        return SearchResult("exhausted", None, budget.max_nodes - b.left)
+        base = next((c for c in _difference_bases(v, l, b, Random(budget.seed))
+                     if len(_orbit_cycles(c, v)) == v), None)
+        pair = None
+        if base is not None:
+            first = CycleSystem(spec, _orbit_cycles(base, v), meta=m)
+            pair = _cyclic_mate(first, base, b, Random(budget.seed + 1), m)
     except _OutOfBudget:
         return SearchResult("exhausted", None, budget.max_nodes)
-
-
-# ------------------------------------------------- hamiltonian exhaustion route
-
-def _ham_decompositions(v: int, uncovered: set, budget: _Budget):
-    """All partitions of `uncovered` into Hamiltonian cycles, depth first.
-
-    Each cycle is forced through the least uncovered edge at the least live
-    vertex, second vertex fixed, so neither cycle order nor traversal
-    direction is enumerated twice.
-    """
-
-    def rec(cycles):
-        if not uncovered:
-            yield list(cycles)
-            return
-        start = min(u for e in uncovered for u in e)
-        anchor = min(x for e in uncovered if start in e for x in e if x != start)
-
-        def extend(path, used_local):
-            _spend(budget)
-            if len(path) == v:
-                e = edge(path[-1], path[0])
-                if e in uncovered:
-                    es = [edge(path[i], path[i + 1]) for i in range(v - 1)] + [e]
-                    for x in es:
-                        uncovered.discard(x)
-                    cycles.append(canonical_cycle(path))
-                    yield from rec(cycles)
-                    cycles.pop()
-                    uncovered.update(es)
-                return
-            cur = path[-1]
-            for nxt in range(v):
-                if nxt in used_local:
-                    continue
-                if edge(cur, nxt) not in uncovered:
-                    continue
-                path.append(nxt)
-                used_local.add(nxt)
-                yield from extend(path, used_local)
-                used_local.discard(nxt)
-                path.pop()
-
-        yield from extend([start, anchor], {start, anchor})
-
-    yield from rec([])
-
-
-def _mate_exists(v: int, first_cycles, budget: _Budget) -> bool:
-    """Whether any Hamiltonian decomposition of K_v crosses every cycle of
-    first_cycles in <= 1 edge."""
-    owners = {}
-    for j, c in enumerate(first_cycles):
-        for e in cycle_edges(c):
-            owners[e] = j
-    uncovered = set(owners)
-
-    def rec():
-        _spend(budget)
-        if not uncovered:
-            return True
-        start = min(u for e in uncovered for u in e)
-        anchor = min(x for e in uncovered if start in e for x in e if x != start)
-        shared = {owners[edge(start, anchor)]: 1}
-
-        def extend(path, used_local):
-            _spend(budget)
-            if len(path) == v:
-                e = edge(path[-1], path[0])
-                if e not in uncovered or shared.get(owners[e], 0) >= 1:
-                    return False
-                es = [edge(path[i], path[i + 1]) for i in range(v - 1)] + [e]
-                for x in es:
-                    uncovered.discard(x)
-                if rec():
-                    return True
-                uncovered.update(es)
-                return False
-            cur = path[-1]
-            for nxt in range(v):
-                if nxt in used_local:
-                    continue
-                e = edge(cur, nxt)
-                if e not in uncovered:
-                    continue
-                j = owners[e]
-                if shared.get(j, 0) >= 1:
-                    continue
-                shared[j] = shared.get(j, 0) + 1
-                path.append(nxt)
-                used_local.add(nxt)
-                if extend(path, used_local):
-                    return True
-                used_local.discard(nxt)
-                path.pop()
-                shared[j] -= 1
-            return False
-
-        return extend([start, anchor], {start, anchor})
-
-    return rec()
-
-
-def _exhaustive_v_equals_l(spec: GraphSpec, l: int, budget: SearchBudget) -> SearchResult:
-    v = spec.v
-    b = _Budget(budget.max_nodes)
-    standard = tuple(range(v))
-    remaining = graph_edges(spec) - cycle_edges(standard)
-    try:
-        for completion in _ham_decompositions(v, set(remaining), b):
-            first = [standard] + completion
-            if _mate_exists(v, first, b):
-                # a mate exists: reconstruct it properly via the general search
-                first_sys = CycleSystem(spec, first, meta=meta(route="search", seed=budget.seed))
-                res = search_second(first_sys, SearchBudget(max(b.left, 50_000), budget.seed))
-                if res.status == "found":
-                    return SearchResult("found", res.pair, budget.max_nodes - b.left)
-        return SearchResult("unsatisfiable", None, budget.max_nodes - b.left)
-    except _OutOfBudget:
-        return SearchResult("exhausted", None, budget.max_nodes)
+    return SearchResult("found" if pair else "exhausted", pair, budget.max_nodes - b.left)
 
 
 # ------------------------------------------------------------- general route
@@ -348,7 +226,9 @@ def search_pair(spec: GraphSpec, l: int, budget: SearchBudget = SearchBudget()) 
         if v % 2 == 0 or v < 3 or l > v or (v * (v - 1)) % (2 * l) != 0:
             raise ValueError(f"no {l}-cycle decomposition of order {v} can exist")
         if v == l:
-            return _exhaustive_v_equals_l(spec, l, budget)
+            # certificate, not search: a system has (l-1)/2 cycles, so the l
+            # edges of any mate cycle put at least three into one of them
+            return SearchResult("unsatisfiable", None, 0)
         if v == 2 * l + 1:
             return _cyclic_pair(spec, l, budget)
     b = _Budget(budget.max_nodes)
@@ -375,20 +255,12 @@ def search_second(first: CycleSystem, budget: SearchBudget = SearchBudget()) -> 
         base = first.cycles[0]
         if set(_orbit_cycles(base, spec.v)) == set(first.cycles):
             try:
-                for cand in _difference_bases(spec.v, l, b, Random(budget.seed)):
-                    if len(_orbit_cycles(cand, spec.v)) != spec.v:
-                        continue
-                    if not _translates_cross_ok(base, cand, spec.v):
-                        continue
-                    second = CycleSystem(spec, _orbit_cycles(cand, spec.v),
-                                         meta=meta(route="search", seed=budget.seed))
-                    pair = OrthogonalPair(spec, first, second)
-                    if not verify_pair(pair, l).ok:
-                        continue
-                    return SearchResult("found", pair, budget.max_nodes - b.left)
-                return SearchResult("exhausted", None, budget.max_nodes - b.left)
+                pair = _cyclic_mate(first, base, b, Random(budget.seed),
+                                    meta(route="search", seed=budget.seed))
             except _OutOfBudget:
                 return SearchResult("exhausted", None, budget.max_nodes)
+            return SearchResult("found" if pair else "exhausted", pair,
+                                budget.max_nodes - b.left)
 
     owners: dict = {}
     for j, c in enumerate(first.cycles):

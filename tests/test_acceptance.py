@@ -94,7 +94,8 @@ def test_criterion_4_exhaustive_nonexistence():
         assert res.status == "unsatisfiable", (l, v)
         assert elapsed < 10.0, (l, v)
         nodes[(l, v)] = res.nodes
-    print(f"criterion 4 PASS: no pair exists at v = l, search trees {nodes}")
+    print(f"criterion 4 PASS: no pair exists at v = l, pigeonhole certificate, "
+          f"nodes {nodes}")
 
 
 def _suite_canonical_form(rng):

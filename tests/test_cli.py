@@ -118,7 +118,9 @@ def test_search_exit_codes(capsys):
     assert run("search", "--length", "5", "--order", "12") == 3
     assert json.loads(capsys.readouterr().out)["reason"] == "not admissible"
     assert run("search", "--length", "7", "--order", "7", "--budget", "2000000") == 3
-    assert json.loads(capsys.readouterr().out)["reason"] == "unsatisfiable"
+    refusal = json.loads(capsys.readouterr().out)
+    assert refusal["reason"] == "unsatisfiable"
+    assert "only 3 cycles" in refusal["detail"]  # the pigeonhole proof, no search
 
 
 def test_heffter_commands(tmp_path, capsys):
@@ -164,6 +166,13 @@ GENERATED_SHA256 = {
     (8, 193): "561a8f717fbe3ce60c6177652c2b3c473bde899ce1168dfd2ef026c0eb55a59e",
     (9, 199): "23befc913b44aa3f6e0a3754751f1137d188e0eee8662dd8eea8e2f30ca5217a",
     (6, 45): "f9c216fd1bdf1e2ef0308250fd2b5e8789731ff9965b6826531a42bbeaa75ebd",
+    # holed quasigroup columns (r = l), the holed nine-level route, and the
+    # four-level route on groups of two and of three
+    (5, 35): "1e7900b938e14d270b7bdc97995f4611973dcbb3f4ca7d6b64dae393ca6ed9bb",
+    (7, 49): "8bd093f17c873cfc47fd3e4ef5ffb1f09842b51216f32c7a67b0dc2cc5a9710a",
+    (9, 63): "69fee1f1ebfd4094fca0a79d7c93b269d485bbf256ea0ba9654c02c2e809a094",
+    (6, 25): "522f640ed85657e35b18dc7306bef9bbfaaf0d2a59a8b74c0cf1d32d1980f46d",
+    (6, 37): "b49809210586caac90778df552befb61c4213f30be19a101bd067d52cdef414b",
 }
 
 

@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthocycles.catalog import has_ingredient
+from orthocycles.catalog import get_ingredient, has_ingredient
 from orthocycles.construct import (
     UNSATISFIABLE,
     ConstructionPlan,
     NotAdmissibleError,
     UnsatisfiableError,
     admissible,
+    _onto,
     construct_pair,
-    four_level_gdd_pair,
     plan_for,
-    quasigroup_columns_pair,
-    sixteen_block_pair,
 )
 from orthocycles.verify import verify_pair
 
@@ -136,17 +134,17 @@ def test_construction_is_deterministic():
     assert a.second.cycles == b.second.cycles
 
 
-def test_engines_reject_orders_owned_by_other_routes():
-    with pytest.raises(ValueError):
-        quasigroup_columns_pair(6, 3, 1)
-    with pytest.raises(ValueError):
-        quasigroup_columns_pair(5, 2, 1)
-    with pytest.raises(ValueError):
-        quasigroup_columns_pair(5, 3, 3)
-    with pytest.raises(ValueError):
-        four_level_gdd_pair(45)
-    with pytest.raises(ValueError):
-        sixteen_block_pair(17)
+def test_placement_rejects_targets_that_disagree_with_the_host_parts():
+    k11 = get_ingredient("l5_v11")  # complete K11
+    holed = get_ingredient("l5_K15mK5")  # hole of 5, rest of 10
+    tri = get_ingredient("l6_K444")  # parts 4, 4, 4
+    assert _onto(k11, [range(100, 111)]) == {x: 100 + x for x in range(11)}
+    for pair, targets in ((k11, [range(10)]), (k11, [range(5), range(6)]),
+                          (holed, [range(15)]), (holed, [range(10), range(5)]),
+                          (tri, [range(4), range(4)]),
+                          (tri, [range(4), range(4), range(5)])):
+        with pytest.raises(ValueError):
+            _onto(pair, targets)
 
 
 @settings(max_examples=300, deadline=None)
