@@ -2,10 +2,9 @@
 triple systems, group divisible designs with block size three, and symmetric
 quasigroups whose holes are the pairs {2i, 2i+1}.
 
-Everything is deterministic.  Triple systems and quasigroups with holes are
-built by direct algebra for every order.  Only block-three designs with mixed
-group sizes, which the constructions ask for as types (4, 2^m) and (5, 3^2m),
-still fall back to a Stinson-style hill climb with a fixed internal seed.
+Everything is built by direct algebra, with no search and no random source:
+triple systems and quasigroups with holes for every order, and block-three
+designs of the three types the constructions ask for, 2^u, 3^u and 4.2^m.
 Every builder self-checks before returning, so a returned object is always
 valid.
 """
@@ -15,10 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from random import Random
-
-_CLIMB_SEED = 7
-_MAX_RESTARTS = 60
 
 
 def idempotent_symmetric_quasigroup(n: int):
@@ -139,79 +134,45 @@ def _gdd_triple_groups(u: int) -> GroupDivisibleDesign:
     return GroupDivisibleDesign((3,) * u, tuple(sorted(triples)))
 
 
-def _gdd_hill_climb(sizes, seed: int) -> GroupDivisibleDesign:
-    # Stinson-style: pick a live point and two of its uncovered partners.
-    # At most one existing triple is evicted per move, so coverage never
-    # drops; cross-degrees stay even, so a live point has >= 2 partners.
-    n = sum(sizes)
-    gidx = _group_index(sizes)
-    total = sum(len([y for y in range(n) if gidx[x] != gidx[y]]) for x in range(n)) // 2
-
-    def key(a, b):
-        return (a, b) if a < b else (b, a)
-
-    for attempt in range(_MAX_RESTARTS):
-        rng = Random(seed + attempt)
-        cover: dict = {}
-        live = [set(y for y in range(n) if gidx[y] != gidx[x]) for x in range(n)]
-        covered = 0
-        steps = 300 * n * n
-        while covered < total and steps > 0:
-            steps -= 1
-            x = rng.randrange(n)
-            if not live[x]:
-                continue
-            y, z = rng.sample(sorted(live[x]), 2)
-            if gidx[y] == gidx[z]:
-                continue
-            old = cover.get(key(y, z))
-            if old is not None:
-                for q in combinations(old, 2):
-                    del cover[q]
-                    a, b = q
-                    live[a].add(b)
-                    live[b].add(a)
-                covered -= 3
-            t = tuple(sorted((x, y, z)))
-            for a, b in combinations(t, 2):
-                cover[(a, b)] = t
-                live[a].discard(b)
-                live[b].discard(a)
-            covered += 3
-        if covered == total:
-            return GroupDivisibleDesign(tuple(sizes), tuple(sorted(set(cover.values()))))
-    raise RuntimeError(f"no block-three design of type {sizes} found")
-
-
-def _gdd_admissible(sizes) -> bool:
-    n = sum(sizes)
-    if any((n - g) % 2 for g in sizes):
-        return False  # each point's cross pairs split into pairs of a triple
-    cross = (n * n - sum(g * g for g in sizes)) // 2
-    if cross % 3:
-        return False
-    if len(sizes) == 3 and len(set(sizes)) > 1:
-        # with three groups every triple is a transversal, so the three
-        # cross-pair counts must all be equal, forcing equal group sizes
-        return False
-    return True
+def _gdd_four_twos(m: int) -> GroupDivisibleDesign:
+    # type 4.2^m with m = 3n: the 6n+5 design (Lindner & Rodger, Design
+    # Theory) on {inf1, inf2} + Z_{2n+1} x Z_3 less inf1.  Its 5-block
+    # {inf1, inf2, (0,.)} leaves the 4-group, and its triples
+    # {inf1, (2i-1,j), (2i,j+1)} leave the 2-groups; the other triples are
+    # {inf2, (2i,j), (2i-1,j+1)} and {(x,j), (y,j), (sigma f(x,y), j+1)},
+    # with sigma swapping 2i-1 and 2i and fixing 0
+    n = m // 3
+    f = idempotent_symmetric_quasigroup(2 * n + 1)
+    sigma = [0] + [x + 1 if x % 2 else x - 1 for x in range(1, 2 * n + 1)]
+    pt = {(0, j): 1 + j for j in range(3)}  # inf2 = 0, so the 4-group is 0..3
+    for i in range(1, n + 1):
+        for j in range(3):
+            g = 4 + 2 * (3 * (i - 1) + j)
+            pt[(2 * i - 1, j)], pt[(2 * i, (j + 1) % 3)] = g, g + 1
+    triples = [(0, pt[(2 * i, j)], pt[(2 * i - 1, (j + 1) % 3)])
+               for i in range(1, n + 1) for j in range(3)]
+    triples += [(pt[(x, j)], pt[(y, j)], pt[(sigma[f[x][y]], (j + 1) % 3)])
+                for j in range(3) for x, y in combinations(range(2 * n + 1), 2)]
+    return GroupDivisibleDesign((4,) + (2,) * m, tuple(sorted(tuple(sorted(t)) for t in triples)))
 
 
 @lru_cache(maxsize=None)
 def build_gdd(group_sizes: tuple) -> GroupDivisibleDesign:
-    """Group divisible design with block size 3 and the given group sizes,
-    laid out on consecutive point ranges in the given order."""
+    """Group divisible design with block size 3 of type 2^u (u = 0, 1 mod 3),
+    3^u (u odd) or 4.2^m (m = 0 mod 3), laid out on consecutive point ranges
+    in the given order.  Raises ValueError for every other type."""
     sizes = tuple(group_sizes)
-    if len(sizes) < 3:
+    u = len(sizes)
+    if u < 3:
         raise ValueError("need at least three groups")
-    if not _gdd_admissible(sizes):
-        raise ValueError(f"no block-three design of type {sizes}")
-    if all(s == 2 for s in sizes) and len(sizes) % 3 in (0, 1):
-        gdd = _gdd_from_point_deletion(len(sizes))
-    elif all(s == 3 for s in sizes) and len(sizes) % 2 == 1:
-        gdd = _gdd_triple_groups(len(sizes))
+    if sizes == (2,) * u and u % 3 in (0, 1):
+        gdd = _gdd_from_point_deletion(u)
+    elif sizes == (3,) * u and u % 2 == 1:
+        gdd = _gdd_triple_groups(u)
+    elif sizes == (4,) + (2,) * (u - 1) and (u - 1) % 3 == 0:
+        gdd = _gdd_four_twos(u - 1)
     else:
-        gdd = _gdd_hill_climb(sizes, _CLIMB_SEED)
+        raise ValueError(f"no closed-form block-three design of type {sizes}")
     _check_gdd(gdd)
     return gdd
 

@@ -78,11 +78,14 @@ def load_design(text: str) -> tuple[OrthogonalPair, int]:
         spec = spec_from_dict(doc["spec"])
         if doc["spec"].get("v", spec.v) != spec.v:
             raise ValueError("declared vertex count disagrees with the labels")
-        meta = tuple(sorted(doc.get("meta", {}).items()))
-        length = int(dict(meta).get("length", 0))
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError("meta is not a JSON object")
+        length = int(meta.get("length", 0))
         systems = [
             DesignSystem(spec, tuple(tuple(spec.index(lab) for lab in c)
-                                     for c in doc["systems"][name]), meta)
+                                     for c in doc["systems"][name]),
+                         tuple(sorted(meta.items())))
             for name in ("first", "second")
         ]
         return OrthogonalPair(spec, *systems), length

@@ -13,8 +13,8 @@ height h over the scaffold's points plus fixed points:
   small complete or holed pairs, triples carry tripartite pairs,
 - length 8: height 16 over singleton groups around one fixed point, every
   two columns joined by a complete bipartite pair,
-- length 6, order 45: a pasted join of an order-25 pair, an order-21 pair,
-  and eight complete bipartite 6x10 pairs (no suitable group design exists).
+- length 6, order v = 21 (mod 24): a pasted join of an order v-20 pair, an
+  order-21 pair, and complete bipartite 6x10 pairs between the two.
 
 A verification failure in assembly is a bug, not an input error, and raises
 AssertionError.
@@ -53,7 +53,7 @@ def no_pair_reason(l: int, v: int) -> str:
             f"a system has only {(l - 1) // 2} cycles, so any cycle of a "
             f"mate system would share at least three edges with one of them")
 
-_L6_GROUP_KEY = {2: "l6_v9", 3: "l6_v13", 5: "l6_v21"}
+_L6_GROUP_KEY = {2: "l6_v9", 3: "l6_v13"}
 _L9_FIRST_KEY = {(2, 1): "l9_v19", (2, 9): "l9_v27",
                  (4, 1): "l9_v37", (4, 9): "l9_v45"}
 _BLOCK_KEY = {6: "l6_K444", 8: "l8_K16x16", 9: "l9_K999"}
@@ -74,7 +74,7 @@ class ConstructionPlan:
 
     l: int
     v: int
-    route: str  # catalog | quasigroup-columns | four-level-gdd | sixteen-blocks | nine-level-gdd | paste-45
+    route: str  # catalog | quasigroup-columns | four-level-gdd | sixteen-blocks | nine-level-gdd | paste
     ingredients: tuple
     k: int = 0  # scaffold size: holes / blocks / group count
     r: int = 0  # fixed points; for length 6, v mod 24 (one fixed point)
@@ -103,17 +103,11 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
             ing = (f"l{l}_v{3 * l}", "l5_K15mK5" if l == 5 else "l7_K21mK7")
         return ConstructionPlan(l, v, "quasigroup-columns", ing, k=k, r=r)
     if l == 6:
-        if v == 45:
-            return ConstructionPlan(6, 45, "paste-45",
-                                    ("l6_K444", "l6_K6x10", "l6_v21", "l6_v9"))
         r = v % 24
-        if r in (1, 9):
-            sizes = (2,) * ((v - 1) // 8)
-        elif r == 13:
-            sizes = (3,) * ((v - 1) // 12)
-        else:
-            sizes = (5,) + (3,) * ((v - 21) // 12)
-        ing = tuple(sorted({_L6_GROUP_KEY[s] for s in sizes} | {"l6_K444"}))
+        if r == 21:
+            return ConstructionPlan(6, v, "paste", ("l6_K444", "l6_K6x10", "l6_v21", "l6_v9"))
+        sizes = (3,) * ((v - 1) // 12) if r == 13 else (2,) * ((v - 1) // 8)
+        ing = ("l6_K444", _L6_GROUP_KEY[sizes[0]])
         return ConstructionPlan(6, v, "four-level-gdd", ing,
                                 k=len(sizes), r=r, group_sizes=sizes)
     if l == 8:
@@ -156,7 +150,7 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> Ort
         mapping = _onto(pair, targets)
         first.extend(tuple(mapping[x] for x in c) for c in pair.first.cycles)
         second.extend(tuple(mapping[x] for x in c) for c in pair.second.cycles)
-    scaffold = {} if plan.route == "paste-45" else {"k": plan.k, "r": plan.r}
+    scaffold = {} if plan.route == "paste" else {"k": plan.k, "r": plan.r}
     m = meta(source="construct", route=plan.route, length=plan.l, order=plan.v, **scaffold)
     pair = OrthogonalPair(spec, CycleSystem(spec, first, meta=m),
                           CycleSystem(spec, second, meta=m))
@@ -256,24 +250,25 @@ def _columns(plan: ConstructionPlan):
     return labels, placements, cross
 
 
-def _paste_45():
-    """Order 45 has no usable group design: an order-25 pair on 24 points
-    and an order-21 pair on 20 more share one fixed point, and eight
-    complete bipartite 6x10 pairs bridge the 24 x 20 remainder."""
-    labels = [f"x{i}" for i in range(24)] + [f"y{i}" for i in range(20)] + ["inf0"]
-    placements = [(construct_pair(6, 25), [list(range(24)) + [44]]),
-                  (get_ingredient("l6_v21"), [list(range(24, 44)) + [44]])]
+def _paste(plan: ConstructionPlan):
+    """Order v = 24t + 21: an order-(24t+1) pair on n = 24t points and an
+    order-21 pair on 20 more share one fixed point, and 8t complete
+    bipartite 6x10 pairs bridge the n x 20 remainder."""
+    n = plan.v - 21
+    labels = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(20)] + ["inf0"]
+    placements = [(construct_pair(6, n + 1), [list(range(n)) + [n + 20]]),
+                  (get_ingredient("l6_v21"), [list(range(n, n + 20)) + [n + 20]])]
     bridge = get_ingredient("l6_K6x10")
-    placements += [(bridge, [range(6 * i, 6 * i + 6), range(24 + 10 * j, 34 + 10 * j)])
-                   for i in range(4) for j in range(2)]
+    placements += [(bridge, [range(6 * i, 6 * i + 6), range(n + 10 * j, n + 10 * j + 10)])
+                   for i in range(n // 6) for j in range(2)]
     return labels, placements
 
 
 def _build(plan: ConstructionPlan) -> OrthogonalPair:
     if plan.route == "catalog":
         return get_ingredient(plan.ingredients[0])
-    if plan.route == "paste-45":
-        return _assemble(plan, *_paste_45())
+    if plan.route == "paste":
+        return _assemble(plan, *_paste(plan))
     return _assemble(plan, *_columns(plan))
 
 

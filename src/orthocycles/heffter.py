@@ -98,13 +98,11 @@ def validate_heffter(a: HeffterArray) -> HeffterReport:
     return HeffterReport(not defects, tuple(defects))
 
 
-def simple_cyclic_order(entries, modulus: int):
-    """A cyclic order of the entries whose partial sums are pairwise distinct
-    mod modulus, or None.  Rotations preserve distinctness, so the first entry
-    stays fixed and only the (t-1)! arrangements of the rest are scanned."""
-    entries = tuple(entries)
-    if not entries:
-        return ()
+def simple_cyclic_orders(entries, modulus: int):
+    """Every cyclic order of the (non-empty) entries whose partial sums are
+    pairwise distinct mod modulus.  Rotations preserve distinctness, so the
+    first entry stays fixed and only the (t-1)! arrangements of the rest are
+    scanned."""
     head, rest = entries[0], entries[1:]
     for tail in permutations(rest):
         order = (head,) + tail
@@ -113,8 +111,16 @@ def simple_cyclic_order(entries, modulus: int):
             acc = (acc + x) % modulus
             sums.add(acc)
         if len(sums) == len(order):
-            return order
-    return None
+            yield order
+
+
+def simple_cyclic_order(entries, modulus: int):
+    """A cyclic order of the entries whose partial sums are pairwise distinct
+    mod modulus, or None."""
+    entries = tuple(entries)
+    if not entries:
+        return ()
+    return next(simple_cyclic_orders(entries, modulus), None)
 
 
 @dataclass(frozen=True)

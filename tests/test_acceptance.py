@@ -182,8 +182,7 @@ def _suite_gdd_coverage(rng):
     # rechecked under a random relabelling of the points
     shapes = ([(2,) * u for u in range(3, 19) if u % 3 in (0, 1)]
               + [(3,) * u for u in (3, 5, 7, 9)]
-              + [(4,) + (2,) * m for m in (3, 6)]
-              + [(5,) + (3,) * (2 * m) for m in (2, 3)])
+              + [(4,) + (2,) * m for m in (3, 6, 9, 12)])
     built = {s: build_gdd(s) for s in shapes}
     cases = 0
     while cases < 110:

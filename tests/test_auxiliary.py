@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -5,23 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthocycles import auxiliary
 from orthocycles.auxiliary import (
     QuasigroupWithHoles,
+    _check_gdd,
     _check_qh,
-    _gdd_hill_climb,
     build_gdd,
     build_quasigroup_with_holes,
     half_idempotent_quasigroup,
     idempotent_symmetric_quasigroup,
     steiner_triple_system,
 )
+from orthocycles.construct import UNSATISFIABLE, admissible, plan_for
 
 # every group-divisible design shape the recursive constructions ever ask for
 GDD_SHAPES = (
     [(2,) * u for u in range(3, 26) if u % 3 in (0, 1)]
     + [(3,) * u for u in range(3, 16, 2)]
-    + [(5,) + (3,) * (2 * m) for m in range(2, 8)]
     + [(4,) + (2,) * m for m in (3, 6, 9)]
 )
 
@@ -109,12 +109,28 @@ def test_gdd_rejects_impossible_shapes():
     # three groups force transversal triples, so sizes must be equal
     with pytest.raises(ValueError):
         build_gdd((5, 3, 3))
+    # types that exist, but are none of the closed forms 2^u, 3^u or 4.2^m
+    for sizes in ((5, 3, 3, 3, 3), (1,) * 7, (6, 6, 6)):
+        with pytest.raises(ValueError):
+            build_gdd(sizes)
 
 
 def test_gdd_hill_climb_is_deterministic():
-    a = _gdd_hill_climb((4, 2, 2, 2), 7)
-    b = _gdd_hill_climb((4, 2, 2, 2), 7)
+    # type 4.2^3 was once found by a seeded hill climb; the closed form that
+    # replaced it must give the same triples on every build
+    build_gdd.cache_clear()
+    a = build_gdd((4, 2, 2, 2))
+    build_gdd.cache_clear()
+    b = build_gdd((4, 2, 2, 2))
+    assert a is not b
     assert a.triples == b.triples
+
+
+def test_four_twos_gdd_from_the_6n_plus_5_design():
+    for m in range(3, 61, 3):
+        gdd = build_gdd((4,) + (2,) * m)
+        assert gdd.groups()[0] == (0, 1, 2, 3)
+        _check_gdd(gdd)
 
 
 @pytest.mark.parametrize("k", range(3, 41))
@@ -148,12 +164,27 @@ def test_quasigroup_with_holes_rejects_small_k():
             build_quasigroup_with_holes(k)
 
 
-def test_quasigroup_with_holes_never_searches(monkeypatch):
-    # every k has a closed form, so no random source is ever consulted
+def _refuse_random(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("quasigroup with holes reached a random search")
+        raise AssertionError("a scaffold builder created a random source")
 
-    monkeypatch.setattr(auxiliary, "Random", refuse)
+    monkeypatch.setattr(random.Random, "__init__", refuse)
+
+
+def test_quasigroup_with_holes_never_searches(monkeypatch):
+    # every k has a closed form, so no random source is ever created
+    _refuse_random(monkeypatch)
     build_quasigroup_with_holes.cache_clear()
     for k in range(3, 61):
         _check_qh(build_quasigroup_with_holes(k))
+
+
+def test_scaffolds_never_search(monkeypatch):
+    # every group-divisible design the constructions ask for has a closed
+    # form, so no random source is ever created on the build path
+    _refuse_random(monkeypatch)
+    build_gdd.cache_clear()
+    shapes = {plan_for(l, v).group_sizes for l in range(5, 10) for v in range(l, 601)
+              if admissible(l, v) and (l, v) not in UNSATISFIABLE}
+    for sizes in shapes - {()}:
+        _check_gdd(build_gdd(sizes))

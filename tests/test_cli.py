@@ -75,6 +75,11 @@ def test_verify_rejects_malformed_files(tmp_path, capsys):
     assert run("verify", str(bad)) == 2
     bad.write_text(json.dumps({"format_version": 1, "spec": {"kind": "complete"}}))
     assert run("verify", str(bad)) == 2
+    doc = json.loads(design_text(construct_pair(5, 11), 5))
+    doc["meta"] = [["length", 5]]
+    bad.write_text(json.dumps(doc))
+    assert run("verify", str(bad)) == 2
+    assert "cannot load" in capsys.readouterr().err
     assert run("verify", str(tmp_path / "absent.json")) == 2
     capsys.readouterr()
 
@@ -161,11 +166,11 @@ def test_design_text_is_deterministic_and_stable(tmp_path):
 # published design, so it must be deliberate
 GENERATED_SHA256 = {
     (5, 191): "bea1ffd7b682825cbb6723c9fd4b8bad08164800981300f6bce8d7f56ed1c95d",
-    (6, 189): "b8d8f710b90e2bfd6771a74cd4451755c3d9d4dfd2db34b835d1a6dbebc59638",
+    (6, 189): "776221cd172f0712d5d10732857a2d8a8f6865e7a87d9c067dc34c22ecd17aa9",
     (7, 183): "cef9bf3c366ce14fc994c56eb6e30f355617f35f364ac44f427c3f228fc957eb",
     (8, 193): "561a8f717fbe3ce60c6177652c2b3c473bde899ce1168dfd2ef026c0eb55a59e",
-    (9, 199): "23befc913b44aa3f6e0a3754751f1137d188e0eee8662dd8eea8e2f30ca5217a",
-    (6, 45): "f9c216fd1bdf1e2ef0308250fd2b5e8789731ff9965b6826531a42bbeaa75ebd",
+    (9, 199): "946b4b4bef7c3c094c04d3a743d52c005c89073d7734335e5582f30c8d6e77cf",
+    (6, 45): "602e024df21a9d695d11331c3f407e79c8244d7f180db362fcd5bb746e6aab11",
     # holed quasigroup columns (r = l), the holed nine-level route, and the
     # four-level route on groups of two and of three
     (5, 35): "1e7900b938e14d270b7bdc97995f4611973dcbb3f4ca7d6b64dae393ca6ed9bb",
@@ -173,6 +178,9 @@ GENERATED_SHA256 = {
     (9, 63): "69fee1f1ebfd4094fca0a79d7c93b269d485bbf256ea0ba9654c02c2e809a094",
     (6, 25): "522f640ed85657e35b18dc7306bef9bbfaaf0d2a59a8b74c0cf1d32d1980f46d",
     (6, 37): "b49809210586caac90778df552befb61c4213f30be19a101bd067d52cdef414b",
+    # the paste over an order-49 pair, and the nine-level route on type 4.2^3
+    (6, 69): "0fce9bb433aaa3f6bfd1311b571d500cfba3f946cb3e605084f657931fe18609",
+    (9, 91): "e4602388075cb81c6eb5c811ed676755a0c32edbe4ae606061301a27c7588a32",
 }
 
 

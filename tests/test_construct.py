@@ -64,11 +64,12 @@ def test_small_orders_route_to_catalog():
 
 
 def test_routes_and_scaffold_shapes():
-    assert plan_for(6, 45).route == "paste-45"
+    for v in (45, 69, 189):
+        assert plan_for(6, v).route == "paste" and plan_for(6, v).group_sizes == ()
     assert plan_for(9, 55).group_sizes == (2, 2, 2)
     assert plan_for(9, 91).group_sizes == (4, 2, 2, 2)
     assert plan_for(9, 99).group_sizes == (4, 2, 2, 2)
-    assert plan_for(6, 69).group_sizes == (5, 3, 3, 3, 3)
+    assert plan_for(9, 199).group_sizes == (4,) + (2,) * 9
     assert plan_for(6, 37).group_sizes == (3, 3, 3)
     assert plan_for(8, 65).k == 4
     assert plan_for(7, 57).k == 4 and plan_for(7, 57).r == 1
@@ -106,7 +107,7 @@ def _planned_edge_total(plan: ConstructionPlan) -> int:
         triples = (n * n - sum(s * s for s in sizes)) // 6
         rest = comb(19, 2) if r == 1 else comb(27, 2) - comb(9, 2)
         return comb(9 * sizes[0] + r, 2) + (len(sizes) - 1) * rest + 243 * triples
-    return comb(25, 2) + comb(21, 2) + 8 * 60  # paste-45
+    return comb(plan.v - 20, 2) + comb(21, 2) + 480 * (plan.v - 21) // 24  # paste
 
 
 def test_planned_blocks_cover_the_edge_count_exactly():
@@ -159,7 +160,7 @@ def test_plan_exists_exactly_on_the_admissible_spectrum(l, v):
     else:
         plan = plan_for(l, v)
         assert plan.route in ("catalog", "quasigroup-columns", "four-level-gdd",
-                              "sixteen-blocks", "nine-level-gdd", "paste-45")
+                              "sixteen-blocks", "nine-level-gdd", "paste")
         assert plan.l == l and plan.v == v
 
 

@@ -12,6 +12,7 @@ from orthocycles.heffter import (
     parse_array,
     search_3x3,
     simple_cyclic_order,
+    simple_cyclic_orders,
     validate_heffter,
 )
 
@@ -129,3 +130,19 @@ def test_parse_rejects_ragged_input():
         parse_array("1,2\n3\n")
     with pytest.raises(ValueError):
         parse_array("")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5))
+def test_simple_orders_are_every_distinct_sum_arrangement(entries):
+    # oracle: brute force over the arrangements that keep the first entry
+    want = []
+    for tail in permutations(entries[1:]):
+        sums, acc = set(), 0
+        for x in (entries[0],) + tail:
+            acc = (acc + x) % 19
+            sums.add(acc)
+        if len(sums) == len(entries):
+            want.append((entries[0],) + tail)
+    assert list(simple_cyclic_orders(entries, 19)) == want
+    assert simple_cyclic_order(entries, 19) == (want[0] if want else None)
