@@ -7,23 +7,24 @@ Two families are frozen here so that builds never depend on a live search:
     difference classes of each side, so each system gets a second base on the
     complementary classes, found by exhaustive scan over closures.
 
-Re-running with the pinned seeds/budgets must reproduce the files verbatim;
-the acceptance suite checks exactly that.
+Re-running with the pinned seeds/budgets must reproduce all six files
+verbatim; CI checks that by running this script and diffing the data
+directory.  (The acceptance suite checks only the five cyclic entries, and
+compares their cycles, not their files.)
+
+Run from the repository root:  python3 scripts/freeze_search_ingredients.py
 """
 
 import json
 import sys
+from itertools import permutations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from orthocycles.catalog import get_ingredient  # noqa: E402
 from orthocycles.core import complete  # noqa: E402
-from orthocycles.search import (  # noqa: E402
-    SearchBudget,
-    bipartite_translation_completion,
-    search_pair,
-)
+from orthocycles.search import SearchBudget, search_pair  # noqa: E402
 from orthocycles.verify import verify_pair  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "orthocycles" / "data"
@@ -33,6 +34,82 @@ BUDGET = 500_000
 
 K16_FIRST = ((0, 0), (0, 1), (1, 0), (2, 1), (6, 0), (1, 1), (4, 0), (6, 1))
 K16_SECOND = ((0, 0), (0, 1), (6, 0), (7, 1), (4, 0), (3, 1), (7, 0), (5, 1))
+
+
+def _bipartite_diffs(cycle_pairs, m: int = 16):
+    """Difference classes of an alternating bipartite cycle ((x,0),(y,1),...)."""
+    out = []
+    for (x, jx), (y, jy) in zip(cycle_pairs, cycle_pairs[1:] + cycle_pairs[:1]):
+        if jx == jy:
+            raise ValueError("cycle does not alternate sides")
+        out.append((y - x) % m if jx == 0 else (x - y) % m)
+    return out
+
+
+def _bipartite_bases_with_diffs(diffs, m: int = 16):
+    """All alternating 8-cycles (x1,0),(y1,1),...,(x4,0),(y4,1) with x1 = 0
+    whose difference multiset is exactly `diffs`, lexicographically."""
+    k = len(diffs) // 2
+    for perm in permutations(sorted(diffs)):
+        xs, ys = [0], []
+        ok = True
+        for i in range(k):
+            ys.append((xs[i] + perm[2 * i]) % m)
+            xs.append((ys[i] - perm[2 * i + 1]) % m)
+        if xs[k] != 0:
+            continue
+        xs = xs[:k]
+        if len(set(xs)) != k or len(set(ys)) != k:
+            continue
+        cyc = []
+        for x, y in zip(xs, ys):
+            cyc.extend([(x, 0), (y, 1)])
+        yield tuple(cyc)
+
+
+def _bipartite_edges(cycle_pairs):
+    out = set()
+    for (x, jx), (y, jy) in zip(cycle_pairs, cycle_pairs[1:] + cycle_pairs[:1]):
+        out.add((x, y) if jx == 0 else (y, x))
+    return out
+
+
+def _bipartite_cross_ok(c1, c2, m: int = 16) -> bool:
+    e1 = _bipartite_edges(c1)
+    base2 = list(_bipartite_edges(c2))
+    for s in range(m):
+        shared = 0
+        for x, y in base2:
+            if ((x + s) % m, (y + s) % m) in e1:
+                shared += 1
+                if shared > 1:
+                    return False
+    return True
+
+
+def bipartite_translation_completion(base_a, base_b, m: int = 16):
+    """Second bases completing two published K_{m,m} base cycles to full
+    orthogonal decompositions.
+
+    Each published base misses half the difference classes; the completions
+    use exactly the complementary classes, and all four orbit pairs are
+    checked for <= 1 shared edge under every relative translation.  Returns
+    the lexicographically first completion (mate_a, mate_b).
+    """
+    da, db = _bipartite_diffs(base_a, m), _bipartite_diffs(base_b, m)
+    if not _bipartite_cross_ok(base_a, base_b, m):
+        raise AssertionError("published bases are not mutually orthogonal")
+    comp_a = sorted(set(range(m)) - set(da))
+    comp_b = sorted(set(range(m)) - set(db))
+    cand_a = [c for c in _bipartite_bases_with_diffs(comp_a, m)
+              if _bipartite_cross_ok(c, base_b, m)]
+    for cb in _bipartite_bases_with_diffs(comp_b, m):
+        if not _bipartite_cross_ok(cb, base_a, m):
+            continue
+        for ca in cand_a:
+            if _bipartite_cross_ok(ca, cb, m):
+                return ca, cb
+    raise RuntimeError("no completion found")
 
 
 def dump(entry: dict):

@@ -61,6 +61,13 @@ class DesignSystem:
     meta: tuple = ()
 
 
+def _json_int(value, name: str) -> int:
+    # bool is a subclass of int, but true is not a count
+    if type(value) is not int:
+        raise ValueError(f"{name} is not a JSON integer: {value!r}")
+    return value
+
+
 def load_design(text: str) -> tuple[OrthogonalPair, int]:
     """Parse a design file back into a pair of DesignSystems and its cycle
     length.  A file written by design_text reads back to the same bytes.
@@ -76,12 +83,12 @@ def load_design(text: str) -> tuple[OrthogonalPair, int]:
         if doc["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {doc['format_version']}")
         spec = spec_from_dict(doc["spec"])
-        if doc["spec"].get("v", spec.v) != spec.v:
+        if _json_int(doc["spec"].get("v", spec.v), "spec.v") != spec.v:
             raise ValueError("declared vertex count disagrees with the labels")
         meta = doc.get("meta", {})
         if not isinstance(meta, dict):
             raise ValueError("meta is not a JSON object")
-        length = int(meta.get("length", 0))
+        length = _json_int(meta.get("length", 0), "meta.length")
         systems = [
             DesignSystem(spec, tuple(tuple(spec.index(lab) for lab in c)
                                      for c in doc["systems"][name]),

@@ -9,8 +9,9 @@ Three routes behind search_pair:
   * v = l: no search.  A system has only (l-1)/2 cycles, so the l edges of
     any cycle of a mate fall at least three into one of them (pigeonhole),
     and the result is "unsatisfiable" with no nodes spent.
-  * anything else: randomized greedy first system + depth-first mate search
-    with per-cycle shared-edge counters pruned at 2.
+  * anything else: randomized greedy first system, then a depth-first mate
+    search on the same node budget.  Each mate cycle starts on the least
+    uncovered edge and keeps at most one shared edge per first cycle.
 
 All found pairs are re-checked with verify_pair before being returned.
 """
@@ -18,7 +19,6 @@ All found pairs are re-checked with verify_pair before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from random import Random
 
 from .core import (
@@ -51,29 +51,43 @@ class SearchResult:
     nodes: int
 
 
+class _OutOfBudget(Exception):
+    pass
+
+
 class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, max_nodes: int):
         self.left = max_nodes
 
-    def tick(self) -> bool:
+    def spend(self):
         self.left -= 1
-        return self.left >= 0
+        if self.left < 0:
+            raise _OutOfBudget
 
 
-class _OutOfBudget(Exception):
-    pass
+def _run(budget: SearchBudget, search) -> SearchResult:
+    """search(b) on a fresh node budget b: found if it returns a pair,
+    exhausted if it returns None or runs out of nodes."""
+    b = _Budget(budget.max_nodes)
+    try:
+        pair = search(b)
+    except _OutOfBudget:
+        return SearchResult("exhausted", None, budget.max_nodes)
+    return SearchResult("found" if pair else "exhausted", pair, budget.max_nodes - b.left)
 
 
-def _spend(b: _Budget):
-    if not b.tick():
-        raise _OutOfBudget
+def _checked(pair: OrthogonalPair, l: int) -> OrthogonalPair:
+    rep = verify_pair(pair, l)
+    if not rep.ok:
+        raise AssertionError(f"search produced an invalid pair: {rep}")
+    return pair
 
 
 # ---------------------------------------------------------------- cyclic route
 
-def _difference_bases(v: int, l: int, budget: _Budget, rng: Random | None):
+def _difference_bases(v: int, l: int, budget: _Budget, rng: Random):
     """Base l-cycles through 0 using each difference class 1..l exactly once.
 
     First step is restricted to the positive class representative: every orbit
@@ -83,8 +97,6 @@ def _difference_bases(v: int, l: int, budget: _Budget, rng: Random | None):
     classes = list(range(1, l + 1))
 
     def shuffled(xs):
-        if rng is None:
-            return list(xs)
         xs = list(xs)
         rng.shuffle(xs)
         return xs
@@ -94,14 +106,14 @@ def _difference_bases(v: int, l: int, budget: _Budget, rng: Random | None):
         if pos == l:
             (last,) = set(classes) - used
             d = (-verts[-1]) % v
-            _spend(budget)
+            budget.spend()
             if d == last or d == v - last:
                 yield tuple(verts)
             return
         for c in shuffled(c for c in classes if c not in used):
             steps = (c,) if pos == 1 else shuffled((c, v - c))
             for d in steps:
-                _spend(budget)
+                budget.spend()
                 nxt = (verts[-1] + d) % v
                 if nxt in verts:
                     continue
@@ -139,47 +151,37 @@ def _cyclic_mate(first: CycleSystem, base, b: _Budget, rng: Random, m) -> Orthog
     spec, l = first.spec, len(base)
     for cand in _difference_bases(spec.v, l, b, rng):
         orbit = _orbit_cycles(cand, spec.v)
-        if len(orbit) != spec.v or not _translates_cross_ok(base, cand, spec.v):
-            continue
-        pair = OrthogonalPair(spec, first, CycleSystem(spec, orbit, meta=m))
-        rep = verify_pair(pair, l)
-        if not rep.ok:
-            raise AssertionError(f"search produced an invalid pair: {rep}")
-        return pair
+        if len(orbit) == spec.v and _translates_cross_ok(base, cand, spec.v):
+            return _checked(OrthogonalPair(spec, first, CycleSystem(spec, orbit, meta=m)), l)
     return None
 
 
-def _cyclic_pair(spec: GraphSpec, l: int, budget: SearchBudget) -> SearchResult:
+def _cyclic_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPair | None:
     v = spec.v
-    b = _Budget(budget.max_nodes)
-    m = meta(route="search", seed=budget.seed)
-    try:
-        base = next((c for c in _difference_bases(v, l, b, Random(budget.seed))
-                     if len(_orbit_cycles(c, v)) == v), None)
-        pair = None
-        if base is not None:
-            first = CycleSystem(spec, _orbit_cycles(base, v), meta=m)
-            pair = _cyclic_mate(first, base, b, Random(budget.seed + 1), m)
-    except _OutOfBudget:
-        return SearchResult("exhausted", None, budget.max_nodes)
-    return SearchResult("found" if pair else "exhausted", pair, budget.max_nodes - b.left)
+    base = next((c for c in _difference_bases(v, l, b, Random(seed))
+                 if len(_orbit_cycles(c, v)) == v), None)
+    if base is None:
+        return None
+    m = meta(route="search", seed=seed)
+    first = CycleSystem(spec, _orbit_cycles(base, v), meta=m)
+    return _cyclic_mate(first, base, b, Random(seed + 1), m)
 
 
 # ------------------------------------------------------------- general route
 
 def _greedy_system(spec: GraphSpec, l: int, budget: _Budget, rng: Random):
-    uncovered = graph_edges(spec)
-    all_edges = frozenset(uncovered)
+    """Cycles covering every host edge, each closing the least edge left by a
+    randomized depth-first path; a dead end restarts the whole system."""
+    all_edges = frozenset(graph_edges(spec))
 
     def grow():
         cycles = []
         left = set(all_edges)
 
         def path_search(path, target, depth):
-            _spend(budget)
+            budget.spend()
             if depth == 0:
-                e = edge(path[-1], target)
-                return [e] if e in left else None
+                return edge(path[-1], target) in left
             nbrs = list(range(spec.v))
             rng.shuffle(nbrs)
             for nxt in nbrs:
@@ -189,38 +191,95 @@ def _greedy_system(spec: GraphSpec, l: int, budget: _Budget, rng: Random):
                 if e not in left:
                     continue
                 left.discard(e)
-                rest = path_search(path + [nxt], target, depth - 1)
-                if rest is not None:
-                    return [e] + rest
+                path.append(nxt)
+                if path_search(path, target, depth - 1):
+                    return True
+                path.pop()
                 left.add(e)
-            return None
+            return False
 
         while left:
             u, w = min(left)
-            base = edge(u, w)
-            left.discard(base)
-            es = path_search([u], w, l - 2)
-            if es is None:
+            left.discard((u, w))
+            path = [u]
+            if not path_search(path, w, l - 2):
                 return None
-            es.append(base)
-            cycle, cur = [u], u
-            for e in es[:-1]:
-                cur = e[1] if e[0] == cur else e[0]
-                cycle.append(cur)
-            for e in es:
-                left.discard(e)
-            cycles.append(tuple(cycle))
+            left.discard(edge(path[-1], w))
+            cycles.append(tuple(path) + (w,))
         return cycles
 
     while True:
-        _spend(budget)
-        got = grow()
-        if got is not None:
-            return got
+        budget.spend()
+        cycles = grow()
+        if cycles is not None:
+            return cycles
+
+
+def _mate(first: CycleSystem, b: _Budget, m) -> OrthogonalPair | None:
+    """Depth-first mate of a verified system, or None once the tree is done.
+
+    Each cycle starts on the least uncovered edge (u, anchor); edges are
+    stored low-high, so u is the least uncovered vertex.  A cycle may share
+    at most one edge with each first cycle, and every host edge has one
+    owner in the first system.
+    """
+    spec, l = first.spec, first.cycle_length
+    owners = {e: j for j, c in enumerate(first.cycles) for e in cycle_edges(c)}
+    uncovered = graph_edges(spec)
+
+    def rec(done):
+        b.spend()
+        if not uncovered:
+            return done
+        u, anchor = min(uncovered)
+        shared = {owners[u, anchor]}
+
+        def extend(path, used):
+            b.spend()
+            if len(path) == l:
+                e = edge(path[-1], path[0])
+                if e not in uncovered or owners[e] in shared:
+                    return None
+                es = [edge(path[i], path[i + 1]) for i in range(l - 1)] + [e]
+                uncovered.difference_update(es)
+                found = rec(done + [tuple(path)])
+                if found is None:
+                    uncovered.update(es)
+                return found
+            for nxt in range(spec.v):
+                if nxt in used:
+                    continue
+                e = edge(path[-1], nxt)
+                if e not in uncovered or owners[e] in shared:
+                    continue
+                shared.add(owners[e])
+                path.append(nxt)
+                used.add(nxt)
+                found = extend(path, used)
+                if found is not None:
+                    return found
+                used.discard(nxt)
+                path.pop()
+                shared.discard(owners[e])
+            return None
+
+        return extend([u, anchor], {u, anchor})
+
+    found = rec([])
+    if found is None:
+        return None
+    return _checked(OrthogonalPair(spec, first, CycleSystem(spec, found, meta=m)), l)
+
+
+def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPair | None:
+    m = meta(route="search", seed=seed)
+    first = CycleSystem(spec, _greedy_system(spec, l, b, Random(seed)), meta=m)
+    return _mate(first, b, m)
 
 
 def search_pair(spec: GraphSpec, l: int, budget: SearchBudget = SearchBudget()) -> SearchResult:
     """A verified orthogonal pair on spec, or exhausted / unsatisfiable."""
+    seed = budget.seed
     if spec.kind == "complete":
         v = spec.v
         if v % 2 == 0 or v < 3 or l > v or (v * (v - 1)) % (2 * l) != 0:
@@ -230,180 +289,19 @@ def search_pair(spec: GraphSpec, l: int, budget: SearchBudget = SearchBudget()) 
             # edges of any mate cycle put at least three into one of them
             return SearchResult("unsatisfiable", None, 0)
         if v == 2 * l + 1:
-            return _cyclic_pair(spec, l, budget)
-    b = _Budget(budget.max_nodes)
-    rng = Random(budget.seed)
-    try:
-        cycles = _greedy_system(spec, l, b, rng)
-    except _OutOfBudget:
-        return SearchResult("exhausted", None, budget.max_nodes)
-    first = CycleSystem(spec, cycles, meta=meta(route="search", seed=budget.seed))
-    res = search_second(first, SearchBudget(max(b.left, 1), budget.seed))
-    return SearchResult(res.status, res.pair, budget.max_nodes - b.left + res.nodes)
+            return _run(budget, lambda b: _cyclic_pair(spec, l, b, seed))
+    return _run(budget, lambda b: _general_pair(spec, l, b, seed))
 
 
 def search_second(first: CycleSystem, budget: SearchBudget = SearchBudget()) -> SearchResult:
-    """Depth-first search for an orthogonal mate of a verified system."""
-    spec = first.spec
-    l = first.cycle_length
+    """Search for an orthogonal mate of a verified system: the cyclic mate
+    step if first is one full orbit over Z_v, otherwise depth-first."""
+    spec, l = first.spec, first.cycle_length
     if not verify_decomposition(first, l).ok:
         raise ValueError("first system is not a valid decomposition")
-    b = _Budget(budget.max_nodes)
-
-    # cyclic fast path: single full orbit over Z_v
-    if spec.kind == "complete" and spec.v == 2 * l + 1 and len(first.cycles) == spec.v:
+    m = meta(route="search", seed=budget.seed)
+    if (spec.kind == "complete" and spec.v == 2 * l + 1 and len(first.cycles) == spec.v
+            and set(_orbit_cycles(first.cycles[0], spec.v)) == set(first.cycles)):
         base = first.cycles[0]
-        if set(_orbit_cycles(base, spec.v)) == set(first.cycles):
-            try:
-                pair = _cyclic_mate(first, base, b, Random(budget.seed),
-                                    meta(route="search", seed=budget.seed))
-            except _OutOfBudget:
-                return SearchResult("exhausted", None, budget.max_nodes)
-            return SearchResult("found" if pair else "exhausted", pair,
-                                budget.max_nodes - b.left)
-
-    owners: dict = {}
-    for j, c in enumerate(first.cycles):
-        for e in cycle_edges(c):
-            owners[e] = j
-    uncovered = set(graph_edges(spec))
-    found: list = []
-
-    def rec(done):
-        _spend(b)
-        if not uncovered:
-            found.extend(done)
-            return True
-        u = min(x for e in uncovered for x in e)
-        anchor = min(x for e in uncovered if u in e for x in e if x != u)
-        j0 = owners.get(edge(u, anchor))
-        shared: dict = {} if j0 is None else {j0: 1}
-
-        def extend(path, used):
-            _spend(b)
-            if len(path) == l:
-                e = edge(path[-1], path[0])
-                if e not in uncovered:
-                    return False
-                j = owners.get(e)
-                if j is not None and shared.get(j, 0) >= 1:
-                    return False
-                es = [edge(path[i], path[i + 1]) for i in range(l - 1)] + [e]
-                for x in es:
-                    uncovered.discard(x)
-                if rec(done + [tuple(path)]):
-                    return True
-                uncovered.update(es)
-                return False
-            for nxt in range(spec.v):
-                if nxt in used:
-                    continue
-                e = edge(path[-1], nxt)
-                if e not in uncovered:
-                    continue
-                j = owners.get(e)
-                if j is not None and shared.get(j, 0) >= 1:
-                    continue
-                if j is not None:
-                    shared[j] = shared.get(j, 0) + 1
-                path.append(nxt)
-                used.add(nxt)
-                if extend(path, used):
-                    return True
-                used.discard(nxt)
-                path.pop()
-                if j is not None:
-                    shared[j] -= 1
-            return False
-
-        return extend([u, anchor], {u, anchor})
-
-    try:
-        if rec([]):
-            second = CycleSystem(spec, found, meta=meta(route="search", seed=budget.seed))
-            pair = OrthogonalPair(spec, first, second)
-            rep = verify_pair(pair, l)
-            if not rep.ok:
-                raise AssertionError(f"mate search produced an invalid pair: {rep}")
-            return SearchResult("found", pair, budget.max_nodes - b.left)
-        return SearchResult("exhausted", None, budget.max_nodes - b.left)
-    except _OutOfBudget:
-        return SearchResult("exhausted", None, budget.max_nodes)
-
-
-# -------------------------------------------------- bipartite completion search
-
-def _bipartite_diffs(cycle_pairs, m: int = 16):
-    """Difference classes of an alternating bipartite cycle ((x,0),(y,1),...)."""
-    out = []
-    for (x, jx), (y, jy) in zip(cycle_pairs, cycle_pairs[1:] + cycle_pairs[:1]):
-        if jx == jy:
-            raise ValueError("cycle does not alternate sides")
-        out.append((y - x) % m if jx == 0 else (x - y) % m)
-    return out
-
-
-def _bipartite_bases_with_diffs(diffs, m: int = 16):
-    """All alternating 8-cycles (x1,0),(y1,1),...,(x4,0),(y4,1) with x1 = 0
-    whose difference multiset is exactly `diffs`, lexicographically."""
-    k = len(diffs) // 2
-    for perm in permutations(sorted(diffs)):
-        xs, ys = [0], []
-        ok = True
-        for i in range(k):
-            ys.append((xs[i] + perm[2 * i]) % m)
-            xs.append((ys[i] - perm[2 * i + 1]) % m)
-        if xs[k] != 0:
-            continue
-        xs = xs[:k]
-        if len(set(xs)) != k or len(set(ys)) != k:
-            continue
-        cyc = []
-        for x, y in zip(xs, ys):
-            cyc.extend([(x, 0), (y, 1)])
-        yield tuple(cyc)
-
-
-def _bipartite_edges(cycle_pairs):
-    out = set()
-    for (x, jx), (y, jy) in zip(cycle_pairs, cycle_pairs[1:] + cycle_pairs[:1]):
-        out.add((x, y) if jx == 0 else (y, x))
-    return out
-
-
-def _bipartite_cross_ok(c1, c2, m: int = 16) -> bool:
-    e1 = _bipartite_edges(c1)
-    base2 = list(_bipartite_edges(c2))
-    for s in range(m):
-        shared = 0
-        for x, y in base2:
-            if ((x + s) % m, (y + s) % m) in e1:
-                shared += 1
-                if shared > 1:
-                    return False
-    return True
-
-
-def bipartite_translation_completion(base_a, base_b, m: int = 16):
-    """Second bases completing two published K_{m,m} base cycles to full
-    orthogonal decompositions.
-
-    Each published base misses half the difference classes; the completions
-    use exactly the complementary classes, and all four orbit pairs are
-    checked for <= 1 shared edge under every relative translation.  Returns
-    the lexicographically first completion (mate_a, mate_b).
-    """
-    da, db = _bipartite_diffs(base_a, m), _bipartite_diffs(base_b, m)
-    if not _bipartite_cross_ok(base_a, base_b, m):
-        raise AssertionError("published bases are not mutually orthogonal")
-    comp_a = sorted(set(range(m)) - set(da))
-    comp_b = sorted(set(range(m)) - set(db))
-    cand_a = [c for c in _bipartite_bases_with_diffs(comp_a, m)
-              if _bipartite_cross_ok(c, base_b, m)]
-    for cb in _bipartite_bases_with_diffs(comp_b, m):
-        if not _bipartite_cross_ok(cb, base_a, m):
-            continue
-        for ca in cand_a:
-            if _bipartite_cross_ok(ca, cb, m):
-                return ca, cb
-    raise RuntimeError("no completion found")
+        return _run(budget, lambda b: _cyclic_mate(first, base, b, Random(budget.seed), m))
+    return _run(budget, lambda b: _mate(first, b, m))

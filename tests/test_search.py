@@ -1,28 +1,57 @@
+import hashlib
+import sys
+from pathlib import Path
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthocycles.catalog import get_ingredient
 from orthocycles.core import CycleSystem, complete, cycle_edges
 from orthocycles.search import (
     SearchBudget,
-    _bipartite_diffs,
     _difference_bases,
     _orbit_cycles,
-    bipartite_translation_completion,
     search_pair,
     search_second,
 )
 from orthocycles.verify import verify_pair
 
-K16_FIRST = ((0, 0), (0, 1), (1, 0), (2, 1), (6, 0), (1, 1), (4, 0), (6, 1))
-K16_SECOND = ((0, 0), (0, 1), (6, 0), (7, 1), (4, 0), (3, 1), (7, 0), (5, 1))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from freeze_search_ingredients import (  # noqa: E402
+    K16_FIRST,
+    K16_SECOND,
+    _bipartite_diffs,
+    bipartite_translation_completion,
+)
+
+# status, nodes and sha256 of repr((first.cycles, second.cycles)) at a
+# 2,000,000-node budget and seed 1: search_pair on K_v by (l, v), and
+# search_second from a named first system
+SEARCH_PINS = {
+    ("pair", 6, 9): ("found", 2187, "b51d03cc5c8d0d71848f0d4c4ba5bd1cd96d2df27ed06bb5d2618c6a4d639a3e"),
+    ("pair", 5, 15): ("found", 1454, "0ef727090a1a52ebba8591f437dfa170a822dfa668399fa0bfa805beb82b7d22"),
+    ("pair", 5, 21): ("found", 5958, "a227438cad0d7e9eb15c3612db872897d9bb7681095288fa1ed1d312e233df6d"),
+    ("pair", 6, 21): ("found", 3151, "ecdd4880f99171487b6a54b06961eb24acba53797ba3320807a96ea6e5ee82b1"),
+    ("pair", 5, 25): ("found", 8926, "29531ff3e5b8556a70ed7ae5a9d336e6cf6ed65d78ef9505f196b435ce023574"),
+    ("pair", 7, 29): ("found", 135641, "e6caf623429aa7ddfef956d0bf7182fbacb58638e5e7c85d985c0783e72d7407"),
+    ("pair", 4, 9): ("found", 43, "73e0fb168a05565a1c35041ffb5404e1d82e2e2dde883262f6960c3d4e6e8f5f"),
+    ("second", "triple7"): ("found", 5, "77524c269b0f0ff374178c63a40c52311d98a08ed9578b9e5aa0dd3157239adb"),
+    ("second", "l6_v13"): ("found", 631, "90cb67d97e31642d4974a0244f6c9bf8080a7b5984e7c648177691e5eb7d5c72"),
+    ("second", "l6_v9"): ("found", 66, "4e2f8b9f54def04910d3beaba4b4d22ce08d22a0051e6bbdc114fab74057c74f"),
+}
+
+
+def _pinned_first(name):
+    if name == "triple7":
+        return CycleSystem(complete(7), _orbit_cycles((0, 1, 3), 7))
+    return get_ingredient(name).first
 
 
 class _NoLimit:
-    left = 1 << 60
-
-    def tick(self):
-        return True
+    def spend(self):
+        pass
 
 
 def test_budget_validation():
@@ -37,7 +66,7 @@ def test_budget_validation():
 def test_difference_bases_are_well_formed(l):
     v = 2 * l + 1
     count = 0
-    for base in _difference_bases(v, l, _NoLimit(), None):
+    for base in _difference_bases(v, l, _NoLimit(), Random(0)):
         count += 1
         assert base[0] == 0 and len(set(base)) == l
         diffs = {min((b - a) % v, (a - b) % v)
@@ -72,6 +101,25 @@ def test_budget_exhaustion_is_reported():
     assert res.status == "exhausted"
     assert res.pair is None
     assert res.nodes == 10
+
+
+@pytest.mark.parametrize("l, v", [(6, 9), (5, 15)])
+def test_nodes_never_exceed_the_budget(l, v):
+    for max_nodes in range(1, 401):
+        res = search_pair(complete(v), l, SearchBudget(max_nodes=max_nodes, seed=1))
+        assert res.nodes <= max_nodes, (max_nodes, res.status, res.nodes)
+
+
+@pytest.mark.parametrize("key", sorted(SEARCH_PINS, key=repr), ids=repr)
+def test_search_outputs_are_pinned(key):
+    budget = SearchBudget(max_nodes=2_000_000, seed=1)
+    if key[0] == "pair":
+        _, l, v = key
+        res = search_pair(complete(v), l, budget)
+    else:
+        res = search_second(_pinned_first(key[1]), budget)
+    digest = hashlib.sha256(repr((res.pair.first.cycles, res.pair.second.cycles)).encode())
+    assert (res.status, res.nodes, digest.hexdigest()) == SEARCH_PINS[key]
 
 
 def test_hamiltonian_orders_without_mates_are_unsatisfiable():
