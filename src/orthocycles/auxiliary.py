@@ -190,10 +190,6 @@ class QuasigroupWithHoles:
             raise ValueError(f"{x} and {y} share a hole")
         return self.table[x][y]
 
-    @staticmethod
-    def hole_of(x: int) -> tuple:
-        return (x - x % 2, x - x % 2 + 1)
-
 
 def _qh_from_hole_level(k: int):
     # value 2f(i,j) + (parity of x+y) splits each hole-level product into the

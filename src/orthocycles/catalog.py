@@ -4,6 +4,16 @@ Each entry is one JSON data file: a host graph with display labels and the two
 systems, either as explicit label cycles or as base blocks plus the group
 action that develops them (with pinned orbit sizes).  Entries marked as
 search-supplied carry the seed and budget that reproduce them.
+
+Labels are plain integers "7", coordinate pairs "(3,2)", and fixed points
+"inf", "inf1", ...  An action is a translation group, stored as a dict:
+{"kind": "cyclic", "modulus": [n], "step": s} moves integer labels by the
+multiples of s mod n (step defaults to 1); {"kind": "pair_first", "modulus":
+[m]} moves x in "(x,j)" mod m and keeps j; {"kind": "pair_both", "modulus":
+[m, t]} moves x mod m and j mod t.  Every action fixes the "inf*" labels.
+develop() keeps the distinct canonical images of each base, so short orbits
+(bases with a nontrivial stabiliser, reflection coincidences included) come
+out at their true size, which the entry pins.
 """
 
 from __future__ import annotations
@@ -11,9 +21,9 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from importlib import resources
+from math import gcd
 
-from .core import CycleSystem, GraphSpec, OrthogonalPair
-from .develop import action_from_dict, develop
+from .core import CycleSystem, GraphSpec, OrthogonalPair, canonical_cycle
 
 
 def _data_files():
@@ -56,8 +66,47 @@ def spec_from_dict(g: dict) -> GraphSpec:
     if g["kind"] == "complete_minus_hole":
         return GraphSpec("complete_minus_hole", labels,
                          hole=frozenset(idx[h] for h in g["hole"]))
-    return GraphSpec("multipartite", labels,
-                     parts=tuple(tuple(idx[p] for p in part) for part in g["parts"]))
+    if g["kind"] == "multipartite":
+        return GraphSpec("multipartite", labels,
+                         parts=tuple(tuple(idx[p] for p in part) for part in g["parts"]))
+    raise ValueError(f"unknown graph kind {g['kind']!r}")
+
+
+def develop(bases, action: dict, expected) -> list[tuple[str, ...]]:
+    """Concatenated orbits of every base under action; expected pins each
+    orbit size, so a base transcribed wrong fails loudly."""
+    kind, modulus = action["kind"], action["modulus"]
+    if kind == "pair_both":
+        m, t = modulus
+        elements = [(a, b) for a in range(m) for b in range(t)]
+    elif kind in ("cyclic", "pair_first"):
+        (n,) = modulus
+        elements = range(0, n, gcd(n, action.get("step", 1)))
+    else:
+        raise ValueError(f"unknown action kind {kind!r}")
+
+    def move(label: str, g) -> str:
+        if label.startswith("inf"):
+            return label
+        # cyclic moves integer labels only, the pair kinds "(x,j)" labels only
+        if (kind == "cyclic") == label.startswith("("):
+            raise ValueError(f"{kind} action cannot move label {label!r}")
+        if kind == "cyclic":
+            return str((int(label) + g) % n)
+        x, j = map(int, label[1:-1].split(","))
+        if kind == "pair_first":
+            return f"({(x + g) % n},{j})"
+        return f"({(x + g[0]) % m},{(j + g[1]) % t})"
+
+    out: list[tuple[str, ...]] = []
+    for i, base in enumerate(bases):
+        images = list(dict.fromkeys(
+            canonical_cycle(tuple(move(lab, g) for lab in base)) for g in elements))
+        if len(images) != expected[i]:
+            raise ValueError(
+                f"base {i} develops into {len(images)} cycles, expected {expected[i]}")
+        out.extend(images)
+    return out
 
 
 def _label_cycles(payload: dict) -> list:
@@ -65,7 +114,7 @@ def _label_cycles(payload: dict) -> list:
         return payload["cycles"]
     cycles = []
     for g in payload["groups"]:
-        cycles.extend(develop(g["bases"], action_from_dict(g["action"]), g["expected"]))
+        cycles.extend(develop(g["bases"], g["action"], g["expected"]))
     return cycles
 
 

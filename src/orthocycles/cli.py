@@ -194,6 +194,10 @@ def cmd_catalog(args) -> int:
 def cmd_search(args) -> int:
     try:
         budget = SearchBudget(max_nodes=args.budget, seed=args.seed)
+    except ValueError as exc:
+        print(f"bad search budget: {exc}", file=sys.stderr)
+        return 2
+    try:
         result = search_pair(complete(args.order), args.length, budget)
     except ValueError as exc:
         _reason("not admissible", str(exc))

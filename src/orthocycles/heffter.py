@@ -48,10 +48,6 @@ class HeffterArray:
     def symbol_count(self) -> int:
         return self.rows * self.row_fill
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols and self.row_fill == self.col_fill
-
     def row_entries(self, i: int) -> tuple:
         return tuple(x for x in self.cells[i] if x is not None)
 

@@ -40,8 +40,10 @@ class SearchBudget:
     seed: int = 1
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.seed < 0:
-            raise ValueError("budget must be positive")
+        if self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be at least 1, got {self.max_nodes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -282,7 +284,7 @@ def search_pair(spec: GraphSpec, l: int, budget: SearchBudget = SearchBudget()) 
     seed = budget.seed
     if spec.kind == "complete":
         v = spec.v
-        if v % 2 == 0 or v < 3 or l > v or (v * (v - 1)) % (2 * l) != 0:
+        if l < 3 or v % 2 == 0 or v < 3 or l > v or (v * (v - 1)) % (2 * l) != 0:
             raise ValueError(f"no {l}-cycle decomposition of order {v} can exist")
         if v == l:
             # certificate, not search: a system has (l-1)/2 cycles, so the l

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthocycles.auxiliary import (
-    QuasigroupWithHoles,
     _check_gdd,
     _check_qh,
     build_gdd,
@@ -154,8 +153,6 @@ def test_quasigroup_with_holes_rejects_same_hole_product():
     q = build_quasigroup_with_holes(3)
     with pytest.raises(ValueError):
         q.mul(4, 5)
-    assert QuasigroupWithHoles.hole_of(4) == (4, 5)
-    assert QuasigroupWithHoles.hole_of(1) == (0, 1)
 
 
 def test_quasigroup_with_holes_rejects_small_k():

@@ -87,6 +87,13 @@ def test_verify_rejects_malformed_files(tmp_path, capsys):
         bad.write_text(json.dumps(doc))
         assert run("verify", str(bad)) == 2, (field, value)
         assert "cannot load" in capsys.readouterr().err
+    # an unknown host kind is not read as multipartite
+    doc = json.loads(design_text(construct_pair(5, 11), 5))
+    doc["spec"]["kind"] = "bogus"
+    doc["spec"]["parts"] = [[lab] for lab in doc["spec"]["labels"]]
+    bad.write_text(json.dumps(doc))
+    assert run("verify", str(bad)) == 2
+    assert "cannot load" in capsys.readouterr().err
     assert run("verify", str(tmp_path / "absent.json")) == 2
     capsys.readouterr()
 
@@ -133,6 +140,13 @@ def test_search_exit_codes(capsys):
     refusal = json.loads(capsys.readouterr().out)
     assert refusal["reason"] == "unsatisfiable"
     assert "only 3 cycles" in refusal["detail"]  # the pigeonhole proof, no search
+    for flag, value, field in (("--budget", "0", "max_nodes"), ("--seed", "-1", "seed")):
+        assert run("search", "--length", "5", "--order", "11", flag, value) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and field in err
+    for l, v in ((0, 3), (1, 3), (2, 5)):
+        assert run("search", "--length", str(l), "--order", str(v)) == 3
+        assert json.loads(capsys.readouterr().out)["reason"] == "not admissible"
 
 
 def test_heffter_commands(tmp_path, capsys):

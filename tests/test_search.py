@@ -55,9 +55,9 @@ class _NoLimit:
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_nodes"):
         SearchBudget(max_nodes=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed"):
         SearchBudget(seed=-1)
 
 
@@ -94,6 +94,9 @@ def test_search_rejects_impossible_shapes():
         search_pair(complete(13), 5)  # 78 edges, not divisible by 5
     with pytest.raises(ValueError):
         search_pair(complete(7), 9)
+    for v, l in ((3, 0), (3, 1), (5, 2)):  # no cycle is shorter than 3
+        with pytest.raises(ValueError):
+            search_pair(complete(v), l)
 
 
 def test_budget_exhaustion_is_reported():
