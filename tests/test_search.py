@@ -27,9 +27,14 @@ from freeze_search_ingredients import (  # noqa: E402
 )
 
 # status, nodes and sha256 of repr((first.cycles, second.cycles)) at a
-# 2,000,000-node budget and seed 1: search_pair on K_v by (l, v), and
-# search_second from a named first system
+# 2,000,000-node budget: search_pair on K_v by (l, v) at seed 1, or by
+# (l, v, seed), and search_second from a named first system at seed 1
 SEARCH_PINS = {
+    ("pair", 5, 11): ("found", 95, "36fcb43534d316057be2e159076d49d2466e51d431ec648ddc0aa62071211cda"),
+    ("pair", 6, 13): ("found", 380, "b2221a3713625fbab28b3152212859aa0e43332ebc934e0da6aed144bb338fcb"),
+    ("pair", 7, 15): ("found", 108, "ba905dad655ce1c138ca9fec671b941893ca2e665e8533f0bf08bf30c2cf6f5e"),
+    ("pair", 8, 17, 2): ("found", 21225, "72cd83f0062c7825c724352eec73dbb778e9cbccf64e6f7b1b72bdfa009aab12"),
+    ("pair", 9, 19): ("found", 46, "aa826a44c675946cb98b8dcc755f47262695a1d9b95c86d9937f5cd6391ecd4a"),
     ("pair", 6, 9): ("found", 2187, "b51d03cc5c8d0d71848f0d4c4ba5bd1cd96d2df27ed06bb5d2618c6a4d639a3e"),
     ("pair", 5, 15): ("found", 1454, "0ef727090a1a52ebba8591f437dfa170a822dfa668399fa0bfa805beb82b7d22"),
     ("pair", 5, 21): ("found", 5958, "a227438cad0d7e9eb15c3612db872897d9bb7681095288fa1ed1d312e233df6d"),
@@ -115,10 +120,9 @@ def test_nodes_never_exceed_the_budget(l, v):
 
 @pytest.mark.parametrize("key", sorted(SEARCH_PINS, key=repr), ids=repr)
 def test_search_outputs_are_pinned(key):
-    budget = SearchBudget(max_nodes=2_000_000, seed=1)
+    budget = SearchBudget(max_nodes=2_000_000, seed=key[3] if len(key) > 3 else 1)
     if key[0] == "pair":
-        _, l, v = key
-        res = search_pair(complete(v), l, budget)
+        res = search_pair(complete(key[2]), key[1], budget)
     else:
         res = search_second(_pinned_first(key[1]), budget)
     digest = hashlib.sha256(repr((res.pair.first.cycles, res.pair.second.cycles)).encode())
