@@ -43,6 +43,9 @@ def list_ingredients() -> tuple[tuple[str, str], ...]:
 
 @lru_cache(maxsize=None)
 def _load(key: str) -> dict:
+    # a key names one file of data/: no separator or dot can lead elsewhere
+    if not key.isidentifier():
+        raise KeyError(f"no catalog entry {key!r}")
     path = _data_files() / f"{key}.json"
     try:
         return json.loads(path.read_text())

@@ -91,6 +91,8 @@ class GraphSpec:
 
 
 def complete(v: int, labels=None) -> GraphSpec:
+    if v < 0:
+        raise ValueError(f"order must be non-negative, got {v}")
     if labels is None:
         labels = tuple(str(i) for i in range(v))
     return GraphSpec("complete", tuple(labels))

@@ -4,8 +4,9 @@ Three routes behind search_pair:
   * v = 2l+1 over Z_v: enumerate base cycles whose edge differences hit every
     class 1..l once, then pair two bases whose orbits cross in <= 1 edge.
     Translation invariance means one base against all v translates of the
-    other covers every cross pair.  search_second takes the same mate step
-    when its first system is one full orbit over Z_v.
+    other covers every cross pair, and the check counts, per shift, the edge
+    pairs of equal difference that the shift lines up.  search_second takes
+    the same mate step when its first system is one full orbit over Z_v.
   * v = l: no search.  A system has only (l-1)/2 cycles, so the l edges of
     any cycle of a mate fall at least three into one of them (pigeonhole),
     and the result is "unsatisfiable" with no nodes spent.
@@ -13,12 +14,17 @@ Three routes behind search_pair:
     search on the same node budget.  Each mate cycle starts on the least
     uncovered edge and keeps at most one shared edge per first cycle.
 
+The general engines work on integer vertex ids: a bytearray row per vertex
+marks the edges still uncovered (free[a][x] == free[x][a]), the mate search
+reads the first system's owner of edge {a, x} from a v x v table, and
+candidates are the set bits of the last vertex's row in ascending order.
 All found pairs are re-checked with verify_pair before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from random import Random
 
 from .core import (
@@ -26,8 +32,6 @@ from .core import (
     GraphSpec,
     OrthogonalPair,
     canonical_cycle,
-    cycle_edges,
-    edge,
     graph_edges,
     meta,
 )
@@ -87,6 +91,11 @@ def _checked(pair: OrthogonalPair, l: int) -> OrthogonalPair:
     return pair
 
 
+def _steps(cycle):
+    """Consecutive vertex pairs of a closed cycle, the wrap pair included."""
+    return zip(cycle, cycle[1:] + cycle[:1])
+
+
 # ---------------------------------------------------------------- cyclic route
 
 def _difference_bases(v: int, l: int, budget: _Budget, rng: Random):
@@ -125,17 +134,24 @@ def _difference_bases(v: int, l: int, budget: _Budget, rng: Random):
 
 
 def _translates_cross_ok(base_a, base_b, v: int) -> bool:
-    ea = cycle_edges(base_a)
-    for s in range(v):
-        shared = 0
-        prev = (base_b[-1] + s) % v
-        for x in base_b:
-            cur = (x + s) % v
-            if edge(prev, cur) in ea:
-                shared += 1
-                if shared > 1:
-                    return False
-            prev = cur
+    """Every translate of base_b shares at most one edge with base_a.
+
+    Shift s carries edge {x, y} of base_b onto edge {p, q} of base_a iff
+    s = p - x = q - y or s = q - x = p - y (mod v): iff base_a has a step
+    p -> q, in either direction, of difference y - x, with s = p - x.
+    Count the shifts each such pair of edges gives.
+    """
+    starts: dict[int, list[int]] = {}
+    for p, q in _steps(base_a):
+        starts.setdefault((q - p) % v, []).append(p)
+        starts.setdefault((p - q) % v, []).append(q)
+    hits = [0] * v
+    for x, y in _steps(base_b):
+        for p in starts.get((y - x) % v, ()):
+            s = (p - x) % v
+            hits[s] += 1
+            if hits[s] > 1:
+                return False
     return True
 
 
@@ -148,20 +164,24 @@ def _orbit_cycles(base, v: int):
 
 def _cyclic_mate(first: CycleSystem, base, b: _Budget, rng: Random, m) -> OrthogonalPair | None:
     """Mate of first, the full orbit of base over Z_v: the orbit of the first
-    full-orbit difference base whose translates each cross base in at most
-    one edge (base itself fails at shift 0).  None if the bases run out."""
+    difference base whose translates each cross base in at most one edge
+    (base itself fails at shift 0).  None if the bases run out.
+
+    Every l-cycle of Z_{2l+1} has a full orbit: a shift that maps it onto
+    itself maps its l vertices onto themselves, so the shift's order
+    divides l as well as 2l+1, and the two are coprime.
+    """
     spec, l = first.spec, len(base)
     for cand in _difference_bases(spec.v, l, b, rng):
-        orbit = _orbit_cycles(cand, spec.v)
-        if len(orbit) == spec.v and _translates_cross_ok(base, cand, spec.v):
-            return _checked(OrthogonalPair(spec, first, CycleSystem(spec, orbit, meta=m)), l)
+        if _translates_cross_ok(base, cand, spec.v):
+            orbit = CycleSystem(spec, _orbit_cycles(cand, spec.v), meta=m)
+            return _checked(OrthogonalPair(spec, first, orbit), l)
     return None
 
 
 def _cyclic_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPair | None:
     v = spec.v
-    base = next((c for c in _difference_bases(v, l, b, Random(seed))
-                 if len(_orbit_cycles(c, v)) == v), None)
+    base = next(_difference_bases(v, l, b, Random(seed)), None)
     if base is None:
         return None
     m = meta(route="search", seed=seed)
@@ -171,42 +191,59 @@ def _cyclic_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPa
 
 # ------------------------------------------------------------- general route
 
+def _free_rows(spec: GraphSpec) -> list[bytearray]:
+    """free[a][x] == 1 iff {a, x} is a host edge."""
+    free = [bytearray(spec.v) for _ in range(spec.v)]
+    for a, x in graph_edges(spec):
+        free[a][x] = free[x][a] = 1
+    return free
+
+
+def _least_free(free):
+    """The least free edge (u, w), u < w, or None.  Rows are symmetric, so
+    u is the least vertex with a free edge and w its least free neighbour."""
+    for u, row in enumerate(free):
+        w = row.find(1)
+        if w >= 0:
+            return u, w
+    return None
+
+
 def _greedy_system(spec: GraphSpec, l: int, budget: _Budget, rng: Random):
     """Cycles covering every host edge, each closing the least edge left by a
     randomized depth-first path; a dead end restarts the whole system."""
-    all_edges = frozenset(graph_edges(spec))
+    v = spec.v
 
     def grow():
         cycles = []
-        left = set(all_edges)
+        free = _free_rows(spec)
 
         def path_search(path, target, depth):
             budget.spend()
+            last = path[-1]
             if depth == 0:
-                return edge(path[-1], target) in left
-            nbrs = list(range(spec.v))
+                return free[last][target]
+            row = free[last]
+            nbrs = list(range(v))
             rng.shuffle(nbrs)
             for nxt in nbrs:
-                if nxt in path or nxt == target:
+                if not row[nxt] or nxt == target or nxt in path:
                     continue
-                e = edge(path[-1], nxt)
-                if e not in left:
-                    continue
-                left.discard(e)
+                row[nxt] = free[nxt][last] = 0
                 path.append(nxt)
                 if path_search(path, target, depth - 1):
                     return True
                 path.pop()
-                left.add(e)
+                row[nxt] = free[nxt][last] = 1
             return False
 
-        while left:
-            u, w = min(left)
-            left.discard((u, w))
+        while (least := _least_free(free)) is not None:
+            u, w = least
+            free[u][w] = free[w][u] = 0
             path = [u]
             if not path_search(path, w, l - 2):
                 return None
-            left.discard(edge(path[-1], w))
+            free[path[-1]][w] = free[w][path[-1]] = 0
             cycles.append(tuple(path) + (w,))
         return cycles
 
@@ -220,52 +257,59 @@ def _greedy_system(spec: GraphSpec, l: int, budget: _Budget, rng: Random):
 def _mate(first: CycleSystem, b: _Budget, m) -> OrthogonalPair | None:
     """Depth-first mate of a verified system, or None once the tree is done.
 
-    Each cycle starts on the least uncovered edge (u, anchor); edges are
-    stored low-high, so u is the least uncovered vertex.  A cycle may share
-    at most one edge with each first cycle, and every host edge has one
-    owner in the first system.
+    Each cycle starts on the least uncovered edge (u, anchor), so u is the
+    least uncovered vertex.  A cycle may share at most one edge with each
+    first cycle, and every host edge has one owner in the first system:
+    owner[a][x] is the index of the first cycle on edge {a, x}.  Uncovered
+    edges change only when a cycle closes, and a failed subtree restores
+    them, so every candidate of a step sees the same rows.
     """
     spec, l = first.spec, first.cycle_length
-    owners = {e: j for j, c in enumerate(first.cycles) for e in cycle_edges(c)}
-    uncovered = graph_edges(spec)
+    v = spec.v
+    owner = [[-1] * v for _ in range(v)]
+    for j, c in enumerate(first.cycles):
+        for a, x in _steps(c):
+            owner[a][x] = owner[x][a] = j
+    free = _free_rows(spec)
 
     def rec(done):
         b.spend()
-        if not uncovered:
+        least = _least_free(free)
+        if least is None:
             return done
-        u, anchor = min(uncovered)
-        shared = {owners[u, anchor]}
+        u, anchor = least
+        return extend([u, anchor], {u, anchor}, {owner[u][anchor]}, done)
 
-        def extend(path, used):
-            b.spend()
-            if len(path) == l:
-                e = edge(path[-1], path[0])
-                if e not in uncovered or owners[e] in shared:
-                    return None
-                es = [edge(path[i], path[i + 1]) for i in range(l - 1)] + [e]
-                uncovered.difference_update(es)
-                found = rec(done + [tuple(path)])
-                if found is None:
-                    uncovered.update(es)
+    def extend(path, used, shared, done):
+        b.spend()
+        last = path[-1]
+        if len(path) == l:
+            start = path[0]
+            if not free[last][start] or owner[last][start] in shared:
+                return None
+            steps = list(_steps(path))
+            for a, x in steps:
+                free[a][x] = free[x][a] = 0
+            found = rec(done + [tuple(path)])
+            if found is None:
+                for a, x in steps:
+                    free[a][x] = free[x][a] = 1
+            return found
+        row = owner[last]
+        for nxt in compress(range(v), free[last]):
+            j = row[nxt]
+            if nxt in used or j in shared:
+                continue
+            shared.add(j)
+            path.append(nxt)
+            used.add(nxt)
+            found = extend(path, used, shared, done)
+            if found is not None:
                 return found
-            for nxt in range(spec.v):
-                if nxt in used:
-                    continue
-                e = edge(path[-1], nxt)
-                if e not in uncovered or owners[e] in shared:
-                    continue
-                shared.add(owners[e])
-                path.append(nxt)
-                used.add(nxt)
-                found = extend(path, used)
-                if found is not None:
-                    return found
-                used.discard(nxt)
-                path.pop()
-                shared.discard(owners[e])
-            return None
-
-        return extend([u, anchor], {u, anchor})
+            used.discard(nxt)
+            path.pop()
+            shared.discard(j)
+        return None
 
     found = rec([])
     if found is None:

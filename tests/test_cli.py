@@ -2,12 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orthocycles
 from orthocycles.catalog import cycle_length, get_ingredient
 from orthocycles.cli import design_text, load_design, main
 from orthocycles.construct import construct_pair
@@ -117,10 +119,16 @@ def test_catalog_dump_round_trips(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_catalog_dump_usage_errors(capsys):
+def test_catalog_dump_usage_errors(tmp_path, capsys):
     assert run("catalog", "dump") == 2
-    assert run("catalog", "dump", "l4_v99") == 2
     capsys.readouterr()
+    # a key is an entry name, never a path, even to a file that exists
+    (tmp_path / "x.json").write_text("[1]")
+    outside = os.path.relpath(tmp_path / "x", Path(orthocycles.__file__).parent / "data")
+    for key in ("l4_v99", outside, "../data/l5_v11", "l5_v11.json", "l5_v11/", ""):
+        assert run("catalog", "dump", key) == 2, key
+        out, err = capsys.readouterr()
+        assert out == "" and "no catalog entry" in err, key
 
 
 def test_search_finds_and_writes_verified_pairs(tmp_path, capsys):
@@ -147,6 +155,9 @@ def test_search_exit_codes(capsys):
     for l, v in ((0, 3), (1, 3), (2, 5)):
         assert run("search", "--length", str(l), "--order", str(v)) == 3
         assert json.loads(capsys.readouterr().out)["reason"] == "not admissible"
+    assert run("search", "--length", "5", "--order", "-1") == 3
+    refusal = json.loads(capsys.readouterr().out)
+    assert refusal["reason"] == "not admissible" and "-1" in refusal["detail"]
 
 
 def test_heffter_commands(tmp_path, capsys):

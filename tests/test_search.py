@@ -1,5 +1,6 @@
 import hashlib
 import sys
+from itertools import islice
 from pathlib import Path
 from random import Random
 
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthocycles.catalog import get_ingredient
-from orthocycles.core import CycleSystem, complete, cycle_edges
+from orthocycles.core import CycleSystem, complete, cycle_edges, edge
 from orthocycles.search import (
     SearchBudget,
     _difference_bases,
     _orbit_cycles,
+    _translates_cross_ok,
     search_pair,
     search_second,
 )
@@ -80,6 +82,52 @@ def test_difference_bases_are_well_formed(l):
         if count >= 50:
             break
     assert count > 0
+
+
+def _translates_cross_ok_by_translation(base_a, base_b, v):
+    """Reference: translate base_b by every shift and count shared edges."""
+    ea = cycle_edges(base_a)
+    for s in range(v):
+        shared = 0
+        prev = (base_b[-1] + s) % v
+        for x in base_b:
+            cur = (x + s) % v
+            if edge(prev, cur) in ea:
+                shared += 1
+                if shared > 1:
+                    return False
+            prev = cur
+    return True
+
+
+@st.composite
+def _two_cycles_mod_v(draw):
+    v = draw(st.integers(min_value=3, max_value=20)) * 2 + 1  # odd, 7..41
+    l = draw(st.integers(min_value=3, max_value=(v - 1) // 2))
+    cycle = st.lists(st.integers(min_value=0, max_value=v - 1),
+                     min_size=l, max_size=l, unique=True).map(tuple)
+    return v, draw(cycle), draw(cycle)
+
+
+@given(_two_cycles_mod_v())
+@settings(max_examples=300, deadline=None)
+def test_shift_count_cross_check_matches_translation(case):
+    v, base_a, base_b = case
+    expected = _translates_cross_ok_by_translation(base_a, base_b, v)
+    assert _translates_cross_ok(base_a, base_b, v) == expected
+
+
+@pytest.mark.parametrize("l", range(3, 7))
+def test_shift_count_cross_check_on_difference_bases(l):
+    v = 2 * l + 1
+    bases = list(islice(_difference_bases(v, l, _NoLimit(), Random(l)), 40))
+    verdicts = set()
+    for a in bases:
+        for b in bases:
+            ok = _translates_cross_ok_by_translation(a, b, v)
+            assert _translates_cross_ok(a, b, v) == ok, (a, b)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_cyclic_search_finds_verified_pair():
