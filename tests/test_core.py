@@ -1,8 +1,12 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from orthocycles.core import (
     CycleSystem,
+    GraphSpec,
+    OrthogonalPair,
     canonical_cycle,
     complete,
     complete_minus_hole,
@@ -106,3 +110,78 @@ def test_cycle_system_rejects_out_of_range():
     for cyc in [(0, 1, 7), (0, 1, 4), (2, -1, 3)]:
         with pytest.raises(ValueError):
             CycleSystem(complete(4), [cyc])
+
+
+# ------------------------------------------------------- value-type contract
+
+K5_CYCLES = [(0, 1, 2, 3, 4), (0, 2, 4, 1, 3)]
+
+
+def test_graph_specs_compare_and_hash_by_value():
+    assert complete(5) == GraphSpec("complete", ("0", "1", "2", "3", "4"))
+    assert hash(complete(5)) == hash(complete(5)) and complete(5) is not complete(5)
+    assert complete(5) != complete(6) and complete(5) != complete(5, labels="abcde")
+    hole = complete_minus_hole(5, [1, 0])
+    assert hole == GraphSpec(kind="complete_minus_hole", labels=tuple("01234"),
+                             hole=frozenset({0, 1}))
+    assert hash(hole) == hash(complete_minus_hole(5, {0, 1}))
+    assert hole != complete_minus_hole(5, {0, 2})
+    assert multipartite((2, 2)) == GraphSpec("multipartite", tuple("0123"), frozenset(),
+                                             ((0, 1), (2, 3)))
+    assert multipartite((2, 2)) != multipartite((1, 3))
+    assert len({complete(5), complete(5), hole, complete_minus_hole(5, [0, 1])}) == 2
+    spec = GraphSpec("complete", ("a", "b", "c"))
+    assert (spec.kind, spec.labels, spec.hole, spec.parts) == ("complete", ("a", "b", "c"),
+                                                                frozenset(), ())
+
+
+def test_graph_spec_rejects_bad_hosts():
+    for args in (("bogus", ("0", "1", "2")),
+                 ("complete_minus_hole", ("0", "1", "2")),
+                 ("complete_minus_hole", ("0", "1", "2"), frozenset({3})),
+                 ("multipartite", ("0", "1", "2"), frozenset(), ((0, 1, 2),)),
+                 ("multipartite", ("0", "1", "2"), frozenset(), ((0, 1), (1, 2)))):
+        with pytest.raises(ValueError):
+            GraphSpec(*args)
+
+
+def test_cycle_system_equality_ignores_meta():
+    plain = CycleSystem(complete(5), K5_CYCLES)
+    tagged = CycleSystem(spec=complete(5), cycles=K5_CYCLES[::-1], meta=(("source", "x"),))
+    assert plain.meta == () and tagged.meta == (("source", "x"),)
+    assert plain == tagged and hash(plain) == hash(tagged)
+    assert plain != CycleSystem(complete(5), K5_CYCLES[:1])
+    assert plain != CycleSystem(complete(5, labels="abcde"), K5_CYCLES)
+
+
+def test_orthogonal_pair_compares_by_value_and_checks_its_host():
+    system = CycleSystem(complete(5), K5_CYCLES)
+    pair = OrthogonalPair(complete(5), system, system)
+    again = OrthogonalPair(spec=complete(5), first=CycleSystem(complete(5), K5_CYCLES),
+                           second=system)
+    assert pair == again and hash(pair) == hash(again)
+    with pytest.raises(ValueError):
+        OrthogonalPair(complete(5, labels="abcde"), system, system)
+
+
+def test_core_value_types_refuse_assignment():
+    spec = complete(5)
+    system = CycleSystem(spec, K5_CYCLES)
+    pair = OrthogonalPair(spec, system, system)
+    for obj, name in ((spec, "kind"), (spec, "labels"), (spec, "hole"), (spec, "parts"),
+                      (spec, "extra"), (system, "spec"), (system, "cycles"),
+                      (system, "meta"), (pair, "spec"), (pair, "first"), (pair, "second")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert spec.kind == "complete" and system.cycles == tuple(sorted(K5_CYCLES))
+
+
+def test_core_value_types_pickle():
+    spec = complete_minus_hole(5, {0, 1})
+    system = CycleSystem(complete(5), K5_CYCLES, meta=(("source", "x"),))
+    pair = OrthogonalPair(complete(5), system, system)
+    for obj in (spec, system, pair):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and repr(back) == repr(obj)
+    assert pickle.loads(pickle.dumps(spec)).index("3") == 3
+

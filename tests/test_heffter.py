@@ -125,6 +125,16 @@ def test_text_format_round_trips():
     assert format_array(partial) == "1,.,-2\n.,3,.\n-4,.,5\n"
 
 
+def test_array_compares_by_value_and_rejects_bad_cells():
+    a = HeffterArray(row_fill=2, col_fill=2, cells=[[1, None], [None, 3]])
+    assert a.cells == ((1, None), (None, 3))
+    b = HeffterArray(2, 2, ((1, None), (None, 3)))
+    assert a == b and hash(a) == hash(b) and a != HeffterArray(2, 1, b.cells)
+    for cells in ((), ((1, 2), (3,))):
+        with pytest.raises(ValueError, match="rectangular"):
+            HeffterArray(1, 1, cells)
+
+
 def test_parse_rejects_ragged_input():
     with pytest.raises(ValueError):
         parse_array("1,2\n3\n")

@@ -66,6 +66,11 @@ def test_budget_validation():
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError, match="seed"):
         SearchBudget(seed=-1)
+    assert (SearchBudget().max_nodes, SearchBudget().seed) == (1_000_000, 1)
+    budget = SearchBudget(500, 7)
+    assert (budget.max_nodes, budget.seed) == (500, 7)
+    assert budget == SearchBudget(max_nodes=500, seed=7) and budget != SearchBudget(500)
+    assert hash(budget) == hash(SearchBudget(500, 7))
 
 
 @given(st.integers(min_value=3, max_value=6))

@@ -15,7 +15,12 @@ from orthocycles.core import (
     graph_edges,
     multipartite,
 )
-from orthocycles.verify import verify_decomposition, verify_orthogonality, verify_pair
+from orthocycles.verify import (
+    VerificationReport,
+    verify_decomposition,
+    verify_orthogonality,
+    verify_pair,
+)
 
 # K5 decomposes into two 5-cycles, and this particular pair shares <= 1 edge
 # cycle against cycle, so it doubles as a tiny orthogonality fixture.
@@ -273,3 +278,16 @@ def test_scan_agrees_with_the_reference_verifier(case):
     assert rep.ok == (want_ok and worst <= 1)
     cross = verify_orthogonality(pair.first, pair.second)
     assert (cross.ok, cross.max_cross_intersection) == (worst <= 1, worst)
+
+
+def test_each_report_gets_fresh_containers():
+    a, b = VerificationReport(), VerificationReport()
+    a.edge_deficits[("first", 1)] = -1
+    a.bad_cycles.append((("first", 0), "why"))
+    a.ok = False
+    assert (b.ok, b.edge_deficits, b.bad_cycles, b.max_cross_intersection, b.witness) == (
+        True, {}, [], 0, None)
+    c = VerificationReport(ok=False, max_cross_intersection=2, witness=(0, 1))
+    assert (c.ok, c.edge_deficits, c.bad_cycles, c.max_cross_intersection, c.witness) == (
+        False, {}, [], 2, (0, 1))
+
