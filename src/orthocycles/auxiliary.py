@@ -11,9 +11,9 @@ valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 
 def idempotent_symmetric_quasigroup(n: int):
@@ -73,8 +73,7 @@ def steiner_triple_system(n: int) -> tuple:
     return tuple(sorted(triples))
 
 
-@dataclass(frozen=True)
-class GroupDivisibleDesign:
+class GroupDivisibleDesign(NamedTuple):
     """Block-three design: points 0..n-1 split into consecutive groups; the
     triples cover every cross-group pair exactly once."""
     group_sizes: tuple
@@ -177,8 +176,7 @@ def build_gdd(group_sizes: tuple) -> GroupDivisibleDesign:
     return gdd
 
 
-@dataclass(frozen=True)
-class QuasigroupWithHoles:
+class QuasigroupWithHoles(NamedTuple):
     """Symmetric quasigroup on {0..2k-1} with holes {2i, 2i+1}: products are
     defined across holes, avoid both operands' holes, and every row hits every
     symbol outside its own hole exactly once."""

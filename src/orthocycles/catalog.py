@@ -61,17 +61,31 @@ def has_ingredient(key: str) -> bool:
         return False
 
 
+def json_array(value, name: str, nested: bool = False) -> list:
+    """value if it is a JSON array (of JSON arrays, when nested), else a ValueError
+    naming the field; a string would be read one character at a time."""
+    if type(value) is not list:
+        raise ValueError(f"{name} is not a JSON array (got {type(value).__name__})")
+    if nested and not all(type(x) is list for x in value):
+        for i, x in enumerate(value):
+            json_array(x, f"{name}[{i}]")
+    return value
+
+
 def spec_from_dict(g: dict) -> GraphSpec:
-    labels = tuple(g["labels"])
+    labels = tuple(json_array(g["labels"], "labels"))
     idx = {lab: i for i, lab in enumerate(labels)}
     if g["kind"] == "complete":
         return GraphSpec("complete", labels)
     if g["kind"] == "complete_minus_hole":
-        return GraphSpec("complete_minus_hole", labels,
-                         hole=frozenset(idx[h] for h in g["hole"]))
+        hole = json_array(g["hole"], "hole")
+        if len(set(hole)) != len(hole):
+            raise ValueError("hole repeats a label")
+        return GraphSpec("complete_minus_hole", labels, hole=frozenset(idx[h] for h in hole))
     if g["kind"] == "multipartite":
+        parts = json_array(g["parts"], "parts", nested=True)
         return GraphSpec("multipartite", labels,
-                         parts=tuple(tuple(idx[p] for p in part) for part in g["parts"]))
+                         parts=tuple(tuple(idx[p] for p in part) for part in parts))
     raise ValueError(f"unknown graph kind {g['kind']!r}")
 
 

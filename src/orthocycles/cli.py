@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .catalog import cycle_length, get_ingredient, list_ingredients, spec_from_dict, verify_catalog
+from .catalog import (cycle_length, get_ingredient, json_array, list_ingredients, spec_from_dict,
+                      verify_catalog)
 from .construct import NotAdmissibleError, UnsatisfiableError, construct_pair, no_pair_reason
 from .core import GraphSpec, OrthogonalPair, complete
 from .heffter import check_simple, parse_array, validate_heffter
@@ -50,8 +51,7 @@ def design_text(pair: OrthogonalPair, length: int) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class DesignSystem:
+class DesignSystem(NamedTuple):
     """One system of a design file: its cycles as vertex-id tuples in the
     order written, not canonicalised, so that a loop or repeated vertex
     reaches the verifier as a reported defect instead of failing the load."""
@@ -89,12 +89,11 @@ def load_design(text: str) -> tuple[OrthogonalPair, int]:
         if not isinstance(meta, dict):
             raise ValueError("meta is not a JSON object")
         length = _json_int(meta.get("length", 0), "meta.length")
-        systems = [
-            DesignSystem(spec, tuple(tuple(spec.index(lab) for lab in c)
-                                     for c in doc["systems"][name]),
-                         tuple(sorted(meta.items())))
-            for name in ("first", "second")
-        ]
+        systems = []
+        for name in ("first", "second"):
+            cycles = json_array(doc["systems"][name], f"systems.{name}", nested=True)
+            systems.append(DesignSystem(spec, tuple(tuple(spec.index(lab) for lab in c)
+                                                    for c in cycles), tuple(sorted(meta.items()))))
         return OrthogonalPair(spec, *systems), length
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed design file: missing or bad field {exc}") from None

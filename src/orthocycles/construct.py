@@ -22,9 +22,9 @@ AssertionError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .auxiliary import build_gdd, build_quasigroup_with_holes
 from .catalog import get_ingredient, has_ingredient
@@ -68,8 +68,7 @@ def admissible(l: int, v: int) -> bool:
     return v >= l and v % mod in residues
 
 
-@dataclass(frozen=True)
-class ConstructionPlan:
+class ConstructionPlan(NamedTuple):
     """Which route builds (l, v) and which catalog blocks it places."""
 
     l: int

@@ -8,8 +8,6 @@ plain tuple equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 Edge = tuple[int, int]
 Cycle = tuple[int, ...]
 
@@ -49,8 +47,42 @@ def cycle_edges(cycle) -> frozenset[Edge]:
     return out
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class Value:
+    """Immutable value type.  A subclass lists its constructor arguments in
+    _fields and stores them once with _set; equality and hashing read _key(),
+    which is every field unless the subclass narrows it, and any later
+    assignment raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class GraphSpec(Value):
     """Host graph: complete, complete minus a clique hole, or multipartite.
 
     labels[i] is the display label of vertex i.  For complete_minus_hole the
@@ -58,26 +90,25 @@ class GraphSpec:
     the parts partition the vertices and only cross-part edges exist.
     """
 
-    kind: str
-    labels: tuple[str, ...]
-    hole: frozenset[int] = frozenset()
-    parts: tuple[tuple[int, ...], ...] = ()
-    _index: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    __slots__ = ("kind", "labels", "hole", "parts", "_index")
+    _fields = ("kind", "labels", "hole", "parts")
 
-    def __post_init__(self):
-        if self.kind not in ("complete", "complete_minus_hole", "multipartite"):
-            raise ValueError(f"unknown graph kind {self.kind!r}")
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(self, kind: str, labels: tuple[str, ...], hole: frozenset[int] = frozenset(),
+                 parts: tuple[tuple[int, ...], ...] = ()):
+        if kind not in ("complete", "complete_minus_hole", "multipartite"):
+            raise ValueError(f"unknown graph kind {kind!r}")
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate vertex labels")
-        v = len(self.labels)
-        if self.kind == "complete_minus_hole":
-            if not self.hole or not all(0 <= x < v for x in self.hole):
+        v = len(labels)
+        if kind == "complete_minus_hole":
+            if not hole or not all(0 <= x < v for x in hole):
                 raise ValueError("hole must be a nonempty subset of the vertex range")
-        if self.kind == "multipartite":
-            flat = [x for part in self.parts for x in part]
-            if sorted(flat) != list(range(v)) or len(self.parts) < 2:
+        if kind == "multipartite":
+            flat = [x for part in parts for x in part]
+            if sorted(flat) != list(range(v)) or len(parts) < 2:
                 raise ValueError("parts must partition the vertex range into >= 2 parts")
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
+        self._set(kind=kind, labels=labels, hole=hole, parts=parts,
+                  _index={lab: i for i, lab in enumerate(labels)})
 
     @property
     def v(self) -> int:
@@ -140,8 +171,7 @@ def graph_edges(spec: GraphSpec) -> set[Edge]:
     }
 
 
-@dataclass(frozen=True)
-class CycleSystem:
+class CycleSystem(Value):
     """A multiset-free list of canonical cycles claimed to decompose the host.
 
     Cycles are canonicalized and sorted at construction, so two systems with
@@ -149,34 +179,33 @@ class CycleSystem:
     citation, route) and never affects equality.
     """
 
-    spec: GraphSpec
-    cycles: tuple[Cycle, ...]
-    meta: tuple = field(default=(), compare=False)
+    __slots__ = _fields = ("spec", "cycles", "meta")
 
-    def __post_init__(self):
-        v = self.spec.v
-        canon = sorted(canonical_cycle(c) for c in self.cycles)
+    def __init__(self, spec: GraphSpec, cycles, meta: tuple = ()):
+        v = spec.v
+        canon = sorted(canonical_cycle(c) for c in cycles)
         for c in canon:
             if c[0] < 0 or max(c) >= v:
                 raise ValueError(f"cycle {c} leaves the vertex range")
-        object.__setattr__(self, "cycles", tuple(canon))
+        self._set(spec=spec, cycles=tuple(canon), meta=meta)
+
+    def _key(self) -> tuple:
+        return self.spec, self.cycles
 
     @property
     def cycle_length(self) -> int:
         return len(self.cycles[0]) if self.cycles else 0
 
 
-@dataclass(frozen=True)
-class OrthogonalPair:
+class OrthogonalPair(Value):
     """Two cycle systems over one host graph, intended to be orthogonal."""
 
-    spec: GraphSpec
-    first: CycleSystem
-    second: CycleSystem
+    __slots__ = _fields = ("spec", "first", "second")
 
-    def __post_init__(self):
-        if self.first.spec != self.spec or self.second.spec != self.spec:
+    def __init__(self, spec: GraphSpec, first: CycleSystem, second: CycleSystem):
+        if first.spec != spec or second.spec != spec:
             raise ValueError("systems disagree with the pair's host graph")
+        self._set(spec=spec, first=first, second=second)
 
 
 def meta(**kwargs) -> tuple:

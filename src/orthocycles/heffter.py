@@ -10,12 +10,13 @@ Text format: one row per line, cells comma-separated, "." for an empty cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
+
+from .core import Value
 
 
-@dataclass(frozen=True)
-class HeffterArray:
+class HeffterArray(Value):
     """Partial integer matrix with declared fill counts per row and column.
 
     The modulus is 2 * rows * col_fill + 1 and the symbol range is
@@ -23,14 +24,12 @@ class HeffterArray:
     the two counts are stored.  cells[i][j] is an int or None.
     """
 
-    row_fill: int
-    col_fill: int
-    cells: tuple
+    __slots__ = _fields = ("row_fill", "col_fill", "cells")
 
-    def __post_init__(self):
-        if not self.cells or len({len(r) for r in self.cells}) != 1:
+    def __init__(self, row_fill: int, col_fill: int, cells: tuple):
+        if not cells or len({len(r) for r in cells}) != 1:
             raise ValueError("cells must be a nonempty rectangular matrix")
-        object.__setattr__(self, "cells", tuple(tuple(r) for r in self.cells))
+        self._set(row_fill=row_fill, col_fill=col_fill, cells=tuple(tuple(r) for r in cells))
 
     @property
     def rows(self) -> int:
@@ -55,8 +54,7 @@ class HeffterArray:
         return tuple(r[j] for r in self.cells if r[j] is not None)
 
 
-@dataclass(frozen=True)
-class HeffterReport:
+class HeffterReport(NamedTuple):
     ok: bool
     defects: tuple
 
@@ -119,8 +117,7 @@ def simple_cyclic_order(entries, modulus: int):
     return next(simple_cyclic_orders(entries, modulus), None)
 
 
-@dataclass(frozen=True)
-class SimpleOrderings:
+class SimpleOrderings(NamedTuple):
     """Per-line simple cyclic orders; None marks a line with no such order."""
 
     ok: bool

@@ -23,14 +23,15 @@ All found pairs are re-checked with verify_pair before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from random import Random
+from typing import NamedTuple
 
 from .core import (
     CycleSystem,
     GraphSpec,
     OrthogonalPair,
+    Value,
     canonical_cycle,
     graph_edges,
     meta,
@@ -38,20 +39,18 @@ from .core import (
 from .verify import verify_decomposition, verify_pair
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 1_000_000
-    seed: int = 1
+class SearchBudget(Value):
+    __slots__ = _fields = ("max_nodes", "seed")
 
-    def __post_init__(self):
-        if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be at least 1, got {self.max_nodes}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+    def __init__(self, max_nodes: int = 1_000_000, seed: int = 1):
+        if max_nodes < 1:
+            raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        self._set(max_nodes=max_nodes, seed=seed)
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     status: str  # "found" | "exhausted" | "unsatisfiable"
     pair: OrthogonalPair | None
     nodes: int

@@ -17,13 +17,11 @@ loop or repeated vertex is reported instead of raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
-from .core import GraphSpec
+from .core import GraphSpec, Value
 
 
-@dataclass
 class VerificationReport:
     """Outcome of a decomposition / orthogonality check.
 
@@ -37,11 +35,16 @@ class VerificationReport:
     (first index, second index) pair found to share that many.
     """
 
-    ok: bool = True
-    edge_deficits: dict = field(default_factory=dict)
-    bad_cycles: list = field(default_factory=list)
-    max_cross_intersection: int = 0
-    witness: tuple | None = None
+    __slots__ = _fields = ("ok", "edge_deficits", "bad_cycles", "max_cross_intersection", "witness")
+    __repr__ = Value.__repr__
+
+    def __init__(self, ok: bool = True, edge_deficits: dict = None, bad_cycles: list = None,
+                 max_cross_intersection: int = 0, witness: tuple | None = None):
+        self.ok = ok
+        self.edge_deficits = {} if edge_deficits is None else edge_deficits
+        self.bad_cycles = [] if bad_cycles is None else bad_cycles
+        self.max_cross_intersection = max_cross_intersection
+        self.witness = witness
 
 
 # ------------------------------------------------------------------ host

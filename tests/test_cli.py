@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,20 @@ from orthocycles.heffter import format_array, search_3x3
 
 def run(*argv):
     return main(list(argv))
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command is a fresh interpreter, and these two modules (which a
+    # bare interpreter does not load) once made up most of its import time.
+    # importlib.resources imports inspect itself from Python 3.12 on, so what
+    # it loads is counted as already there.
+    code = ("import sys, importlib.resources\nheavy = {'dataclasses', 'inspect'}\n"
+            "before = heavy & set(sys.modules)\nimport orthocycles.cli\n"
+            "print(sorted(heavy & set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(orthocycles.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_generate_writes_a_verifiable_design(tmp_path, capsys):
@@ -96,6 +112,38 @@ def test_verify_rejects_malformed_files(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run("verify", str(bad)) == 2
     assert "cannot load" in capsys.readouterr().err
+    # arrays stay arrays: a string is not read one character at a time
+    def dumped(key):
+        assert run("catalog", "dump", key) == 0
+        return json.loads(capsys.readouterr().out)
+
+    cases = []
+    doc = dumped("l3_v7")
+    doc["spec"]["labels"] = "0123456"
+    for name in ("first", "second"):
+        doc["systems"][name] = ["".join(c) for c in doc["systems"][name]]
+    cases.append((doc, "labels is not a JSON array"))
+    for name in ("first", "second"):
+        doc = dumped("l3_v7")
+        doc["systems"][name][1] = "".join(doc["systems"][name][1])
+        cases.append((doc, f"systems.{name}[1] is not a JSON array"))
+        doc = dumped("l3_v7")
+        doc["systems"][name] = {str(i): c for i, c in enumerate(doc["systems"][name])}
+        cases.append((doc, f"systems.{name} is not a JSON array"))
+    for hole, reason in (("01234", "hole is not a JSON array"), (["0", "0"], "hole repeats")):
+        doc = dumped("l5_K15mK5")
+        doc["spec"]["hole"] = hole
+        cases.append((doc, reason))
+    doc = dumped("l6_K444")
+    doc["spec"]["parts"] = "0123"
+    cases.append((doc, "parts is not a JSON array"))
+    doc = dumped("l6_K444")
+    doc["spec"]["parts"][2] = "8"
+    cases.append((doc, "parts[2] is not a JSON array"))
+    for doc, reason in cases:
+        bad.write_text(json.dumps(doc))
+        assert run("verify", str(bad)) == 2, reason
+        assert reason in capsys.readouterr().err
     assert run("verify", str(tmp_path / "absent.json")) == 2
     capsys.readouterr()
 
