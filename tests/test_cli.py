@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orthocycles
-from orthocycles.catalog import cycle_length, get_ingredient
+from orthocycles.catalog import cycle_length, get_ingredient, list_ingredients
 from orthocycles.cli import design_text, load_design, main
 from orthocycles.construct import construct_pair
+from orthocycles.core import (CycleSystem, OrthogonalPair, complete, complete_minus_hole,
+                              multipartite)
 from orthocycles.heffter import format_array, search_3x3
+from orthocycles.search import SearchBudget, search_pair
 
 
 def run(*argv):
@@ -148,6 +151,20 @@ def test_verify_rejects_malformed_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_names_the_label_a_cycle_cannot_place(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for label, reason in (("zz", "label 'zz' not in graph"),
+                          (5, "label 5 not in graph"),
+                          (["0"], "malformed design file: missing or bad field "
+                                  "unhashable type: 'list'")):
+        doc = json.loads(design_text(construct_pair(5, 11), 5))
+        doc["systems"]["second"][4][2] = label
+        bad.write_text(json.dumps(doc))
+        assert run("verify", str(bad)) == 2, label
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"cannot load {bad}: {reason}\n"
+
+
 def test_catalog_list_and_verify(capsys):
     assert run("catalog", "list") == 0
     out = capsys.readouterr().out
@@ -270,6 +287,87 @@ def test_generate_output_is_pinned(tmp_path, lv):
     out = tmp_path / "d.json"
     assert run("generate", "--length", str(l), "--order", str(v), "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATED_SHA256[lv]
+
+
+# ------------------------------------------------------------ writer oracle
+
+def reference_design_text(pair, length):
+    """design_text as it was first written, one json.dumps of the whole
+    document: the oracle every written design file must equal byte for byte."""
+    spec = pair.spec
+    g = {"kind": spec.kind, "v": spec.v, "labels": list(spec.labels)}
+    if spec.kind == "complete_minus_hole":
+        g["hole"] = [spec.labels[x] for x in sorted(spec.hole)]
+    if spec.kind == "multipartite":
+        g["parts"] = [[spec.labels[x] for x in part] for part in spec.parts]
+    meta = {str(k): v for k, v in pair.first.meta}
+    meta["length"] = length
+    doc = {
+        "format_version": 1,
+        "spec": g,
+        "systems": {
+            name: [[spec.labels[x] for x in c] for c in system.cycles]
+            for name, system in (("first", pair.first), ("second", pair.second))
+        },
+        "meta": meta,
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def assert_writer_matches_reference(pair, length):
+    assert design_text(pair, length) == reference_design_text(pair, length)
+
+
+@pytest.mark.parametrize("key", [key for key, _ in list_ingredients()])
+def test_writer_matches_reference_on_catalog_entries(key):
+    assert_writer_matches_reference(get_ingredient(key), cycle_length(key))
+
+
+@pytest.mark.parametrize("lv", GENERATED_SHA256, ids=lambda lv: f"l{lv[0]}v{lv[1]}")
+def test_writer_matches_reference_on_pinned_orders(lv):
+    assert_writer_matches_reference(construct_pair(*lv), lv[0])
+
+
+def test_writer_matches_reference_on_a_searched_pair():
+    result = search_pair(complete(17), 8, SearchBudget(seed=2))
+    assert result.status == "found" and dict(result.pair.first.meta)["seed"] == 2
+    assert_writer_matches_reference(result.pair, 8)
+    # a search-supplied catalog entry carries its seed and budget
+    pair = get_ingredient("l8_v17")
+    assert {"seed", "budget"} <= dict(pair.first.meta).keys()
+    assert_writer_matches_reference(pair, 8)
+
+
+def test_writer_matches_reference_on_empty_systems():
+    for spec in (complete(5), complete(0)):
+        pair = OrthogonalPair(spec, CycleSystem(spec, []), CycleSystem(spec, []))
+        assert_writer_matches_reference(pair, 5)
+
+
+ODD_LABELS = ('a"b', "c\\d", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600", "tab\there",
+              "nl\nx", "", "7")
+
+
+def test_writer_matches_reference_on_escaped_and_non_ascii_labels():
+    hosts = (complete(9, labels=ODD_LABELS),
+             complete_minus_hole(9, (0, 2, 5), labels=ODD_LABELS),
+             multipartite((3, 2, 4), labels=ODD_LABELS))
+    for spec in hosts:
+        first = CycleSystem(spec, [(0, 3, 6), (1, 4, 7, 2)], meta=(("note", "\u00e9\"\\"),))
+        second = CycleSystem(spec, [(8, 6, 1)])
+        assert_writer_matches_reference(OrthogonalPair(spec, first, second), 3)
+
+
+def test_writer_matches_reference_on_a_loaded_file(tmp_path):
+    # a file may name its vertices by JSON numbers and hold an empty cycle;
+    # what load_design reads back is written as the reference writes it
+    doc = json.loads(design_text(get_ingredient("l3_v7"), 3))
+    doc["spec"]["labels"] = [int(lab) * 10 for lab in doc["spec"]["labels"]]
+    for name in ("first", "second"):
+        doc["systems"][name] = [[int(lab) * 10 for lab in c] for c in doc["systems"][name]]
+    doc["systems"]["second"].append([])
+    pair, length = load_design(json.dumps(doc))
+    assert_writer_matches_reference(pair, length)
 
 
 def test_usage_errors_exit_2():
