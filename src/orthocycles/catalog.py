@@ -144,11 +144,7 @@ def get_ingredient(key: str) -> OrthogonalPair:
     systems = []
     for name in ("first", "second"):
         label_cycles = _label_cycles(d["systems"][name])
-        systems.append(CycleSystem(
-            spec,
-            [tuple(spec.index(lab) for lab in c) for c in label_cycles],
-            meta=meta,
-        ))
+        systems.append(CycleSystem(spec, map(spec.ids, label_cycles), meta=meta))
     return OrthogonalPair(spec, systems[0], systems[1])
 
 

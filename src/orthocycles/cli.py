@@ -25,30 +25,47 @@ from .search import SearchBudget, search_pair
 from .verify import VerificationReport, verify_pair
 
 FORMAT_VERSION = 1
+# the JSON text of one value, as json.dumps writes it inside a document
+_encode = json.JSONEncoder().encode
 
 
 # ------------------------------------------------------------- design files
 
+def _array(items, pad: str) -> str:
+    """JSON array of already encoded items, laid out as json.dumps(indent=1)
+    lays out an array whose line is indented by pad."""
+    if not items:
+        return "[]"
+    return f"[\n{pad} " + f",\n{pad} ".join(items) + f"\n{pad}]"
+
+
 def design_text(pair: OrthogonalPair, length: int) -> str:
-    """Serialize a pair as a deterministic, human-diffable JSON document."""
+    """Serialize a pair as a deterministic, human-diffable JSON document.
+
+    The text is json.dumps(doc, indent=1, sort_keys=True) + "\n" byte for
+    byte; each label is encoded once and every cycle is a join of the
+    encoded labels of its vertices."""
     spec = pair.spec
-    g: dict = {"kind": spec.kind, "v": spec.v, "labels": list(spec.labels)}
+    text = list(map(_encode, spec.labels))
+    at = text.__getitem__
+    g = [f'  "kind": {_encode(spec.kind)}', f'  "labels": {_array(text, "  ")}',
+         f'  "v": {spec.v}']
     if spec.kind == "complete_minus_hole":
-        g["hole"] = [spec.labels[x] for x in sorted(spec.hole)]
+        g.insert(0, f'  "hole": {_array(list(map(at, sorted(spec.hole))), "  ")}')
     if spec.kind == "multipartite":
-        g["parts"] = [[spec.labels[x] for x in part] for part in spec.parts]
+        parts = [_array(list(map(at, part)), "   ") for part in spec.parts]
+        g.insert(2, f'  "parts": {_array(parts, "  ")}')
+    sep = ",\n    "
+    first, second = (
+        _array([f"[\n    {sep.join(map(at, c))}\n   ]" if c else "[]" for c in system.cycles], "  ")
+        for system in (pair.first, pair.second))
     meta = {str(k): v for k, v in pair.first.meta}
     meta["length"] = length
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "spec": g,
-        "systems": {
-            name: [[spec.labels[x] for x in c] for c in system.cycles]
-            for name, system in (("first", pair.first), ("second", pair.second))
-        },
-        "meta": meta,
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    meta_text = json.dumps(meta, indent=1, sort_keys=True).replace("\n", "\n ")
+    spec_text = ",\n".join(g)
+    return (f'{{\n "format_version": {FORMAT_VERSION},\n "meta": {meta_text},\n'
+            f' "spec": {{\n{spec_text}\n }},\n'
+            f' "systems": {{\n  "first": {first},\n  "second": {second}\n }}\n}}\n')
 
 
 class DesignSystem(NamedTuple):
@@ -92,8 +109,8 @@ def load_design(text: str) -> tuple[OrthogonalPair, int]:
         systems = []
         for name in ("first", "second"):
             cycles = json_array(doc["systems"][name], f"systems.{name}", nested=True)
-            systems.append(DesignSystem(spec, tuple(tuple(spec.index(lab) for lab in c)
-                                                    for c in cycles), tuple(sorted(meta.items()))))
+            systems.append(DesignSystem(spec, tuple(map(spec.ids, cycles)),
+                                        tuple(sorted(meta.items()))))
         return OrthogonalPair(spec, *systems), length
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed design file: missing or bad field {exc}") from None

@@ -123,10 +123,11 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
 
 # ----------------------------------------------------------------- assembly
 
-def _onto(pair: OrthogonalPair, targets) -> dict:
-    """Vertex map of pair's host onto targets, one target list per host part
-    in order: every vertex of a complete host, the hole and then the rest of
-    a holed host, each part of a multipartite host (ids ascending)."""
+def _onto(pair: OrthogonalPair, targets) -> list:
+    """Vertex map of pair's host onto targets, as a list indexed by source
+    vertex; one target list per host part in order: every vertex of a
+    complete host, the hole and then the rest of a holed host, each part of a
+    multipartite host (ids ascending)."""
     spec = pair.spec
     if spec.kind == "complete":
         parts = [range(spec.v)]
@@ -137,7 +138,11 @@ def _onto(pair: OrthogonalPair, targets) -> dict:
     if [len(p) for p in parts] != [len(t) for t in targets]:
         raise ValueError(f"target sizes {[len(t) for t in targets]} disagree "
                          f"with the host parts {[len(p) for p in parts]}")
-    return {x: y for part, t in zip(parts, targets) for x, y in zip(part, t)}
+    mapping = [0] * spec.v
+    for part, t in zip(parts, targets):
+        for x, y in zip(part, t):
+            mapping[x] = y
+    return mapping
 
 
 def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> OrthogonalPair:
@@ -146,9 +151,9 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> Ort
     spec = complete(plan.v, labels)
     first, second = list(cross[0]), list(cross[1])
     for pair, targets in placements:
-        mapping = _onto(pair, targets)
-        first.extend(tuple(mapping[x] for x in c) for c in pair.first.cycles)
-        second.extend(tuple(mapping[x] for x in c) for c in pair.second.cycles)
+        at = _onto(pair, targets).__getitem__
+        first.extend(tuple(map(at, c)) for c in pair.first.cycles)
+        second.extend(tuple(map(at, c)) for c in pair.second.cycles)
     scaffold = {} if plan.route == "paste" else {"k": plan.k, "r": plan.r}
     m = meta(source="construct", route=plan.route, length=plan.l, order=plan.v, **scaffold)
     pair = OrthogonalPair(spec, CycleSystem(spec, first, meta=m),
@@ -169,29 +174,24 @@ def _quasigroup_cross(l: int, q):
     different holes, one orbit of l per pair, steered by z = x * y in the
     quasigroup q."""
     n = 2 * q.k
+    # col[x][s][i] is row (i + s) mod l of column x, so zipping shifted
+    # columns yields the l cycles of one orbit, i = 0 .. l-1
+    col = [[[l * x + (i + s) % l for i in range(l)] for s in range(7)] for x in range(n)]
     first: list = []
     second: list = []
-
-    def col(x, t):
-        return l * x + t % l
-
     for x in range(n):
+        cx = col[x]
         for y in range(x + 1, n):
             if x // 2 == y // 2:
                 continue
-            z = q.mul(x, y)
-            for i in range(l):
-                if l == 5:
-                    first.append((col(x, i), col(y, i), col(x, i + 1),
-                                  col(z, i + 3), col(y, i + 1)))
-                    second.append((col(x, i), col(y, i), col(x, i + 2),
-                                   col(z, i + 3), col(y, i + 2)))
-                else:
-                    xp, yp = x ^ 1, y ^ 1
-                    first.append((col(x, i), col(y, i), col(x, i + 1), col(y, i + 3),
-                                  col(z, i + 6), col(x, i + 3), col(y, i + 1)))
-                    second.append((col(x, i), col(y, i), col(xp, i + 3), col(y, i + 4),
-                                   col(z, i + 6), col(x, i + 4), col(yp, i + 3)))
+            cy, cz = col[y], col[q.mul(x, y)]
+            if l == 5:
+                first.extend(zip(cx[0], cy[0], cx[1], cz[3], cy[1]))
+                second.extend(zip(cx[0], cy[0], cx[2], cz[3], cy[2]))
+            else:
+                cxp, cyp = col[x ^ 1], col[y ^ 1]
+                first.extend(zip(cx[0], cy[0], cx[1], cy[3], cz[6], cx[3], cy[1]))
+                second.extend(zip(cx[0], cy[0], cxp[3], cy[4], cz[6], cx[4], cyp[3]))
     return first, second
 
 

@@ -31,11 +31,11 @@ def canonical_cycle(vertices) -> Cycle:
     if len(set(seq)) != n:
         raise ValueError(f"repeated vertex in cycle {seq}")
     # distinct vertices: the least rotation starts at the minimum, read
-    # forwards or backwards from it
+    # forwards or backwards from it, whichever has the smaller second vertex
     i = seq.index(min(seq))
-    fwd = seq[i:] + seq[:i]
-    back = fwd[:1] + fwd[:0:-1]
-    return min(fwd, back)
+    if i:
+        seq = seq[i:] + seq[:i]
+    return seq if seq[1] < seq[-1] else seq[:1] + seq[:0:-1]
 
 
 def cycle_edges(cycle) -> frozenset[Edge]:
@@ -115,10 +115,14 @@ class GraphSpec(Value):
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        return self.ids((label,))[0]
+
+    def ids(self, labels) -> tuple[int, ...]:
+        """Vertex ids of a label sequence, in order."""
         try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"label {label!r} not in graph") from None
+            return tuple(map(self._index.__getitem__, labels))
+        except KeyError as exc:
+            raise ValueError(f"label {exc.args[0]!r} not in graph") from None
 
 
 def complete(v: int, labels=None) -> GraphSpec:
@@ -183,10 +187,13 @@ class CycleSystem(Value):
 
     def __init__(self, spec: GraphSpec, cycles, meta: tuple = ()):
         v = spec.v
-        canon = sorted(canonical_cycle(c) for c in cycles)
-        for c in canon:
-            if c[0] < 0 or max(c) >= v:
-                raise ValueError(f"cycle {c} leaves the vertex range")
+        canon = sorted(map(canonical_cycle, cycles))
+        # a canonical cycle starts at its least vertex, so canon[0][0] is the
+        # least vertex of all; walk the cycles only to name an offender
+        if canon and (canon[0][0] < 0 or max(map(max, canon)) >= v):
+            for c in canon:
+                if c[0] < 0 or max(c) >= v:
+                    raise ValueError(f"cycle {c} leaves the vertex range")
         self._set(spec=spec, cycles=tuple(canon), meta=meta)
 
     def _key(self) -> tuple:

@@ -139,7 +139,14 @@ def test_placement_rejects_targets_that_disagree_with_the_host_parts():
     k11 = get_ingredient("l5_v11")  # complete K11
     holed = get_ingredient("l5_K15mK5")  # hole of 5, rest of 10
     tri = get_ingredient("l6_K444")  # parts 4, 4, 4
-    assert _onto(k11, [range(100, 111)]) == {x: 100 + x for x in range(11)}
+    assert _onto(k11, [range(100, 111)]) == list(range(100, 111))
+    # the hole's targets, then the rest's, land on the hole's and the rest's ids
+    hole = sorted(holed.spec.hole)
+    rest = sorted(set(range(15)) - holed.spec.hole)
+    mapping = _onto(holed, [range(100, 105), range(200, 210)])
+    assert [mapping[x] for x in hole + rest] == [*range(100, 105), *range(200, 210)]
+    assert _onto(tri, [range(10, 14), range(20, 24), range(30, 34)]) == [
+        *range(10, 14), *range(20, 24), *range(30, 34)]
     for pair, targets in ((k11, [range(10)]), (k11, [range(5), range(6)]),
                           (holed, [range(15)]), (holed, [range(10), range(5)]),
                           (tri, [range(4), range(4)]),

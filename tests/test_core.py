@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +98,17 @@ def test_labels_roundtrip():
         complete(3, labels=("x", "x", "y"))
 
 
+def test_graph_spec_ids_maps_a_label_sequence():
+    spec = complete(4, labels=("a", "b", "c", "d"))
+    assert spec.ids(("c", "a", "d")) == (2, 0, 3)
+    assert spec.ids(iter(["b", "b"])) == (1, 1)
+    assert spec.ids([]) == ()
+    with pytest.raises(ValueError, match=r"^label 'z' not in graph$"):
+        spec.ids(["a", "z", "b"])
+    with pytest.raises(ValueError, match=r"^label 3 not in graph$"):
+        spec.ids(["a", 3])
+
+
 def test_cycle_system_canonicalizes_and_sorts():
     spec = complete(5)
     sys1 = CycleSystem(spec, [(2, 0, 1), (3, 4, 0)])
@@ -110,6 +122,11 @@ def test_cycle_system_rejects_out_of_range():
     for cyc in [(0, 1, 7), (0, 1, 4), (2, -1, 3)]:
         with pytest.raises(ValueError):
             CycleSystem(complete(4), [cyc])
+    # the message names the first offender in canonical order
+    for cycles, named in (([(3, 1, 2), (2, 9, 0), (1, 3, 8)], "(0, 2, 9)"),
+                          ([(0, 1, 2), (3, -1, 2)], "(-1, 2, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"cycle {named} leaves the vertex range")):
+            CycleSystem(complete(4), cycles)
 
 
 # ------------------------------------------------------- value-type contract
