@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
 from math import gcd
+from pathlib import Path
 
 from .core import CycleSystem, GraphSpec, OrthogonalPair, canonical_cycle
 
 
-def _data_files():
-    return resources.files("orthocycles") / "data"
+def _data_files() -> Path:
+    # package-data beside this module; importlib.resources costs ~35 ms of import
+    return Path(__file__).parent / "data"
 
 
 @lru_cache(maxsize=None)
@@ -72,20 +73,26 @@ def json_array(value, name: str, nested: bool = False) -> list:
     return value
 
 
+def json_object(value, name: str) -> dict:
+    """value if it is a JSON object, else a ValueError naming the field."""
+    if type(value) is not dict:
+        raise ValueError(f"{name} is not a JSON object (got {type(value).__name__})")
+    return value
+
+
 def spec_from_dict(g: dict) -> GraphSpec:
-    labels = tuple(json_array(g["labels"], "labels"))
-    idx = {lab: i for i, lab in enumerate(labels)}
+    # the complete host checks the labels; its ids() looks up hole and parts
+    host = GraphSpec("complete", tuple(json_array(g["labels"], "labels")))
     if g["kind"] == "complete":
-        return GraphSpec("complete", labels)
+        return host
     if g["kind"] == "complete_minus_hole":
-        hole = json_array(g["hole"], "hole")
+        hole = host.ids(json_array(g["hole"], "hole"))
         if len(set(hole)) != len(hole):
             raise ValueError("hole repeats a label")
-        return GraphSpec("complete_minus_hole", labels, hole=frozenset(idx[h] for h in hole))
+        return GraphSpec("complete_minus_hole", host.labels, hole=frozenset(hole))
     if g["kind"] == "multipartite":
         parts = json_array(g["parts"], "parts", nested=True)
-        return GraphSpec("multipartite", labels,
-                         parts=tuple(tuple(idx[p] for p in part) for part in parts))
+        return GraphSpec("multipartite", host.labels, parts=tuple(map(host.ids, parts)))
     raise ValueError(f"unknown graph kind {g['kind']!r}")
 
 

@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .catalog import (cycle_length, get_ingredient, json_array, list_ingredients, spec_from_dict,
-                      verify_catalog)
+from .catalog import (cycle_length, get_ingredient, json_array, json_object, list_ingredients,
+                      spec_from_dict, verify_catalog)
 from .construct import NotAdmissibleError, UnsatisfiableError, construct_pair, no_pair_reason
 from .core import GraphSpec, OrthogonalPair, complete
 from .heffter import check_simple, parse_array, validate_heffter
@@ -97,18 +97,18 @@ def load_design(text: str) -> tuple[OrthogonalPair, int]:
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
     try:
+        json_object(doc, "the design file")
         if doc["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {doc['format_version']}")
-        spec = spec_from_dict(doc["spec"])
+        spec = spec_from_dict(json_object(doc["spec"], "spec"))
         if _json_int(doc["spec"].get("v", spec.v), "spec.v") != spec.v:
             raise ValueError("declared vertex count disagrees with the labels")
-        meta = doc.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ValueError("meta is not a JSON object")
+        meta = json_object(doc.get("meta", {}), "meta")
         length = _json_int(meta.get("length", 0), "meta.length")
         systems = []
         for name in ("first", "second"):
-            cycles = json_array(doc["systems"][name], f"systems.{name}", nested=True)
+            cycles = json_array(json_object(doc["systems"], "systems")[name],
+                                f"systems.{name}", nested=True)
             systems.append(DesignSystem(spec, tuple(map(spec.ids, cycles)),
                                         tuple(sorted(meta.items()))))
         return OrthogonalPair(spec, *systems), length

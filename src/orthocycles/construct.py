@@ -16,19 +16,22 @@ height h over the scaffold's points plus fixed points:
 - length 6, order v = 21 (mod 24): a pasted join of an order v-20 pair, an
   order-21 pair, and complete bipartite 6x10 pairs between the two.
 
-A verification failure in assembly is a bug, not an input error, and raises
-AssertionError.
+Cycles are built canonical: placed cycles stay so under increasing vertex
+maps, holed pairs are relabelled by rank first, and cross cycles are emitted
+canonical.  A verification failure in assembly is a bug, not an input error,
+and raises AssertionError.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add
 from typing import NamedTuple
 
 from .auxiliary import build_gdd, build_quasigroup_with_holes
 from .catalog import get_ingredient, has_ingredient
-from .core import CycleSystem, OrthogonalPair, complete, meta
+from .core import CycleSystem, OrthogonalPair, canonical_cycle, complete, meta
 from .verify import verify_pair
 
 
@@ -76,7 +79,7 @@ class ConstructionPlan(NamedTuple):
     route: str  # catalog | quasigroup-columns | four-level-gdd | sixteen-blocks | nine-level-gdd | paste
     ingredients: tuple
     k: int = 0  # scaffold size: holes / blocks / group count
-    r: int = 0  # fixed points; for length 6, v mod 24 (one fixed point)
+    r: int = 0  # fixed points, except for length 6: v mod 24 (with one fixed point)
     group_sizes: tuple = ()
 
 
@@ -147,17 +150,28 @@ def _onto(pair: OrthogonalPair, targets) -> list:
 
 def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> OrthogonalPair:
     """Place each (pair, target lists) block next to the generated cross
-    cycles (first-system list, second-system list), and verify the result."""
+    cycles (first-system list, second-system list), and verify the result; a
+    pair whose vertex map is not increasing is relabelled by rank first."""
     spec = complete(plan.v, labels)
     first, second = list(cross[0]), list(cross[1])
+    relabelled = {}
     for pair, targets in placements:
-        at = _onto(pair, targets).__getitem__
-        first.extend(tuple(map(at, c)) for c in pair.first.cycles)
-        second.extend(tuple(map(at, c)) for c in pair.second.cycles)
+        mapping = _onto(pair, targets)
+        ascending = sorted(mapping)
+        systems = pair.first.cycles, pair.second.cycles
+        if mapping != ascending:
+            rank = tuple(map(ascending.index, mapping))
+            if (id(pair), rank) not in relabelled:
+                relabelled[id(pair), rank] = [sorted(canonical_cycle(map(rank.__getitem__, c))
+                                                     for c in cycles) for cycles in systems]
+            systems = relabelled[id(pair), rank]
+        at = ascending.__getitem__
+        first.extend(tuple(map(at, c)) for c in systems[0])
+        second.extend(tuple(map(at, c)) for c in systems[1])
     scaffold = {} if plan.route == "paste" else {"k": plan.k, "r": plan.r}
     m = meta(source="construct", route=plan.route, length=plan.l, order=plan.v, **scaffold)
-    pair = OrthogonalPair(spec, CycleSystem(spec, first, meta=m),
-                          CycleSystem(spec, second, meta=m))
+    pair = OrthogonalPair(spec, CycleSystem._of_canonical(spec, first, meta=m),
+                          CycleSystem._of_canonical(spec, second, meta=m))
     report = verify_pair(pair, plan.l)
     if not report.ok:
         raise AssertionError(
@@ -169,29 +183,38 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> Ort
 
 # ------------------------------------------------------------------- routes
 
+# template cycles per length and system: slot (c, s) is row (i + s) mod l of
+# column c, where c indexes x, y, z = x * y, x ^ 1, y ^ 1
+_CROSS = {5: (((0, 0), (1, 0), (0, 1), (2, 3), (1, 1)), ((0, 0), (1, 0), (0, 2), (2, 3), (1, 2))),
+          7: (((0, 0), (1, 0), (0, 1), (1, 3), (2, 6), (0, 3), (1, 1)),
+              ((0, 0), (1, 0), (3, 3), (1, 4), (2, 6), (0, 4), (4, 3)))}
+
+
 def _quasigroup_cross(l: int, q):
     """Cycles of each system joining the columns of symbols x, y from
     different holes, one orbit of l per pair, steered by z = x * y in the
-    quasigroup q."""
-    n = 2 * q.k
-    # col[x][s][i] is row (i + s) mod l of column x, so zipping shifted
-    # columns yields the l cycles of one orbit, i = 0 .. l-1
-    col = [[[l * x + (i + s) % l for i in range(l)] for s in range(7)] for x in range(n)]
+    quasigroup q.  Pairs whose columns lie in the same order need, at each
+    shift i, the same rotation and reflection to make a template cycle
+    canonical, found once per group from its first pair."""
+    n, m = 2 * q.k, 3 if l == 5 else 5
+    groups: dict = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            if x // 2 != y // 2:
+                cols = (l * x, l * y, l * q.mul(x, y), l * (x ^ 1), l * (y ^ 1))[:m]
+                # equal columns make a group of their own: no order repeats a value
+                key = tuple(sorted(range(m), key=cols.__getitem__)) if len(set(cols)) == m else cols
+                groups.setdefault(key, []).append(cols)
     first: list = []
     second: list = []
-    for x in range(n):
-        cx = col[x]
-        for y in range(x + 1, n):
-            if x // 2 == y // 2:
-                continue
-            cy, cz = col[y], col[q.mul(x, y)]
-            if l == 5:
-                first.extend(zip(cx[0], cy[0], cx[1], cz[3], cy[1]))
-                second.extend(zip(cx[0], cy[0], cx[2], cz[3], cy[2]))
-            else:
-                cxp, cyp = col[x ^ 1], col[y ^ 1]
-                first.extend(zip(cx[0], cy[0], cx[1], cy[3], cz[6], cx[3], cy[1]))
-                second.extend(zip(cx[0], cy[0], cxp[3], cy[4], cz[6], cx[4], cyp[3]))
+    for members in groups.values():
+        bases = list(zip(*members))
+        for template, out in zip(_CROSS[l], (first, second)):
+            for i in range(l):
+                slots = [(c, (i + s) % l) for c, s in template]
+                rep = [members[0][c] + row for c, row in slots]
+                out.extend(zip(*[map(add, bases[slots[j][0]], repeat(slots[j][1]))
+                                 for j in map(rep.index, canonical_cycle(rep))]))
     return first, second
 
 

@@ -121,8 +121,9 @@ class GraphSpec(Value):
         """Vertex ids of a label sequence, in order."""
         try:
             return tuple(map(self._index.__getitem__, labels))
-        except KeyError as exc:
-            raise ValueError(f"label {exc.args[0]!r} not in graph") from None
+        except (KeyError, TypeError):  # TypeError: an unhashable array or object
+            label = next(x for x in labels if x.__hash__ is None or x not in self._index)
+            raise ValueError(f"label {label!r} not in graph") from None
 
 
 def complete(v: int, labels=None) -> GraphSpec:
@@ -186,13 +187,21 @@ class CycleSystem(Value):
     __slots__ = _fields = ("spec", "cycles", "meta")
 
     def __init__(self, spec: GraphSpec, cycles, meta: tuple = ()):
-        v = spec.v
-        canon = sorted(map(canonical_cycle, cycles))
+        self._store(spec, map(canonical_cycle, cycles), meta)
+
+    @classmethod
+    def _of_canonical(cls, spec: GraphSpec, cycles, meta: tuple = ()) -> CycleSystem:
+        """System of cycles that are canonical already, so only sorted."""
+        (system := cls.__new__(cls))._store(spec, cycles, meta)
+        return system
+
+    def _store(self, spec: GraphSpec, cycles, meta: tuple) -> None:
+        canon = sorted(cycles)
         # a canonical cycle starts at its least vertex, so canon[0][0] is the
         # least vertex of all; walk the cycles only to name an offender
-        if canon and (canon[0][0] < 0 or max(map(max, canon)) >= v):
+        if canon and (canon[0][0] < 0 or max(map(max, canon)) >= spec.v):
             for c in canon:
-                if c[0] < 0 or max(c) >= v:
+                if c[0] < 0 or max(c) >= spec.v:
                     raise ValueError(f"cycle {c} leaves the vertex range")
         self._set(spec=spec, cycles=tuple(canon), meta=meta)
 

@@ -28,9 +28,9 @@ def run(*argv):
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # every command is a fresh interpreter, and these two modules (which a
     # bare interpreter does not load) once made up most of its import time.
-    # importlib.resources imports inspect itself from Python 3.12 on, so what
-    # it loads is counted as already there.
-    code = ("import sys, importlib.resources\nheavy = {'dataclasses', 'inspect'}\n"
+    # importlib.resources, which imports inspect from Python 3.12 on, is not
+    # loaded either: the catalog finds its data files next to its module.
+    code = ("import sys\nheavy = {'dataclasses', 'inspect', 'importlib.resources'}\n"
             "before = heavy & set(sys.modules)\nimport orthocycles.cli\n"
             "print(sorted(heavy & set(sys.modules) - before))")
     env = {**os.environ, "PYTHONPATH": str(Path(orthocycles.__file__).parents[1])}
@@ -155,14 +155,53 @@ def test_verify_names_the_label_a_cycle_cannot_place(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for label, reason in (("zz", "label 'zz' not in graph"),
                           (5, "label 5 not in graph"),
-                          (["0"], "malformed design file: missing or bad field "
-                                  "unhashable type: 'list'")):
+                          (["0"], "label ['0'] not in graph")):
         doc = json.loads(design_text(construct_pair(5, 11), 5))
         doc["systems"]["second"][4][2] = label
         bad.write_text(json.dumps(doc))
         assert run("verify", str(bad)) == 2, label
         out, err = capsys.readouterr()
         assert out == "" and err == f"cannot load {bad}: {reason}\n"
+
+
+_HOLE, _PART = ("spec", "hole", 0), ("spec", "parts", 1, 0)
+
+
+@pytest.mark.parametrize("key,path,value,reason", [
+    ("l5_K15mK5", _HOLE, "zz", "label 'zz' not in graph"),
+    ("l5_K15mK5", _HOLE, 3, "label 3 not in graph"),
+    ("l5_K15mK5", _HOLE, ["0"], "label ['0'] not in graph"),
+    ("l5_K15mK5", _HOLE, {}, "label {} not in graph"),
+    ("l6_K444", _PART, "zz", "label 'zz' not in graph"),
+    ("l6_K444", _PART, 3, "label 3 not in graph"),
+    ("l6_K444", _PART, ["0"], "label ['0'] not in graph"),
+    ("l6_K444", _PART, {}, "label {} not in graph"),
+    ("l5_K15mK5", ("spec", "labels", 1), "0", "duplicate vertex labels"),
+    ("l5_K15mK5", ("spec",), [], "spec is not a JSON object (got list)"),
+    ("l5_K15mK5", ("spec",), "x", "spec is not a JSON object (got str)"),
+    ("l5_K15mK5", ("systems",), [], "systems is not a JSON object (got list)"),
+    ("l5_K15mK5", ("systems",), 3, "systems is not a JSON object (got int)"),
+])
+def test_verify_names_a_bad_host_label_or_non_object_field(tmp_path, capsys, key, path,
+                                                          value, reason):
+    doc = json.loads(design_text(get_ingredient(key), cycle_length(key)))
+    at = doc
+    for step in path[:-1]:
+        at = at[step]
+    at[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("verify", str(bad)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"cannot load {bad}: {reason}\n"
+
+
+def test_verify_names_a_design_file_that_is_not_an_object(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    assert run("verify", str(bad)) == 2
+    assert capsys.readouterr().err == (
+        f"cannot load {bad}: the design file is not a JSON object (got list)\n")
 
 
 def test_catalog_list_and_verify(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthocycles.auxiliary import build_quasigroup_with_holes
 from orthocycles.catalog import get_ingredient, has_ingredient
 from orthocycles.construct import (
     UNSATISFIABLE,
@@ -11,10 +12,13 @@ from orthocycles.construct import (
     NotAdmissibleError,
     UnsatisfiableError,
     admissible,
+    _columns,
     _onto,
+    _quasigroup_cross,
     construct_pair,
     plan_for,
 )
+from orthocycles.core import CycleSystem, canonical_cycle, complete
 from orthocycles.verify import verify_pair
 
 PINNED = [
@@ -153,6 +157,76 @@ def test_placement_rejects_targets_that_disagree_with_the_host_parts():
                           (tri, [range(4), range(4), range(5)])):
         with pytest.raises(ValueError):
             _onto(pair, targets)
+
+
+def _sweep():
+    return [(l, v) for l in range(5, 10) for v in _admissible_orders(l)
+            if (l, v) not in UNSATISFIABLE]
+
+
+def test_assembled_cycles_equal_their_canonical_forms_sorted():
+    # assembly builds cycles canonical instead of canonicalising them; this
+    # is the per-cycle canonicalisation it skips
+    assert len(_sweep()) == 132
+    for l, v in _sweep():
+        pair = construct_pair(l, v)
+        for system in (pair.first, pair.second):
+            assert list(system.cycles) == sorted(map(canonical_cycle, system.cycles)), (l, v)
+
+
+def _template_cross(l, q):
+    # the per-pair template zip the grouped emission replaced, kept as oracle
+    n = 2 * q.k
+    col = [[[l * x + (i + s) % l for i in range(l)] for s in range(7)] for x in range(n)]
+    first, second = [], []
+    for x in range(n):
+        cx = col[x]
+        for y in range(x + 1, n):
+            if x // 2 == y // 2:
+                continue
+            cy, cz = col[y], col[q.mul(x, y)]
+            if l == 5:
+                first.extend(zip(cx[0], cy[0], cx[1], cz[3], cy[1]))
+                second.extend(zip(cx[0], cy[0], cx[2], cz[3], cy[2]))
+            else:
+                cxp, cyp = col[x ^ 1], col[y ^ 1]
+                first.extend(zip(cx[0], cy[0], cx[1], cy[3], cz[6], cx[3], cy[1]))
+                second.extend(zip(cx[0], cy[0], cxp[3], cy[4], cz[6], cx[4], cyp[3]))
+    return first, second
+
+
+def test_quasigroup_cross_cycles_are_the_canonical_template_cycles():
+    ks = {(l, plan_for(l, v).k) for l, v in _sweep() if plan_for(l, v).route == "quasigroup-columns"}
+    assert {l for l, _ in ks} == {5, 7}
+    for l, k in sorted(ks):
+        q = build_quasigroup_with_holes(k)
+        for got, want in zip(_quasigroup_cross(l, q), _template_cross(l, q), strict=True):
+            assert sorted(got) == sorted(map(canonical_cycle, want)), (l, k)
+
+
+@pytest.mark.parametrize("l,v", [(5, 35), (7, 49), (9, 63)])
+def test_holed_placement_matches_per_cycle_canonicalisation(l, v):
+    labels, placements, cross = _columns(plan_for(l, v))
+    # the hole goes onto the fixed points, the highest ids: not an increasing map
+    holed = [_onto(pair, t) for pair, t in placements if pair.spec.kind == "complete_minus_hole"]
+    assert holed and all(m != sorted(m) for m in holed)
+    spec = complete(v, labels)
+    pair = construct_pair(l, v)
+    for i, (system, generated) in enumerate(zip((pair.first, pair.second), cross)):
+        cycles = list(generated)
+        for block, targets in placements:
+            at = _onto(block, targets).__getitem__
+            cycles += [tuple(map(at, c)) for c in (block.first, block.second)[i].cycles]
+        assert system == CycleSystem(spec, cycles)
+
+
+def test_canonical_constructor_sorts_and_checks_the_vertex_range():
+    spec = complete(5)
+    system = CycleSystem._of_canonical(spec, [(1, 2, 4), (0, 3, 4), (0, 1, 2)])
+    assert system == CycleSystem(spec, [(4, 2, 1), (3, 4, 0), (2, 0, 1)])
+    for bad in ((0, 1, 5), (-1, 0, 1)):
+        with pytest.raises(ValueError, match="leaves the vertex range"):
+            CycleSystem._of_canonical(spec, [(0, 1, 2), bad])
 
 
 @settings(max_examples=300, deadline=None)
