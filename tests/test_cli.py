@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import orthocycles
 from orthocycles.catalog import cycle_length, get_ingredient, list_ingredients
 from orthocycles.cli import design_text, load_design, main
-from orthocycles.construct import construct_pair
+from orthocycles.construct import UNSATISFIABLE, admissible, construct_pair, no_pair_reason
 from orthocycles.core import (CycleSystem, OrthogonalPair, complete, complete_minus_hole,
                               multipartite)
 from orthocycles.heffter import format_array, search_3x3
@@ -62,6 +62,16 @@ def test_generate_rejects_bad_orders(capsys):
     assert run("generate", "--length", "6", "--order", "10") == 3
     assert json.loads(capsys.readouterr().out)["reason"] == "not admissible"
     assert run("generate", "--length", "5", "--order", "13") == 3
+
+
+def test_out_in_a_missing_directory_is_a_write_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "d.json")
+    for argv in (("generate", "--length", "5", "--order", "11"),
+                 ("catalog", "dump", "l5_v11"),
+                 ("search", "--length", "5", "--order", "11")):
+        assert run(*argv, "--out", out) == 2, argv
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"cannot write {out}: "), argv
 
 
 def test_verify_flags_a_tampered_file(tmp_path, capsys):
@@ -326,6 +336,25 @@ def test_generate_output_is_pinned(tmp_path, lv):
     out = tmp_path / "d.json"
     assert run("generate", "--length", str(l), "--order", str(v), "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATED_SHA256[lv]
+
+
+# sha256 of every output the library publishes, concatenated: the three
+# refusals and the design text of each other admissible order, l = 5..9 and
+# v <= 201, then every catalog entry in list order
+WHOLE_OUTPUT_SHA256 = "6725699bc891a91ad0a494aefc958039150b7211174474d8c41917ea6a07bf54"
+
+
+def test_whole_output_is_pinned():
+    digest = hashlib.sha256()
+    for l in range(5, 10):
+        for v in range(l, 202):
+            if admissible(l, v):
+                text = (no_pair_reason(l, v) if (l, v) in UNSATISFIABLE
+                        else design_text(construct_pair(l, v), l))
+                digest.update(text.encode())
+    for key, _ in list_ingredients():
+        digest.update(design_text(get_ingredient(key), cycle_length(key)).encode())
+    assert digest.hexdigest() == WHOLE_OUTPUT_SHA256
 
 
 # ------------------------------------------------------------ writer oracle
