@@ -13,13 +13,9 @@ from .core import (
     OrthogonalPair,
     canonical_cycle,
     complete,
-    complete_minus_hole,
-    cycle_edges,
-    graph_edges,
-    multipartite,
 )
 from .search import SearchBudget, search_pair
-from .verify import VerificationReport, verify_decomposition, verify_orthogonality, verify_pair
+from .verify import VerificationReport, verify_decomposition, verify_pair
 
 __all__ = [
     "CycleSystem",
@@ -32,15 +28,10 @@ __all__ = [
     "admissible",
     "canonical_cycle",
     "complete",
-    "complete_minus_hole",
     "construct_pair",
-    "cycle_edges",
     "get_ingredient",
-    "graph_edges",
     "list_ingredients",
-    "multipartite",
     "search_pair",
     "verify_decomposition",
-    "verify_orthogonality",
     "verify_pair",
 ]

@@ -16,6 +16,12 @@ height h over the scaffold's points plus fixed points:
 - length 6, order v = 21 (mod 24): a pasted join of an order v-20 pair, an
   order-21 pair, and complete bipartite 6x10 pairs between the two.
 
+plan_for decides all of it, and assembly only reads the plan.  One rule names
+every group's pair: a group of s points, whose h * s columns carry a pair
+together with the f fixed points, takes l{l}_v{h*s+f}; when f > 1, every
+group after the first takes the holed l{l}_K{h*s+f}mK{f} instead, its hole on
+the fixed points.
+
 Cycles are built canonical: placed cycles stay so under increasing vertex
 maps, holed pairs are relabelled by rank first, and cross cycles are emitted
 canonical.  A verification failure in assembly is a bug, not an input error,
@@ -56,12 +62,6 @@ def no_pair_reason(l: int, v: int) -> str:
             f"a system has only {(l - 1) // 2} cycles, so any cycle of a "
             f"mate system would share at least three edges with one of them")
 
-_L6_GROUP_KEY = {2: "l6_v9", 3: "l6_v13"}
-_L9_FIRST_KEY = {(2, 1): "l9_v19", (2, 9): "l9_v27",
-                 (4, 1): "l9_v37", (4, 9): "l9_v45"}
-_BLOCK_KEY = {6: "l6_K444", 8: "l8_K16x16", 9: "l9_K999"}
-
-
 def admissible(l: int, v: int) -> bool:
     """Spectrum test: v >= l, right residue (equivalently v odd with
     v(v-1) = 0 mod 2l for these lengths)."""
@@ -72,15 +72,19 @@ def admissible(l: int, v: int) -> bool:
 
 
 class ConstructionPlan(NamedTuple):
-    """Which route builds (l, v) and which catalog blocks it places."""
+    """Which route builds (l, v), on which scaffold, and which catalog pair
+    sits on each of its groups and blocks: the one place a build is decided."""
 
     l: int
     v: int
     route: str  # catalog | quasigroup-columns | four-level-gdd | sixteen-blocks | nine-level-gdd | paste
-    ingredients: tuple
+    group_keys: tuple  # catalog key per scaffold group, in group order (catalog: the entry)
+    block_key: str = ""  # catalog key on every scaffold block (paste: every bridge)
     k: int = 0  # scaffold size: holes / blocks / group count
     r: int = 0  # fixed points, except for length 6: v mod 24 (with one fixed point)
-    group_sizes: tuple = ()
+    group_sizes: tuple = ()  # points per scaffold group, groups on consecutive points
+    h: int = 0  # column height
+    fixed: int = 0  # fixed points
 
 
 def plan_for(l: int, v: int) -> ConstructionPlan:
@@ -96,32 +100,27 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
     key = f"l{l}_v{v}"
     if has_ingredient(key):
         return ConstructionPlan(l, v, "catalog", (key,))
-    if l in (5, 7):
-        r = 1 if v % (2 * l) == 1 else l
-        k = (v - r) // (2 * l)
-        if r == 1:
-            ing = (f"l{l}_v{2 * l + 1}",)
-        else:
-            ing = (f"l{l}_v{3 * l}", "l5_K15mK5" if l == 5 else "l7_K21mK7")
-        return ConstructionPlan(l, v, "quasigroup-columns", ing, k=k, r=r)
+    if l == 6 and v % 24 == 21:
+        return ConstructionPlan(6, v, "paste", ("l6_v21",), "l6_K6x10")
     if l == 6:
         r = v % 24
-        if r == 21:
-            return ConstructionPlan(6, v, "paste", ("l6_K444", "l6_K6x10", "l6_v21", "l6_v9"))
         sizes = (3,) * ((v - 1) // 12) if r == 13 else (2,) * ((v - 1) // 8)
-        ing = ("l6_K444", _L6_GROUP_KEY[sizes[0]])
-        return ConstructionPlan(6, v, "four-level-gdd", ing,
-                                k=len(sizes), r=r, group_sizes=sizes)
-    if l == 8:
-        return ConstructionPlan(8, v, "sixteen-blocks", ("l8_K16x16", "l8_v17"),
-                                k=(v - 1) // 16, r=1)
-    r = 1 if v % 18 == 1 else 9
-    k = (v - r) // 18
-    sizes = (2,) * k if k % 3 in (0, 1) else (4,) + (2,) * (k - 2)
-    rest_key = "l9_v19" if r == 1 else "l9_K27mK9"
-    ing = tuple(sorted({_L9_FIRST_KEY[(sizes[0], r)], rest_key, "l9_K999"}))
-    return ConstructionPlan(9, v, "nine-level-gdd", ing,
-                            k=k, r=r, group_sizes=sizes)
+        route, block, h, fixed, k = "four-level-gdd", "l6_K444", 4, 1, len(sizes)
+    elif l == 8:
+        route, block, h, fixed, r, k = "sixteen-blocks", "l8_K16x16", 16, 1, 1, (v - 1) // 16
+        sizes = (1,) * k
+    else:
+        h, fixed = l, 1 if v % (2 * l) == 1 else l
+        r, k = fixed, (v - fixed) // (2 * l)
+        if l == 9:
+            route, block = "nine-level-gdd", "l9_K999"
+            sizes = (2,) * k if k % 3 in (0, 1) else (4,) + (2,) * (k - 2)
+        else:
+            route, block, sizes = "quasigroup-columns", "", (2,) * k
+    keys = [f"l{l}_v{h * s + fixed}" for s in sizes]
+    if fixed > 1:
+        keys[1:] = (f"l{l}_K{h * s + fixed}mK{fixed}" for s in sizes[1:])
+    return ConstructionPlan(l, v, route, tuple(keys), block, k, r, sizes, h, fixed)
 
 
 # ----------------------------------------------------------------- assembly
@@ -221,54 +220,37 @@ def _quasigroup_cross(l: int, q):
 def _columns(plan: ConstructionPlan):
     """Columns of height h over the points of a scaffold, plus fixed points.
 
-    Each scaffold group's columns and the fixed points carry a complete
-    catalog pair, or a holed one whose hole sits on the fixed points; each
-    scaffold block carries a multipartite pair, one column per part.
+    Each scaffold group's columns and the fixed points carry the group's
+    catalog pair, complete or holed with its hole on the fixed points; each
+    scaffold block carries the block pair, one column per part.  The scaffold:
 
-    - lengths 5, 7: height l, groups are the holes {2i, 2i+1} of a quasigroup
-      with holes, and the cross edges come from _quasigroup_cross;
-    - lengths 6, 9: height 4 or 9, groups and triples of a group divisible
-      design;
-    - length 8: height 16, singleton groups, every pair of points a block.
+    - lengths 5, 7: the holes {2i, 2i+1} of a quasigroup with holes, whose
+      products steer the cross cycles of _quasigroup_cross;
+    - lengths 6, 9: the groups and triples of a group divisible design;
+    - length 8: singleton groups, every pair of points a block.
     """
-    l, k, r = plan.l, plan.k, plan.r
+    h, fixed, sizes = plan.h, plan.fixed, plan.group_sizes
     blocks, cross = (), ((), ())
     if plan.route == "quasigroup-columns":
-        h, fixed = l, r
-        groups = [(2 * i, 2 * i + 1) for i in range(k)]
-        # the full pair on the first hole, then the holed pair when r = l
-        keys = plan.ingredients[:1] + plan.ingredients[-1:] * (k - 1)
-        cross = _quasigroup_cross(l, build_quasigroup_with_holes(k))
+        cross = _quasigroup_cross(plan.l, build_quasigroup_with_holes(plan.k))
     elif plan.route == "sixteen-blocks":
-        h, fixed = 16, 1
-        groups = [(x,) for x in range(k)]
-        keys = ("l8_v17",) * k
-        blocks = combinations(range(k), 2)
+        blocks = combinations(range(plan.k), 2)
     else:
-        gdd = build_gdd(plan.group_sizes)
-        groups, blocks = gdd.groups(), gdd.triples
-        if l == 6:
-            h, fixed = 4, 1
-            keys = [_L6_GROUP_KEY[len(g)] for g in groups]
-        else:
-            h, fixed = 9, r
-            rest = "l9_v19" if r == 1 else "l9_K27mK9"
-            keys = [_L9_FIRST_KEY[(len(groups[0]), r)]] + [rest] * (len(groups) - 1)
-    n = sum(len(g) for g in groups)
-
-    def cols(points):
-        return [h * x + t for x in points for t in range(h)]
-
+        blocks = build_gdd(sizes).triples
+    n = sum(sizes)
     infs = list(range(h * n, h * n + fixed))
     labels = ([f"({x},{t})" for x in range(n) for t in range(h)]
               + [f"inf{j}" for j in range(fixed)])
-    ing = {key: get_ingredient(key) for key in plan.ingredients}
-    placements = []
-    for group, key in zip(groups, keys, strict=True):
-        pair = ing[key]
+    ing = {key: get_ingredient(key) for key in dict.fromkeys(plan.group_keys)}
+    placements, start = [], 0
+    for s, key in zip(sizes, plan.group_keys, strict=True):
+        pair, cols = ing[key], list(range(h * start, h * (start + s)))
+        start += s
         holed = pair.spec.kind == "complete_minus_hole"
-        placements.append((pair, [infs, cols(group)] if holed else [cols(group) + infs]))
-    placements += [(ing[_BLOCK_KEY[l]], [cols((x,)) for x in block]) for block in blocks]
+        placements.append((pair, [infs, cols] if holed else [cols + infs]))
+    if plan.block_key:
+        block = get_ingredient(plan.block_key)
+        placements += [(block, [range(h * x, h * x + h) for x in b]) for b in blocks]
     return labels, placements, cross
 
 
@@ -279,8 +261,8 @@ def _paste(plan: ConstructionPlan):
     n = plan.v - 21
     labels = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(20)] + ["inf0"]
     placements = [(construct_pair(6, n + 1), [list(range(n)) + [n + 20]]),
-                  (get_ingredient("l6_v21"), [list(range(n, n + 20)) + [n + 20]])]
-    bridge = get_ingredient("l6_K6x10")
+                  (get_ingredient(plan.group_keys[0]), [list(range(n, n + 20)) + [n + 20]])]
+    bridge = get_ingredient(plan.block_key)
     placements += [(bridge, [range(6 * i, 6 * i + 6), range(n + 10 * j, n + 10 * j + 10)])
                    for i in range(n // 6) for j in range(2)]
     return labels, placements
@@ -288,7 +270,7 @@ def _paste(plan: ConstructionPlan):
 
 def _build(plan: ConstructionPlan) -> OrthogonalPair:
     if plan.route == "catalog":
-        return get_ingredient(plan.ingredients[0])
+        return get_ingredient(plan.group_keys[0])
     if plan.route == "paste":
         return _assemble(plan, *_paste(plan))
     return _assemble(plan, *_columns(plan))

@@ -8,15 +8,7 @@ plain tuple equality.
 
 from __future__ import annotations
 
-Edge = tuple[int, int]
 Cycle = tuple[int, ...]
-
-
-def edge(a: int, b: int) -> Edge:
-    """Undirected edge as an ordered pair (lo, hi)."""
-    if a == b:
-        raise ValueError(f"loop edge at vertex {a}")
-    return (a, b) if a < b else (b, a)
 
 
 def canonical_cycle(vertices) -> Cycle:
@@ -36,15 +28,6 @@ def canonical_cycle(vertices) -> Cycle:
     if i:
         seq = seq[i:] + seq[:i]
     return seq if seq[1] < seq[-1] else seq[:1] + seq[:0:-1]
-
-
-def cycle_edges(cycle) -> frozenset[Edge]:
-    """Edge set of a closed cycle (consecutive pairs plus the wrap edge)."""
-    seq = tuple(cycle)
-    out = frozenset(edge(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
-    if len(out) != len(seq):
-        raise ValueError(f"degenerate cycle {seq}")
-    return out
 
 
 class Value:
@@ -114,9 +97,6 @@ class GraphSpec(Value):
     def v(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.ids((label,))[0]
-
     def ids(self, labels) -> tuple[int, ...]:
         """Vertex ids of a label sequence, in order."""
         try:
@@ -132,48 +112,6 @@ def complete(v: int, labels=None) -> GraphSpec:
     if labels is None:
         labels = tuple(str(i) for i in range(v))
     return GraphSpec("complete", tuple(labels))
-
-
-def complete_minus_hole(v: int, hole, labels=None) -> GraphSpec:
-    if labels is None:
-        labels = tuple(str(i) for i in range(v))
-    return GraphSpec("complete_minus_hole", tuple(labels), hole=frozenset(hole))
-
-
-def multipartite(sizes, labels=None) -> GraphSpec:
-    sizes = tuple(sizes)
-    v = sum(sizes)
-    if labels is None:
-        labels = tuple(str(i) for i in range(v))
-    parts, at = [], 0
-    for s in sizes:
-        parts.append(tuple(range(at, at + s)))
-        at += s
-    return GraphSpec("multipartite", tuple(labels), parts=tuple(parts))
-
-
-def graph_edges(spec: GraphSpec) -> set[Edge]:
-    """All edges of the host graph."""
-    v = spec.v
-    if spec.kind == "complete":
-        return {(a, b) for a in range(v) for b in range(a + 1, v)}
-    if spec.kind == "complete_minus_hole":
-        return {
-            (a, b)
-            for a in range(v)
-            for b in range(a + 1, v)
-            if not (a in spec.hole and b in spec.hole)
-        }
-    part_of = {}
-    for i, part in enumerate(spec.parts):
-        for x in part:
-            part_of[x] = i
-    return {
-        (a, b)
-        for a in range(v)
-        for b in range(a + 1, v)
-        if part_of[a] != part_of[b]
-    }
 
 
 class CycleSystem(Value):

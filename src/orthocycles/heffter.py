@@ -196,9 +196,3 @@ def parse_array(text: str) -> HeffterArray:
     row_fill = sum(1 for x in rows[0] if x is not None)
     col_fill = sum(1 for r in rows if r[0] is not None)
     return HeffterArray(row_fill, col_fill, tuple(rows))
-
-
-def format_array(a: HeffterArray) -> str:
-    return "\n".join(
-        ",".join("." if x is None else str(x) for x in row) for row in a.cells
-    ) + "\n"

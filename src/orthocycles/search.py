@@ -5,8 +5,7 @@ Three routes behind search_pair:
     class 1..l once, then pair two bases whose orbits cross in <= 1 edge.
     Translation invariance means one base against all v translates of the
     other covers every cross pair, and the check counts, per shift, the edge
-    pairs of equal difference that the shift lines up.  search_second takes
-    the same mate step when its first system is one full orbit over Z_v.
+    pairs of equal difference that the shift lines up.
   * v = l: no search.  A system has only (l-1)/2 cycles, so the l edges of
     any cycle of a mate fall at least three into one of them (pigeonhole),
     and the result is "unsatisfiable" with no nodes spent.
@@ -33,10 +32,10 @@ from .core import (
     OrthogonalPair,
     Value,
     canonical_cycle,
-    graph_edges,
     meta,
 )
-from .verify import verify_decomposition, verify_pair
+# unused here, but perfbench/tracing.py wraps search.verify_decomposition
+from .verify import verify_decomposition, verify_pair  # noqa: F401
 
 
 class SearchBudget(Value):
@@ -161,40 +160,41 @@ def _orbit_cycles(base, v: int):
     return list(seen)
 
 
-def _cyclic_mate(first: CycleSystem, base, b: _Budget, rng: Random, m) -> OrthogonalPair | None:
-    """Mate of first, the full orbit of base over Z_v: the orbit of the first
-    difference base whose translates each cross base in at most one edge
-    (base itself fails at shift 0).  None if the bases run out.
+def _cyclic_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPair | None:
+    """The orbit over Z_v of the first difference base, and as its mate the
+    orbit of the first base of a second shuffle whose translates each cross
+    the first base in at most one edge (a base fails against itself at
+    shift 0).  None if the bases run out.
 
     Every l-cycle of Z_{2l+1} has a full orbit: a shift that maps it onto
     itself maps its l vertices onto themselves, so the shift's order
     divides l as well as 2l+1, and the two are coprime.
     """
-    spec, l = first.spec, len(base)
-    for cand in _difference_bases(spec.v, l, b, rng):
-        if _translates_cross_ok(base, cand, spec.v):
-            orbit = CycleSystem(spec, _orbit_cycles(cand, spec.v), meta=m)
-            return _checked(OrthogonalPair(spec, first, orbit), l)
-    return None
-
-
-def _cyclic_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPair | None:
     v = spec.v
     base = next(_difference_bases(v, l, b, Random(seed)), None)
     if base is None:
         return None
     m = meta(route="search", seed=seed)
     first = CycleSystem(spec, _orbit_cycles(base, v), meta=m)
-    return _cyclic_mate(first, base, b, Random(seed + 1), m)
+    for cand in _difference_bases(v, l, b, Random(seed + 1)):
+        if _translates_cross_ok(base, cand, v):
+            orbit = CycleSystem(spec, _orbit_cycles(cand, v), meta=m)
+            return _checked(OrthogonalPair(spec, first, orbit), l)
+    return None
 
 
 # ------------------------------------------------------------- general route
 
 def _free_rows(spec: GraphSpec) -> list[bytearray]:
-    """free[a][x] == 1 iff {a, x} is a host edge."""
-    free = [bytearray(spec.v) for _ in range(spec.v)]
-    for a, x in graph_edges(spec):
-        free[a][x] = free[x][a] = 1
+    """free[a][x] == 1 iff {a, x} is a host edge: a pair of distinct vertices
+    not both in the hole or in one part."""
+    free = [bytearray(b"\x01") * spec.v for _ in range(spec.v)]
+    for a, row in enumerate(free):
+        row[a] = 0
+    for group in (spec.hole, *spec.parts):
+        for a in group:
+            for x in group:
+                free[a][x] = 0
     return free
 
 
@@ -253,17 +253,19 @@ def _greedy_system(spec: GraphSpec, l: int, budget: _Budget, rng: Random):
             return cycles
 
 
-def _mate(first: CycleSystem, b: _Budget, m) -> OrthogonalPair | None:
-    """Depth-first mate of a verified system, or None once the tree is done.
+def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPair | None:
+    """A randomized greedy first system, then its depth-first mate, or None
+    once the mate tree is done.
 
-    Each cycle starts on the least uncovered edge (u, anchor), so u is the
-    least uncovered vertex.  A cycle may share at most one edge with each
+    Each mate cycle starts on the least uncovered edge (u, anchor), so u is
+    the least uncovered vertex.  A cycle may share at most one edge with each
     first cycle, and every host edge has one owner in the first system:
     owner[a][x] is the index of the first cycle on edge {a, x}.  Uncovered
     edges change only when a cycle closes, and a failed subtree restores
     them, so every candidate of a step sees the same rows.
     """
-    spec, l = first.spec, first.cycle_length
+    m = meta(route="search", seed=seed)
+    first = CycleSystem(spec, _greedy_system(spec, l, b, Random(seed)), meta=m)
     v = spec.v
     owner = [[-1] * v for _ in range(v)]
     for j, c in enumerate(first.cycles):
@@ -316,12 +318,6 @@ def _mate(first: CycleSystem, b: _Budget, m) -> OrthogonalPair | None:
     return _checked(OrthogonalPair(spec, first, CycleSystem(spec, found, meta=m)), l)
 
 
-def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPair | None:
-    m = meta(route="search", seed=seed)
-    first = CycleSystem(spec, _greedy_system(spec, l, b, Random(seed)), meta=m)
-    return _mate(first, b, m)
-
-
 def search_pair(spec: GraphSpec, l: int, budget: SearchBudget = SearchBudget()) -> SearchResult:
     """A verified orthogonal pair on spec, or exhausted / unsatisfiable."""
     seed = budget.seed
@@ -336,17 +332,3 @@ def search_pair(spec: GraphSpec, l: int, budget: SearchBudget = SearchBudget()) 
         if v == 2 * l + 1:
             return _run(budget, lambda b: _cyclic_pair(spec, l, b, seed))
     return _run(budget, lambda b: _general_pair(spec, l, b, seed))
-
-
-def search_second(first: CycleSystem, budget: SearchBudget = SearchBudget()) -> SearchResult:
-    """Search for an orthogonal mate of a verified system: the cyclic mate
-    step if first is one full orbit over Z_v, otherwise depth-first."""
-    spec, l = first.spec, first.cycle_length
-    if not verify_decomposition(first, l).ok:
-        raise ValueError("first system is not a valid decomposition")
-    m = meta(route="search", seed=budget.seed)
-    if (spec.kind == "complete" and spec.v == 2 * l + 1 and len(first.cycles) == spec.v
-            and set(_orbit_cycles(first.cycles[0], spec.v)) == set(first.cycles)):
-        base = first.cycles[0]
-        return _run(budget, lambda b: _cyclic_mate(first, base, b, Random(budget.seed), m))
-    return _run(budget, lambda b: _mate(first, b, m))

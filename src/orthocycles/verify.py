@@ -179,16 +179,6 @@ def verify_decomposition(system, length: int, tag="") -> VerificationReport:
     return report
 
 
-def verify_orthogonality(first, second) -> VerificationReport:
-    """Check that any cycle of one system shares at most one edge with any
-    cycle of the other.  Cycles that are not simple cycles are skipped here;
-    verify_decomposition reports them."""
-    v = first.spec.v
-    best, witness = _cross(_scan(first.cycles, v, None, "first", []),
-                           _scan(second.cycles, v, None, "second", []), v)
-    return VerificationReport(ok=best <= 1, max_cross_intersection=best, witness=witness)
-
-
 def verify_pair(pair, length: int) -> VerificationReport:
     """Full certificate: both systems decompose the host into `length`-cycles
     and the two systems are orthogonal.

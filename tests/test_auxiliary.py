@@ -181,7 +181,9 @@ def test_scaffolds_never_search(monkeypatch):
     # form, so no random source is ever created on the build path
     _refuse_random(monkeypatch)
     build_gdd.cache_clear()
-    shapes = {plan_for(l, v).group_sizes for l in range(5, 10) for v in range(l, 601)
-              if admissible(l, v) and (l, v) not in UNSATISFIABLE}
-    for sizes in shapes - {()}:
+    plans = [plan_for(l, v) for l in range(5, 10) for v in range(l, 601)
+             if admissible(l, v) and (l, v) not in UNSATISFIABLE]
+    shapes = {p.group_sizes for p in plans if p.route in ("four-level-gdd", "nine-level-gdd")}
+    assert len(shapes) == 82  # group shapes of the GDD routes, v <= 600
+    for sizes in shapes:
         _check_gdd(build_gdd(sizes))

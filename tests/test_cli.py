@@ -15,9 +15,9 @@ import orthocycles
 from orthocycles.catalog import cycle_length, get_ingredient, list_ingredients
 from orthocycles.cli import design_text, load_design, main
 from orthocycles.construct import UNSATISFIABLE, admissible, construct_pair, no_pair_reason
-from orthocycles.core import (CycleSystem, OrthogonalPair, complete, complete_minus_hole,
-                              multipartite)
-from orthocycles.heffter import format_array, search_3x3
+from oracles import array_text
+from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, complete
+from orthocycles.heffter import search_3x3
 from orthocycles.search import SearchBudget, search_pair
 
 
@@ -276,7 +276,7 @@ def test_search_exit_codes(capsys):
 
 def test_heffter_commands(tmp_path, capsys):
     good = tmp_path / "h.txt"
-    good.write_text(format_array(next(search_3x3())))
+    good.write_text(array_text(next(search_3x3()).cells))
     assert run("heffter", "validate", str(good)) == 0
     assert "modulus 19" in capsys.readouterr().out
     assert run("heffter", "simple", str(good)) == 0
@@ -418,8 +418,8 @@ ODD_LABELS = ('a"b', "c\\d", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600", "tab
 
 def test_writer_matches_reference_on_escaped_and_non_ascii_labels():
     hosts = (complete(9, labels=ODD_LABELS),
-             complete_minus_hole(9, (0, 2, 5), labels=ODD_LABELS),
-             multipartite((3, 2, 4), labels=ODD_LABELS))
+             GraphSpec("complete_minus_hole", ODD_LABELS, hole=frozenset({0, 2, 5})),
+             GraphSpec("multipartite", ODD_LABELS, parts=((0, 1, 2), (3, 4), (5, 6, 7, 8))))
     for spec in hosts:
         first = CycleSystem(spec, [(0, 3, 6), (1, 4, 7, 2)], meta=(("note", "\u00e9\"\\"),))
         second = CycleSystem(spec, [(8, 6, 1)])

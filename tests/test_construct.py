@@ -64,7 +64,7 @@ def test_small_orders_route_to_catalog():
     for l, v in ((5, 11), (5, 25), (6, 21), (7, 35), (8, 17), (9, 45)):
         plan = plan_for(l, v)
         assert plan.route == "catalog"
-        assert plan.ingredients == (f"l{l}_v{v}",)
+        assert plan.group_keys == (f"l{l}_v{v}",) and plan.block_key == ""
 
 
 def test_routes_and_scaffold_shapes():
@@ -84,8 +84,39 @@ def test_every_planned_ingredient_is_in_the_catalog():
         for v in _admissible_orders(l):
             if (l, v) in UNSATISFIABLE:
                 continue
-            for key in plan_for(l, v).ingredients:
+            plan = plan_for(l, v)
+            for key in plan.group_keys + (plan.block_key,) * bool(plan.block_key):
                 assert has_ingredient(key), (l, v, key)
+
+
+def _tabled_keys(plan: ConstructionPlan):
+    # the per-length key tables assembly once kept apart from the plan
+    l, r, sizes = plan.l, plan.r, plan.group_sizes
+    if plan.route == "quasigroup-columns":
+        return ((f"l{l}_v{2 * l + 1}",) * len(sizes) if r == 1 else
+                (f"l{l}_v{3 * l}",) + (f"l{l}_K{3 * l}mK{l}",) * (len(sizes) - 1)), ""
+    if plan.route == "four-level-gdd":
+        return tuple({2: "l6_v9", 3: "l6_v13"}[s] for s in sizes), "l6_K444"
+    if plan.route == "sixteen-blocks":
+        return ("l8_v17",) * plan.k, "l8_K16x16"
+    first = {(2, 1): "l9_v19", (2, 9): "l9_v27", (4, 1): "l9_v37", (4, 9): "l9_v45"}
+    rest = "l9_v19" if r == 1 else "l9_K27mK9"
+    return (first[sizes[0], r],) + (rest,) * (len(sizes) - 1), "l9_K999"
+
+
+def test_group_keys_follow_one_rule():
+    assert plan_for(5, 35).group_keys == ("l5_v15", "l5_K15mK5", "l5_K15mK5")
+    assert plan_for(9, 207).group_keys == ("l9_v45",) + ("l9_K27mK9",) * 9
+    paste = plan_for(6, 45)
+    assert (paste.route, paste.group_keys, paste.block_key) == ("paste", ("l6_v21",), "l6_K6x10")
+    routes = set()
+    for l, v in _sweep():
+        plan = plan_for(l, v)
+        if plan.route not in ("catalog", "paste"):
+            routes.add(plan.route)
+            assert (plan.group_keys, plan.block_key) == _tabled_keys(plan), (l, v)
+            assert plan.h * sum(plan.group_sizes) + plan.fixed == v, (l, v)
+    assert len(routes) == 4
 
 
 def _planned_edge_total(plan: ConstructionPlan) -> int:

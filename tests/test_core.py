@@ -4,18 +4,18 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import cycle_edges, edge, graph_edges
 from orthocycles.core import (
     CycleSystem,
     GraphSpec,
     OrthogonalPair,
     canonical_cycle,
     complete,
-    complete_minus_hole,
-    cycle_edges,
-    edge,
-    graph_edges,
-    multipartite,
 )
+
+
+def digits(v):
+    return tuple(map(str, range(v)))
 
 
 def test_edge_orders_endpoints():
@@ -69,21 +69,25 @@ def test_cycle_edges_count(seq):
 
 def test_graph_edges_counts():
     assert len(graph_edges(complete(15))) == 105
-    assert len(graph_edges(complete_minus_hole(15, range(10, 15)))) == 95
-    assert len(graph_edges(multipartite((4, 4, 4)))) == 48
-    assert len(graph_edges(multipartite((6, 10)))) == 60
-    assert len(graph_edges(complete_minus_hole(27, range(18, 27)))) == 315
+    assert len(graph_edges(GraphSpec("complete_minus_hole", digits(15),
+                                     hole=frozenset(range(10, 15))))) == 95
+    assert len(graph_edges(GraphSpec("multipartite", digits(12),
+                                     parts=(range(4), range(4, 8), range(8, 12))))) == 48
+    assert len(graph_edges(GraphSpec("multipartite", digits(16),
+                                     parts=(range(6), range(6, 16))))) == 60
+    assert len(graph_edges(GraphSpec("complete_minus_hole", digits(27),
+                                     hole=frozenset(range(18, 27))))) == 315
 
 
 def test_hole_edges_absent():
-    spec = complete_minus_hole(7, (4, 5, 6))
+    spec = GraphSpec("complete_minus_hole", digits(7), hole=frozenset({4, 5, 6}))
     es = graph_edges(spec)
     assert (4, 5) not in es and (5, 6) not in es
     assert (0, 4) in es and (3, 6) in es
 
 
 def test_multipartite_same_part_edges_absent():
-    spec = multipartite((2, 3))
+    spec = GraphSpec("multipartite", digits(5), parts=((0, 1), (2, 3, 4)))
     es = graph_edges(spec)
     assert (0, 1) not in es and (2, 3) not in es
     assert len(es) == 6
@@ -91,9 +95,9 @@ def test_multipartite_same_part_edges_absent():
 
 def test_labels_roundtrip():
     spec = complete(4, labels=("a", "b", "c", "d"))
-    assert spec.index("c") == 2
+    assert spec.ids(["c"]) == (2,)
     with pytest.raises(ValueError):
-        spec.index("z")
+        spec.ids(["z"])
     with pytest.raises(ValueError):
         complete(3, labels=("x", "x", "y"))
 
@@ -138,15 +142,16 @@ def test_graph_specs_compare_and_hash_by_value():
     assert complete(5) == GraphSpec("complete", ("0", "1", "2", "3", "4"))
     assert hash(complete(5)) == hash(complete(5)) and complete(5) is not complete(5)
     assert complete(5) != complete(6) and complete(5) != complete(5, labels="abcde")
-    hole = complete_minus_hole(5, [1, 0])
+    hole = GraphSpec("complete_minus_hole", digits(5), hole=frozenset([1, 0]))
     assert hole == GraphSpec(kind="complete_minus_hole", labels=tuple("01234"),
                              hole=frozenset({0, 1}))
-    assert hash(hole) == hash(complete_minus_hole(5, {0, 1}))
-    assert hole != complete_minus_hole(5, {0, 2})
-    assert multipartite((2, 2)) == GraphSpec("multipartite", tuple("0123"), frozenset(),
-                                             ((0, 1), (2, 3)))
-    assert multipartite((2, 2)) != multipartite((1, 3))
-    assert len({complete(5), complete(5), hole, complete_minus_hole(5, [0, 1])}) == 2
+    assert hash(hole) == hash(GraphSpec("complete_minus_hole", digits(5), frozenset({0, 1})))
+    assert hole != GraphSpec("complete_minus_hole", digits(5), frozenset({0, 2}))
+    twos = GraphSpec("multipartite", digits(4), parts=((0, 1), (2, 3)))
+    assert twos == GraphSpec("multipartite", tuple("0123"), frozenset(), ((0, 1), (2, 3)))
+    assert twos != GraphSpec("multipartite", digits(4), parts=((0,), (1, 2, 3)))
+    assert len({complete(5), complete(5), hole,
+                GraphSpec("complete_minus_hole", digits(5), frozenset([0, 1]))}) == 2
     spec = GraphSpec("complete", ("a", "b", "c"))
     assert (spec.kind, spec.labels, spec.hole, spec.parts) == ("complete", ("a", "b", "c"),
                                                                 frozenset(), ())
@@ -194,11 +199,11 @@ def test_core_value_types_refuse_assignment():
 
 
 def test_core_value_types_pickle():
-    spec = complete_minus_hole(5, {0, 1})
+    spec = GraphSpec("complete_minus_hole", digits(5), hole=frozenset({0, 1}))
     system = CycleSystem(complete(5), K5_CYCLES, meta=(("source", "x"),))
     pair = OrthogonalPair(complete(5), system, system)
     for obj in (spec, system, pair):
         back = pickle.loads(pickle.dumps(obj))
         assert back == obj and repr(back) == repr(obj)
-    assert pickle.loads(pickle.dumps(spec)).index("3") == 3
+    assert pickle.loads(pickle.dumps(spec)).ids(["3"]) == (3,)
 

@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthocycles.catalog import get_ingredient
-from orthocycles.core import CycleSystem, complete, cycle_edges, edge
+from oracles import cycle_edges, edge
+from orthocycles.core import complete
 from orthocycles.search import (
     SearchBudget,
     _difference_bases,
-    _orbit_cycles,
     _translates_cross_ok,
     search_pair,
-    search_second,
 )
 from orthocycles.verify import verify_pair
 
@@ -30,7 +28,7 @@ from freeze_search_ingredients import (  # noqa: E402
 
 # status, nodes and sha256 of repr((first.cycles, second.cycles)) at a
 # 2,000,000-node budget: search_pair on K_v by (l, v) at seed 1, or by
-# (l, v, seed), and search_second from a named first system at seed 1
+# (l, v, seed)
 SEARCH_PINS = {
     ("pair", 5, 11): ("found", 95, "36fcb43534d316057be2e159076d49d2466e51d431ec648ddc0aa62071211cda"),
     ("pair", 6, 13): ("found", 380, "b2221a3713625fbab28b3152212859aa0e43332ebc934e0da6aed144bb338fcb"),
@@ -44,16 +42,7 @@ SEARCH_PINS = {
     ("pair", 5, 25): ("found", 8926, "29531ff3e5b8556a70ed7ae5a9d336e6cf6ed65d78ef9505f196b435ce023574"),
     ("pair", 7, 29): ("found", 135641, "e6caf623429aa7ddfef956d0bf7182fbacb58638e5e7c85d985c0783e72d7407"),
     ("pair", 4, 9): ("found", 43, "73e0fb168a05565a1c35041ffb5404e1d82e2e2dde883262f6960c3d4e6e8f5f"),
-    ("second", "triple7"): ("found", 5, "77524c269b0f0ff374178c63a40c52311d98a08ed9578b9e5aa0dd3157239adb"),
-    ("second", "l6_v13"): ("found", 631, "90cb67d97e31642d4974a0244f6c9bf8080a7b5984e7c648177691e5eb7d5c72"),
-    ("second", "l6_v9"): ("found", 66, "4e2f8b9f54def04910d3beaba4b4d22ce08d22a0051e6bbdc114fab74057c74f"),
 }
-
-
-def _pinned_first(name):
-    if name == "triple7":
-        return CycleSystem(complete(7), _orbit_cycles((0, 1, 3), 7))
-    return get_ingredient(name).first
 
 
 class _NoLimit:
@@ -174,10 +163,7 @@ def test_nodes_never_exceed_the_budget(l, v):
 @pytest.mark.parametrize("key", sorted(SEARCH_PINS, key=repr), ids=repr)
 def test_search_outputs_are_pinned(key):
     budget = SearchBudget(max_nodes=2_000_000, seed=key[3] if len(key) > 3 else 1)
-    if key[0] == "pair":
-        res = search_pair(complete(key[2]), key[1], budget)
-    else:
-        res = search_second(_pinned_first(key[1]), budget)
+    res = search_pair(complete(key[2]), key[1], budget)
     digest = hashlib.sha256(repr((res.pair.first.cycles, res.pair.second.cycles)).encode())
     assert (res.status, res.nodes, digest.hexdigest()) == SEARCH_PINS[key]
 
@@ -187,20 +173,6 @@ def test_hamiltonian_orders_without_mates_are_unsatisfiable():
         res = search_pair(complete(l), l, SearchBudget(max_nodes=2_000_000, seed=1))
         assert res.status == "unsatisfiable", l
         assert res.pair is None
-
-
-def test_mate_search_from_cyclic_triple_system():
-    first = CycleSystem(complete(7), _orbit_cycles((0, 1, 3), 7))
-    res = search_second(first, SearchBudget(max_nodes=100_000, seed=1))
-    assert res.status == "found"
-    assert res.pair.second.cycles != first.cycles
-    assert verify_pair(res.pair, 3).ok
-
-
-def test_mate_search_rejects_invalid_first_system():
-    bad = CycleSystem(complete(7), [(0, 1, 2)])
-    with pytest.raises(ValueError):
-        search_second(bad)
 
 
 def test_general_route_handles_other_shapes():

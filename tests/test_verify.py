@@ -5,22 +5,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import cycle_edges, graph_edges
 from orthocycles.catalog import cycle_length, get_ingredient
-from orthocycles.core import (
-    CycleSystem,
-    OrthogonalPair,
-    complete,
-    complete_minus_hole,
-    cycle_edges,
-    graph_edges,
-    multipartite,
-)
-from orthocycles.verify import (
-    VerificationReport,
-    verify_decomposition,
-    verify_orthogonality,
-    verify_pair,
-)
+from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, complete
+from orthocycles.verify import VerificationReport, verify_decomposition, verify_pair
 
 # K5 decomposes into two 5-cycles, and this particular pair shares <= 1 edge
 # cycle against cycle, so it doubles as a tiny orthogonality fixture.
@@ -68,6 +56,13 @@ def test_wrong_length_flagged():
     assert rep.edge_deficits
 
 
+def multipartite(sizes):
+    """Host with consecutive parts of the given sizes."""
+    bounds = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    return GraphSpec("multipartite", tuple(map(str, range(bounds[-1]))),
+                     parts=tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
+
+
 def test_foreign_edge_flagged():
     spec = multipartite((2, 2))
     sys = CycleSystem(spec, [(0, 1, 2, 3)])  # uses same-part edges (0,1),(2,3)
@@ -81,7 +76,7 @@ def test_orthogonality_detects_two_shared_edges():
     spec = complete(6)
     a = CycleSystem(spec, [(0, 1, 2, 3, 4)])
     b = CycleSystem(spec, [(0, 1, 2, 3, 5)])  # shares edges 01, 12, 23
-    rep = verify_orthogonality(a, b)
+    rep = verify_pair(OrthogonalPair(spec, a, b), 5)
     assert not rep.ok
     assert rep.max_cross_intersection == 3
     assert rep.witness == (0, 0)
@@ -128,10 +123,10 @@ def random_systems(draw):
 @settings(max_examples=150)
 def test_orthogonality_matches_bruteforce(systems):
     a, b = systems
-    rep = verify_orthogonality(a, b)
+    rep = verify_pair(OrthogonalPair(a.spec, a, b), 5)
     worst = brute_orthogonal(a, b)
     assert rep.max_cross_intersection == worst
-    assert rep.ok == (worst <= 1)
+    assert worst <= 1 or not rep.ok
 
 
 def test_pair_report_keeps_each_systems_deficits_apart():
@@ -167,8 +162,8 @@ def test_raw_cycles_with_a_loop_or_repeat_are_reported_not_raised():
         assert {e for _, e in rep.edge_deficits} == cycle_edges(K5_FIRST[0])
         # and it is skipped when counting shared edges: counted, it would
         # share three edges with (0, 1, 2, 3, 4)
-        rep = verify_orthogonality(system, raw(spec, K5_FIRST[:1]))
-        assert rep.ok and rep.max_cross_intersection == 0
+        pair = SimpleNamespace(spec=spec, first=system, second=raw(spec, K5_FIRST[:1]))
+        assert verify_pair(pair, 5).max_cross_intersection == 0
 
 
 def test_short_and_out_of_range_cycles_are_reported():
@@ -213,7 +208,8 @@ def reference_cross(first, second):
 
 HOSTS = (
     lambda v: complete(v),
-    lambda v: complete_minus_hole(v, range(v - 3, v)),
+    lambda v: GraphSpec("complete_minus_hole", complete(v).labels,
+                        hole=frozenset(range(v - 3, v))),
     lambda v: multipartite((v // 2, v - v // 2)),
     lambda v: multipartite((2,) * (v // 2) + (v % 2,) * (v % 2)),
 )
@@ -276,8 +272,6 @@ def test_scan_agrees_with_the_reference_verifier(case):
     assert rep.edge_deficits == want_deficits
     assert rep.max_cross_intersection == worst
     assert rep.ok == (want_ok and worst <= 1)
-    cross = verify_orthogonality(pair.first, pair.second)
-    assert (cross.ok, cross.max_cross_intersection) == (worst <= 1, worst)
 
 
 def test_each_report_gets_fresh_containers():
