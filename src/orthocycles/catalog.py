@@ -82,7 +82,11 @@ def json_object(value, name: str) -> dict:
 
 def spec_from_dict(g: dict) -> GraphSpec:
     # the complete host checks the labels; its ids() looks up hole and parts
-    host = GraphSpec("complete", tuple(json_array(g["labels"], "labels")))
+    labels = json_array(g["labels"], "labels")
+    bad = next((i for i, x in enumerate(labels) if type(x) in (list, dict)), None)
+    if bad is not None:
+        raise ValueError(f"labels[{bad}] is not a JSON string or number")
+    host = GraphSpec("complete", tuple(labels))
     if g["kind"] == "complete":
         return host
     if g["kind"] == "complete_minus_hole":

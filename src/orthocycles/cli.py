@@ -116,11 +116,18 @@ def load_design(text: str) -> tuple[OrthogonalPair, int]:
         raise ValueError(f"malformed design file: missing or bad field {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> int:
+    """Write text to the file out, or to stdout if out is None, and return
+    the exit code: 2 if the file cannot be written, else 0."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _print_report(report: VerificationReport) -> None:
@@ -155,12 +162,7 @@ def cmd_generate(args) -> int:
     except NotAdmissibleError as exc:
         _reason("not admissible", str(exc))
         return 3
-    try:
-        _emit(design_text(pair, args.length), args.out)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _emit(design_text(pair, args.length), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -199,12 +201,7 @@ def cmd_catalog(args) -> int:
     except KeyError:
         print(f"no catalog entry {args.key!r}", file=sys.stderr)
         return 2
-    try:
-        _emit(design_text(pair, length), args.out)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _emit(design_text(pair, length), args.out)
 
 
 def cmd_search(args) -> int:
@@ -225,12 +222,7 @@ def cmd_search(args) -> int:
         _reason("budget exhausted",
                 f"no pair within {args.budget} nodes; retry with a larger --budget")
         return 4
-    try:
-        _emit(design_text(result.pair, args.length), args.out)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _emit(design_text(result.pair, args.length), args.out)
 
 
 def cmd_heffter(args) -> int:

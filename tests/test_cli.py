@@ -39,6 +39,15 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.strip() == "[]"
 
 
+def test_public_names_are_pinned():
+    assert sorted(orthocycles.__all__) == [
+        "CycleSystem", "GraphSpec", "NotAdmissibleError", "OrthogonalPair", "SearchBudget",
+        "UnsatisfiableError", "VerificationReport", "admissible", "canonical_cycle",
+        "complete", "construct_pair", "get_ingredient", "list_ingredients", "search_pair",
+        "verify_decomposition", "verify_pair"]
+    assert all(hasattr(orthocycles, name) for name in orthocycles.__all__)
+
+
 def test_generate_writes_a_verifiable_design(tmp_path, capsys):
     out = tmp_path / "d.json"
     assert run("generate", "--length", "5", "--order", "31", "--out", str(out)) == 0
@@ -187,6 +196,8 @@ _HOLE, _PART = ("spec", "hole", 0), ("spec", "parts", 1, 0)
     ("l6_K444", _PART, ["0"], "label ['0'] not in graph"),
     ("l6_K444", _PART, {}, "label {} not in graph"),
     ("l5_K15mK5", ("spec", "labels", 1), "0", "duplicate vertex labels"),
+    ("l5_K15mK5", ("spec", "labels", 1), ["x"], "labels[1] is not a JSON string or number"),
+    ("l5_K15mK5", ("spec", "labels", 1), {"x": 1}, "labels[1] is not a JSON string or number"),
     ("l5_K15mK5", ("spec",), [], "spec is not a JSON object (got list)"),
     ("l5_K15mK5", ("spec",), "x", "spec is not a JSON object (got str)"),
     ("l5_K15mK5", ("systems",), [], "systems is not a JSON object (got list)"),
