@@ -120,7 +120,8 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
     keys = [f"l{l}_v{h * s + fixed}" for s in sizes]
     if fixed > 1:
         keys[1:] = (f"l{l}_K{h * s + fixed}mK{fixed}" for s in sizes[1:])
-    return ConstructionPlan(l, v, route, tuple(keys), block, k, r, sizes, h, fixed)
+    return ConstructionPlan(l, v, route, tuple(keys), block, k=k, r=r,
+                            group_sizes=sizes, h=h, fixed=fixed)
 
 
 # ----------------------------------------------------------------- assembly

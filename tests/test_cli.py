@@ -196,12 +196,12 @@ _HOLE, _PART = ("spec", "hole", 0), ("spec", "parts", 1, 0)
     ("l6_K444", _PART, ["0"], "label ['0'] not in graph"),
     ("l6_K444", _PART, {}, "label {} not in graph"),
     ("l5_K15mK5", ("spec", "labels", 1), "0", "duplicate vertex labels"),
-    ("l5_K15mK5", ("spec", "labels", 1), ["x"], "labels[1] is not a JSON string or number"),
-    ("l5_K15mK5", ("spec", "labels", 1), {"x": 1}, "labels[1] is not a JSON string or number"),
     ("l5_K15mK5", ("spec",), [], "spec is not a JSON object (got list)"),
     ("l5_K15mK5", ("spec",), "x", "spec is not a JSON object (got str)"),
     ("l5_K15mK5", ("systems",), [], "systems is not a JSON object (got list)"),
     ("l5_K15mK5", ("systems",), 3, "systems is not a JSON object (got int)"),
+    ("l5_K15mK5", ("spec", "labels", 1), ["x"], "labels[1] is not a JSON string or number"),
+    ("l5_K15mK5", ("spec", "labels", 1), {"x": 1}, "labels[1] is not a JSON string or number"),
 ])
 def test_verify_names_a_bad_host_label_or_non_object_field(tmp_path, capsys, key, path,
                                                           value, reason):
