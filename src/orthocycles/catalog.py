@@ -43,23 +43,21 @@ def list_ingredients() -> tuple[tuple[str, str], ...]:
 
 
 @lru_cache(maxsize=None)
-def _load(key: str) -> dict:
+def _keys() -> frozenset:
     # a key names one file of data/: no separator or dot can lead elsewhere
-    if not key.isidentifier():
+    stems = (path.stem for path in _data_files().glob("*.json"))
+    return frozenset(stem for stem in stems if stem.isidentifier())
+
+
+@lru_cache(maxsize=None)
+def _load(key: str) -> dict:
+    if not has_ingredient(key):
         raise KeyError(f"no catalog entry {key!r}")
-    path = _data_files() / f"{key}.json"
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise KeyError(f"no catalog entry {key!r}") from None
+    return json.loads((_data_files() / f"{key}.json").read_text())
 
 
 def has_ingredient(key: str) -> bool:
-    try:
-        _load(key)
-        return True
-    except KeyError:
-        return False
+    return key in _keys()
 
 
 def json_array(value, name: str, nested: bool = False) -> list:

@@ -22,16 +22,19 @@ together with the f fixed points, takes l{l}_v{h*s+f}; when f > 1, every
 group after the first takes the holed l{l}_K{h*s+f}mK{f} instead, its hole on
 the fixed points.
 
-Cycles are built canonical: placed cycles stay so under increasing vertex
-maps, holed pairs are relabelled by rank first, and cross cycles are emitted
-canonical.  A verification failure in assembly is a bug, not an input error,
-and raises AssertionError.
+Every catalog host numbers its parts from vertex 0 in placement order, so
+blocks are placed by laying their target lists end to end.  Cycles are built
+canonical: placed cycles stay so under increasing vertex maps, holed pairs
+are relabelled by rank first, and cross cycles are emitted canonical, one
+rotation per group of quasigroup pairs keyed by the parities of x, y and the
+place of z = x * y among them.  A verification failure in assembly is a bug,
+not an input error, and raises AssertionError.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -130,22 +133,19 @@ def _onto(pair: OrthogonalPair, targets) -> list:
     """Vertex map of pair's host onto targets, as a list indexed by source
     vertex; one target list per host part in order: every vertex of a
     complete host, the hole and then the rest of a holed host, each part of a
-    multipartite host (ids ascending)."""
+    multipartite host.  Every catalog host numbers its parts in that order
+    from vertex 0, so the map is the targets laid end to end."""
     spec = pair.spec
     if spec.kind == "complete":
-        parts = [range(spec.v)]
+        sizes = [spec.v]
     elif spec.kind == "complete_minus_hole":
-        parts = [sorted(spec.hole), sorted(set(range(spec.v)) - spec.hole)]
+        sizes = [len(spec.hole), spec.v - len(spec.hole)]
     else:
-        parts = [sorted(part) for part in spec.parts]
-    if [len(p) for p in parts] != [len(t) for t in targets]:
+        sizes = list(map(len, spec.parts))
+    if sizes != [len(t) for t in targets]:
         raise ValueError(f"target sizes {[len(t) for t in targets]} disagree "
-                         f"with the host parts {[len(p) for p in parts]}")
-    mapping = [0] * spec.v
-    for part, t in zip(parts, targets):
-        for x, y in zip(part, t):
-            mapping[x] = y
-    return mapping
+                         f"with the host parts {sizes}")
+    return list(chain.from_iterable(targets))
 
 
 def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> OrthogonalPair:
@@ -166,8 +166,8 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> Ort
                                                      for c in cycles) for cycles in systems]
             systems = relabelled[id(pair), rank]
         at = ascending.__getitem__
-        first.extend(tuple(map(at, c)) for c in systems[0])
-        second.extend(tuple(map(at, c)) for c in systems[1])
+        for cycles, out in zip(systems, (first, second)):
+            out.extend(zip(*[map(at, chain.from_iterable(cycles))] * plan.l))
     scaffold = {} if plan.route == "paste" else {"k": plan.k, "r": plan.r}
     m = meta(source="construct", route=plan.route, length=plan.l, order=plan.v, **scaffold)
     pair = OrthogonalPair(spec, CycleSystem._of_canonical(spec, first, meta=m),
@@ -191,22 +191,21 @@ _CROSS = {5: (((0, 0), (1, 0), (0, 1), (2, 3), (1, 1)), ((0, 0), (1, 0), (0, 2),
 
 
 def _quasigroup_cross(l: int, q):
-    """Cycles of each system joining the columns of symbols x, y from
+    """Cycles of each system joining the columns of symbols x < y from
     different holes, one orbit of l per pair, steered by z = x * y in the
     quasigroup q.  Pairs whose columns lie in the same order need, at each
     shift i, the same rotation and reflection to make a template cycle
-    canonical, found once per group from its first pair."""
-    n, m = 2 * q.k, 3 if l == 5 else 5
+    canonical, found once per group from its first pair.  z avoids both
+    holes, so its place among the columns is (z > x) + (z > y); for l = 7,
+    x ^ 1 and y ^ 1 lie above x and y exactly when these are even."""
+    n, m, bit = 2 * q.k, 3 if l == 5 else 5, int(l == 7)
     groups: dict = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            if x // 2 != y // 2:
-                cols = (l * x, l * y, l * q.mul(x, y), l * (x ^ 1), l * (y ^ 1))[:m]
-                # equal columns make a group of their own: no order repeats a value
-                key = tuple(sorted(range(m), key=cols.__getitem__)) if len(set(cols)) == m else cols
-                groups.setdefault(key, []).append(cols)
-    first: list = []
-    second: list = []
+    for x, products in enumerate(q.table):
+        for y in range((x | 1) + 1, n):
+            z = products[y]
+            groups.setdefault(((z > x) + (z > y), x & bit, y & bit), []).append(
+                (l * x, l * y, l * z, l * (x ^ 1), l * (y ^ 1))[:m])
+    first, second = [], []
     for members in groups.values():
         bases = list(zip(*members))
         for template, out in zip(_CROSS[l], (first, second)):

@@ -8,6 +8,8 @@ plain tuple equality.
 
 from __future__ import annotations
 
+from itertools import chain
+
 Cycle = tuple[int, ...]
 
 
@@ -137,7 +139,7 @@ class CycleSystem(Value):
         canon = sorted(cycles)
         # a canonical cycle starts at its least vertex, so canon[0][0] is the
         # least vertex of all; walk the cycles only to name an offender
-        if canon and (canon[0][0] < 0 or max(map(max, canon)) >= spec.v):
+        if canon and (canon[0][0] < 0 or max(chain.from_iterable(canon)) >= spec.v):
             for c in canon:
                 if c[0] < 0 or max(c) >= spec.v:
                     raise ValueError(f"cycle {c} leaves the vertex range")

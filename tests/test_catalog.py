@@ -72,6 +72,30 @@ def test_unknown_key():
         get_ingredient("l4_v99")
 
 
+def test_has_ingredient_agrees_with_the_listing():
+    keys = {k for k, _ in list_ingredients()}
+    assert all(has_ingredient(k) for k in keys)
+    for key in ("l4_v99", "l5_v11.json", "data/l5_v11", "../data/l5_v11", "./l5_v11", ""):
+        assert not has_ingredient(key), key
+        with pytest.raises(KeyError):
+            get_ingredient(key)
+
+
+def test_hosts_number_their_parts_from_zero_in_placement_order():
+    # placement lays the targets of the parts end to end: a holed host's
+    # hole is {0..f-1}, and multipartite parts are consecutive ascending ranges
+    for key, _ in list_ingredients():
+        spec = get_ingredient(key).spec
+        if spec.kind == "complete_minus_hole":
+            assert spec.hole == frozenset(range(len(spec.hole))), key
+        elif spec.kind == "multipartite":
+            start = 0
+            for part in spec.parts:
+                assert part == tuple(range(start, start + len(part))), key
+                start += len(part)
+            assert start == spec.v, key
+
+
 def test_ingredients_are_cached():
     assert get_ingredient("l6_v9") is get_ingredient("l6_v9")
 
