@@ -12,7 +12,7 @@ valid.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 
@@ -36,39 +36,34 @@ def half_idempotent_quasigroup(t: int):
     return tuple(tuple(h((i + j) % n) for j in range(n)) for i in range(n))
 
 
+def _levels(f, pt) -> list:
+    """The level rule of the triple systems and the 3^u and 4.2^m designs: the
+    sorted triples {(x,a), (y,a), (f(x,y), a+1)} for x < y and a in Z_3, where
+    pt(x, a) is the point of x on level a."""
+    return [tuple(sorted((pt(x, a), pt(y, a), pt(f[x][y], (a + 1) % 3))))
+            for a in range(3) for x, y in combinations(range(len(f)), 2)]
+
+
 def steiner_triple_system(n: int) -> tuple:
-    """Triples on {0..n-1} covering every pair exactly once (n = 1, 3 mod 6)."""
-    triples = []
+    """Triples on {0..n-1} covering every pair exactly once (n = 1, 3 mod 6):
+    Bose's construction for n = 3 mod 6, Skolem's for n = 1 mod 6."""
     if n == 1:
         return ()
     if n % 6 == 3:
-        m = n // 3
+        m = t = n // 3
         f = idempotent_symmetric_quasigroup(m)
-
-        def pt(x, a):
-            return a * m + x
-
-        triples += [(pt(x, 0), pt(x, 1), pt(x, 2)) for x in range(m)]
-        for a in range(3):
-            for x, y in combinations(range(m), 2):
-                triples.append(tuple(sorted((pt(x, a), pt(y, a), pt(f[x][y], (a + 1) % 3)))))
     elif n % 6 == 1:
         t = (n - 1) // 6
         m = 2 * t
         f = half_idempotent_quasigroup(t)
-        inf = n - 1
-
-        def pt(x, a):
-            return a * m + x
-
-        triples += [(pt(x, 0), pt(x, 1), pt(x, 2)) for x in range(t)]
-        for a in range(3):
-            for x in range(t, m):
-                triples.append(tuple(sorted((inf, pt(x, a), pt(x - t, (a + 1) % 3)))))
-            for x, y in combinations(range(m), 2):
-                triples.append(tuple(sorted((pt(x, a), pt(y, a), pt(f[x][y], (a + 1) % 3)))))
     else:
         raise ValueError(f"no triple system of order {n}")
+    # point a*m + x is x on level a; f(x,x) = x for x < t gives a transversal,
+    # and Skolem's f(x,x) = x - t for x >= t a triple through the point n - 1
+    triples = _levels(f, lambda x, a: a * m + x)
+    triples += [(x, m + x, 2 * m + x) for x in range(t)]
+    triples += [tuple(sorted((a * m + x, (a + 1) % 3 * m + x - t, n - 1)))
+                for a in range(3) for x in range(t, m)]
     assert len(triples) == n * (n - 1) // 6
     return tuple(sorted(triples))
 
@@ -78,17 +73,6 @@ class GroupDivisibleDesign(NamedTuple):
     triples cover every cross-group pair exactly once."""
     group_sizes: tuple
     triples: tuple
-
-    @property
-    def points(self) -> int:
-        return sum(self.group_sizes)
-
-    def groups(self):
-        out, start = [], 0
-        for s in self.group_sizes:
-            out.append(tuple(range(start, start + s)))
-            start += s
-        return tuple(out)
 
 
 def _group_index(sizes):
@@ -100,7 +84,7 @@ def _group_index(sizes):
 
 def _check_gdd(gdd: GroupDivisibleDesign):
     gidx = _group_index(gdd.group_sizes)
-    need = {(x, y) for x, y in combinations(range(gdd.points), 2) if gidx[x] != gidx[y]}
+    need = {(x, y) for x, y in combinations(range(len(gidx)), 2) if gidx[x] != gidx[y]}
     for t in gdd.triples:
         for p in combinations(t, 2):
             if p not in need:
@@ -124,12 +108,8 @@ def _gdd_from_point_deletion(u: int) -> GroupDivisibleDesign:
 
 
 def _gdd_triple_groups(u: int) -> GroupDivisibleDesign:
-    # groups {3i, 3i+1, 3i+2}; levels rotate via an idempotent quasigroup
-    f = idempotent_symmetric_quasigroup(u)
-    triples = []
-    for a in range(3):
-        for i, j in combinations(range(u), 2):
-            triples.append(tuple(sorted((3 * i + a, 3 * j + a, 3 * f[i][j] + (a + 1) % 3))))
+    # groups {3i, 3i+1, 3i+2}; point 3i + a is i on level a
+    triples = _levels(idempotent_symmetric_quasigroup(u), lambda x, a: 3 * x + a)
     return GroupDivisibleDesign((3,) * u, tuple(sorted(triples)))
 
 
@@ -138,21 +118,18 @@ def _gdd_four_twos(m: int) -> GroupDivisibleDesign:
     # Theory) on {inf1, inf2} + Z_{2n+1} x Z_3 less inf1.  Its 5-block
     # {inf1, inf2, (0,.)} leaves the 4-group, and its triples
     # {inf1, (2i-1,j), (2i,j+1)} leave the 2-groups; the other triples are
-    # {inf2, (2i,j), (2i-1,j+1)} and {(x,j), (y,j), (sigma f(x,y), j+1)},
-    # with sigma swapping 2i-1 and 2i and fixing 0
+    # {inf2, (2i,j), (2i-1,j+1)} and the levels of sigma f, with sigma
+    # swapping 2i-1 and 2i and fixing 0
     n = m // 3
     f = idempotent_symmetric_quasigroup(2 * n + 1)
     sigma = [0] + [x + 1 if x % 2 else x - 1 for x in range(1, 2 * n + 1)]
     pt = {(0, j): 1 + j for j in range(3)}  # inf2 = 0, so the 4-group is 0..3
-    for i in range(1, n + 1):
-        for j in range(3):
-            g = 4 + 2 * (3 * (i - 1) + j)
-            pt[(2 * i - 1, j)], pt[(2 * i, (j + 1) % 3)] = g, g + 1
-    triples = [(0, pt[(2 * i, j)], pt[(2 * i - 1, (j + 1) % 3)])
-               for i in range(1, n + 1) for j in range(3)]
-    triples += [(pt[(x, j)], pt[(y, j)], pt[(sigma[f[x][y]], (j + 1) % 3)])
-                for j in range(3) for x, y in combinations(range(2 * n + 1), 2)]
-    return GroupDivisibleDesign((4,) + (2,) * m, tuple(sorted(tuple(sorted(t)) for t in triples)))
+    for g, (i, j) in enumerate(product(range(1, n + 1), range(3))):
+        pt[(2 * i - 1, j)], pt[(2 * i, (j + 1) % 3)] = 4 + 2 * g, 5 + 2 * g
+    triples = _levels([[sigma[z] for z in row] for row in f], lambda x, a: pt[(x, a)])
+    triples += [(0, *sorted((pt[(2 * i, j)], pt[(2 * i - 1, (j + 1) % 3)])))
+                for i in range(1, n + 1) for j in range(3)]
+    return GroupDivisibleDesign((4,) + (2,) * m, tuple(sorted(triples)))
 
 
 @lru_cache(maxsize=None)
@@ -182,11 +159,6 @@ class QuasigroupWithHoles(NamedTuple):
     symbol outside its own hole exactly once."""
     k: int
     table: tuple
-
-    def mul(self, x: int, y: int) -> int:
-        if x // 2 == y // 2:
-            raise ValueError(f"{x} and {y} share a hole")
-        return self.table[x][y]
 
 
 def _qh_from_hole_level(k: int):

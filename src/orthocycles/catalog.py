@@ -31,15 +31,9 @@ def _data_files() -> Path:
     return Path(__file__).parent / "data"
 
 
-@lru_cache(maxsize=None)
 def list_ingredients() -> tuple[tuple[str, str], ...]:
     """(key, citation) for every embedded entry, sorted by key."""
-    out = []
-    for item in _data_files().iterdir():
-        if item.name.endswith(".json"):
-            d = json.loads(item.read_text())
-            out.append((d["key"], d["citation"]))
-    return tuple(sorted(out))
+    return tuple((key, _load(key)["citation"]) for key in sorted(_keys()))
 
 
 @lru_cache(maxsize=None)

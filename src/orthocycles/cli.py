@@ -134,17 +134,17 @@ def _print_report(report: VerificationReport) -> None:
     if report.ok:
         print("ok: both systems decompose the host and the pair is orthogonal")
         return
-    for (tag, e), d in sorted(report.edge_deficits.items())[:20]:
+    deficits, bad = sorted(report.edge_deficits.items()), report.bad_cycles
+    for (tag, e), d in deficits[:20]:
         print(f"{tag} system, edge {e}: covered {d:+d} times relative to the host")
-    for (tag, i), reason in report.bad_cycles[:20]:
+    for (tag, i), reason in bad[:20]:
         print(f"{tag} system, {'cycle count' if i is None else f'cycle {i}'}: {reason}")
     if report.max_cross_intersection > 1:
         i, j = report.witness
         print(f"first system cycle {i} and second system cycle {j} share "
               f"{report.max_cross_intersection} edges")
-    total = len(report.edge_deficits) + len(report.bad_cycles)
-    if total > 40:
-        print(f"({total} defects in total)")
+    if len(deficits) > 20 or len(bad) > 20:
+        print(f"({len(deficits) + len(bad)} defects in total)")
 
 
 def _reason(kind: str, detail: str) -> None:

@@ -148,10 +148,6 @@ class CycleSystem(Value):
     def _key(self) -> tuple:
         return self.spec, self.cycles
 
-    @property
-    def cycle_length(self) -> int:
-        return len(self.cycles[0]) if self.cycles else 0
-
 
 class OrthogonalPair(Value):
     """Two cycle systems over one host graph, intended to be orthogonal."""

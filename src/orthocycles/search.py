@@ -31,7 +31,6 @@ from .core import (
     GraphSpec,
     OrthogonalPair,
     Value,
-    canonical_cycle,
     meta,
 )
 # unused here, but perfbench/tracing.py wraps search.verify_decomposition
@@ -154,10 +153,7 @@ def _translates_cross_ok(base_a, base_b, v: int) -> bool:
 
 
 def _orbit_cycles(base, v: int):
-    seen = dict()
-    for s in range(v):
-        seen.setdefault(canonical_cycle(tuple((x + s) % v for x in base)), None)
-    return list(seen)
+    return [tuple((x + s) % v for x in base) for s in range(v)]
 
 
 def _cyclic_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPair | None:

@@ -1,5 +1,9 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from orthocycles import catalog
 from orthocycles.catalog import (
     cycle_length,
     get_ingredient,
@@ -63,7 +67,18 @@ def test_cycle_lengths_match_key_prefix():
         l = cycle_length(key)
         assert key.startswith(f"l{l}_")
         pair = get_ingredient(key)
-        assert pair.first.cycle_length == l
+        assert {len(c) for c in pair.first.cycles} == {l}
+
+
+def test_data_files_are_named_by_their_key_and_length():
+    # the listing takes each key from its file's stem, so every file must be
+    # listed, and its "key" and "l" fields must agree with that stem
+    paths = sorted((Path(catalog.__file__).parent / "data").glob("*.json"))
+    assert [path.stem for path in paths] == [k for k, _ in list_ingredients()]
+    for path in paths:
+        d = json.loads(path.read_text())
+        assert d["key"] == path.stem
+        assert path.stem.startswith(f"l{d['l']}_")
 
 
 def test_unknown_key():

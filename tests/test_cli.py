@@ -109,6 +109,22 @@ def test_verify_reports_a_repeated_vertex(tmp_path, capsys):
     assert all(line.startswith("second system, ") for line in lines)
 
 
+def test_verify_counts_defects_when_a_listing_is_cut(tmp_path, capsys):
+    # five missing cycles leave 25 uncovered edges, more than the 20 listed,
+    # while only one bad-cycle line (the cycle count) is printed
+    out = tmp_path / "d.json"
+    run("generate", "--length", "5", "--order", "21", "--out", str(out))
+    doc = json.loads(out.read_text())
+    del doc["systems"]["first"][:5]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", str(out)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(", edge " in line for line in lines) == 20
+    assert sum("cycle count" in line for line in lines) == 1
+    assert lines[-1] == "(26 defects in total)"
+
+
 def test_verify_rejects_malformed_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

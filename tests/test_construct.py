@@ -215,7 +215,7 @@ def _template_cross(l, q):
         for y in range(x + 1, n):
             if x // 2 == y // 2:
                 continue
-            cy, cz = col[y], col[q.mul(x, y)]
+            cy, cz = col[y], col[q.table[x][y]]
             if l == 5:
                 first.extend(zip(cx[0], cy[0], cx[1], cz[3], cy[1]))
                 second.extend(zip(cx[0], cy[0], cx[2], cz[3], cy[2]))
