@@ -47,6 +47,8 @@ def _levels(f, pt) -> list:
 def steiner_triple_system(n: int) -> tuple:
     """Triples on {0..n-1} covering every pair exactly once (n = 1, 3 mod 6):
     Bose's construction for n = 3 mod 6, Skolem's for n = 1 mod 6."""
+    if n < 1:
+        raise ValueError(f"no triple system of order {n}")
     if n == 1:
         return ()
     if n % 6 == 3:

@@ -16,7 +16,11 @@ Three routes behind search_pair:
 The general engines work on integer vertex ids: a bytearray row per vertex
 marks the edges still uncovered (free[a][x] == free[x][a]), the mate search
 reads the first system's owner of edge {a, x} from a v x v table, and
-candidates are the set bits of the last vertex's row in ascending order.
+candidates are the set bits of the last vertex's row in ascending order;
+bytearray marks hold the open mate path's vertices and the first cycles it
+meets.  Every random order is the one Random.shuffle would give, drawn by
+_shuffled through the seeded Random's getrandbits alone, the Mersenne
+Twister output, so no pin depends on the private helpers behind shuffle.
 All found pairs are re-checked with verify_pair before being returned.
 """
 
@@ -88,6 +92,20 @@ def _checked(pair: OrthogonalPair, l: int) -> OrthogonalPair:
     return pair
 
 
+def _shuffled(xs, getrandbits) -> list:
+    """xs as a list in the order Random.shuffle would leave it, drawn through
+    getrandbits alone: a Fisher-Yates pass from the end, each index j <= i
+    taken as (i+1).bit_length() bits and redrawn while it is above i."""
+    xs = list(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        xs[i], xs[j] = xs[j], xs[i]
+    return xs
+
+
 def _steps(cycle):
     """Consecutive vertex pairs of a closed cycle, the wrap pair included."""
     return zip(cycle, cycle[1:] + cycle[:1])
@@ -103,11 +121,7 @@ def _difference_bases(v: int, l: int, budget: _Budget, rng: Random):
     traversal direction whose first difference is <= (v-1)/2).
     """
     classes = list(range(1, l + 1))
-
-    def shuffled(xs):
-        xs = list(xs)
-        rng.shuffle(xs)
-        return xs
+    getrandbits = rng.getrandbits
 
     def rec(verts, used):
         pos = len(verts)
@@ -118,8 +132,8 @@ def _difference_bases(v: int, l: int, budget: _Budget, rng: Random):
             if d == last or d == v - last:
                 yield tuple(verts)
             return
-        for c in shuffled(c for c in classes if c not in used):
-            steps = (c,) if pos == 1 else shuffled((c, v - c))
+        for c in _shuffled((c for c in classes if c not in used), getrandbits):
+            steps = (c,) if pos == 1 else _shuffled((c, v - c), getrandbits)
             for d in steps:
                 budget.spend()
                 nxt = (verts[-1] + d) % v
@@ -208,20 +222,21 @@ def _greedy_system(spec: GraphSpec, l: int, budget: _Budget, rng: Random):
     """Cycles covering every host edge, each closing the least edge left by a
     randomized depth-first path; a dead end restarts the whole system."""
     v = spec.v
+    getrandbits = rng.getrandbits
 
     def grow():
         cycles = []
         free = _free_rows(spec)
 
         def path_search(path, target, depth):
-            budget.spend()
+            budget.left -= 1
+            if budget.left < 0:
+                raise _OutOfBudget
             last = path[-1]
             if depth == 0:
                 return free[last][target]
             row = free[last]
-            nbrs = list(range(v))
-            rng.shuffle(nbrs)
-            for nxt in nbrs:
+            for nxt in _shuffled(range(v), getrandbits):
                 if not row[nxt] or nxt == target or nxt in path:
                     continue
                 row[nxt] = free[nxt][last] = 0
@@ -258,7 +273,10 @@ def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalP
     first cycle, and every host edge has one owner in the first system:
     owner[a][x] is the index of the first cycle on edge {a, x}.  Uncovered
     edges change only when a cycle closes, and a failed subtree restores
-    them, so every candidate of a step sees the same rows.
+    them, so every candidate of a step sees the same rows.  The open path
+    marks its vertices in on_path and the owners of its edges in met; a
+    closed cycle clears both marks for the next cycle, which starts fresh,
+    and restores them if that subtree fails.
     """
     m = meta(route="search", seed=seed)
     first = CycleSystem(spec, _greedy_system(spec, l, b, Random(seed)), meta=m)
@@ -268,6 +286,14 @@ def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalP
         for a, x in _steps(c):
             owner[a][x] = owner[x][a] = j
     free = _free_rows(spec)
+    on_path = bytearray(v)
+    met = bytearray(len(first.cycles))
+
+    def mark(path, flag):
+        for a, x in zip(path, path[1:]):
+            met[owner[a][x]] = flag
+        for a in path:
+            on_path[a] = flag
 
     def rec(done):
         b.spend()
@@ -275,37 +301,44 @@ def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalP
         if least is None:
             return done
         u, anchor = least
-        return extend([u, anchor], {u, anchor}, {owner[u][anchor]}, done)
+        path = [u, anchor]
+        mark(path, 1)
+        found = extend(path, done)
+        if found is None:
+            mark(path, 0)
+        return found
 
-    def extend(path, used, shared, done):
-        b.spend()
+    def extend(path, done):
+        b.left -= 1
+        if b.left < 0:
+            raise _OutOfBudget
         last = path[-1]
         if len(path) == l:
             start = path[0]
-            if not free[last][start] or owner[last][start] in shared:
+            if not free[last][start] or met[owner[last][start]]:
                 return None
             steps = list(_steps(path))
             for a, x in steps:
                 free[a][x] = free[x][a] = 0
+            mark(path, 0)
             found = rec(done + [tuple(path)])
             if found is None:
+                mark(path, 1)
                 for a, x in steps:
                     free[a][x] = free[x][a] = 1
             return found
         row = owner[last]
         for nxt in compress(range(v), free[last]):
             j = row[nxt]
-            if nxt in used or j in shared:
+            if on_path[nxt] or met[j]:
                 continue
-            shared.add(j)
+            met[j] = on_path[nxt] = 1
             path.append(nxt)
-            used.add(nxt)
-            found = extend(path, used, shared, done)
+            found = extend(path, done)
             if found is not None:
                 return found
-            used.discard(nxt)
             path.pop()
-            shared.discard(j)
+            met[j] = on_path[nxt] = 0
         return None
 
     found = rec([])

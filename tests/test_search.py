@@ -13,6 +13,7 @@ from orthocycles.core import complete
 from orthocycles.search import (
     SearchBudget,
     _difference_bases,
+    _shuffled,
     _translates_cross_ok,
     search_pair,
 )
@@ -151,6 +152,27 @@ def test_budget_exhaustion_is_reported():
     assert res.status == "exhausted"
     assert res.pair is None
     assert res.nodes == 10
+
+
+@pytest.mark.parametrize("l, v, seed, nodes", [(7, 29, 1, 135_641), (8, 17, 2, 21_225)])
+def test_budget_stops_at_the_last_node(l, v, seed, nodes):
+    # one node short of a pinned find is exhausted on its last node
+    short = search_pair(complete(v), l, SearchBudget(max_nodes=nodes - 1, seed=seed))
+    assert (short.status, short.pair, short.nodes) == ("exhausted", None, nodes - 1)
+    res = search_pair(complete(v), l, SearchBudget(max_nodes=nodes, seed=seed))
+    assert (res.status, res.nodes) == ("found", nodes)
+
+
+def test_shuffled_draws_what_random_shuffle_draws():
+    # lengths up to 69 reach every draw width up to 7 bits, including the
+    # indices just past a power of two, whose draws are redrawn most often
+    for seed in range(40):
+        for n in range(70):
+            ours, theirs = Random(seed), Random(seed)
+            expected = list(range(n))
+            theirs.shuffle(expected)
+            assert _shuffled(range(n), ours.getrandbits) == expected, (seed, n)
+            assert ours.getstate() == theirs.getstate(), (seed, n)
 
 
 @pytest.mark.parametrize("l, v", [(6, 9), (5, 15)])
