@@ -6,14 +6,18 @@ Everything is built by direct algebra, with no search and no random source:
 triple systems and quasigroups with holes for every order, and block-three
 designs of the three types the constructions ask for, 2^u, 3^u and 4.2^m.
 Every builder self-checks before returning, so a returned object is always
-valid.
+valid: the verifier checks the triples as 3-cycles, and _check_qh the tables.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from types import SimpleNamespace
 from typing import NamedTuple
+
+from .core import GraphSpec
+from .verify import verify_decomposition
 
 
 def idempotent_symmetric_quasigroup(n: int):
@@ -66,8 +70,9 @@ def steiner_triple_system(n: int) -> tuple:
     triples += [(x, m + x, 2 * m + x) for x in range(t)]
     triples += [tuple(sorted((a * m + x, (a + 1) % 3 * m + x - t, n - 1)))
                 for a in range(3) for x in range(t, m)]
-    assert len(triples) == n * (n - 1) // 6
-    return tuple(sorted(triples))
+    triples = tuple(sorted(triples))
+    _check_gdd(GroupDivisibleDesign((1,) * n, triples), f"triple system of order {n}")
+    return triples
 
 
 class GroupDivisibleDesign(NamedTuple):
@@ -77,23 +82,12 @@ class GroupDivisibleDesign(NamedTuple):
     triples: tuple
 
 
-def _group_index(sizes):
-    out = []
-    for i, s in enumerate(sizes):
-        out.extend([i] * s)
-    return out
-
-
-def _check_gdd(gdd: GroupDivisibleDesign):
-    gidx = _group_index(gdd.group_sizes)
-    need = {(x, y) for x, y in combinations(range(len(gidx)), 2) if gidx[x] != gidx[y]}
-    for t in gdd.triples:
-        for p in combinations(t, 2):
-            if p not in need:
-                raise AssertionError(f"pair {p} duplicated or inside a group")
-            need.discard(p)
-    if need:
-        raise AssertionError(f"{len(need)} cross pairs uncovered")
+def _check_gdd(gdd: GroupDivisibleDesign, what="block-three design"):
+    """Verify the triples as 3-cycles on the groups' multipartite graph (type 1^n: K_n)."""
+    ends = list(accumulate(gdd.group_sizes, initial=0))
+    parts = tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
+    spec = GraphSpec("multipartite", tuple(map(str, range(ends[-1]))), parts=parts)
+    verify_decomposition(SimpleNamespace(spec=spec, cycles=gdd.triples), 3).check(what)
 
 
 def _gdd_from_point_deletion(u: int) -> GroupDivisibleDesign:
@@ -225,8 +219,8 @@ def _check_qh(q: QuasigroupWithHoles):
                 continue
             if z != q.table[y][x]:
                 raise AssertionError("table is not symmetric")
-            if z // 2 in (x // 2, y // 2):
-                raise AssertionError("product lands in an operand's hole")
+            if z is None or z // 2 in (x // 2, y // 2):
+                raise AssertionError(f"cell ({x}, {y}) = {z} is empty or in an operand's hole")
             seen.append(z)
         if sorted(seen) != [z for z in range(n) if z // 2 != x // 2]:
             raise AssertionError(f"row {x} is not a bijection outside its hole")

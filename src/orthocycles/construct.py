@@ -28,7 +28,7 @@ canonical: placed cycles stay so under increasing vertex maps, holed pairs
 are relabelled by rank first, and cross cycles are emitted canonical, one
 rotation per group of quasigroup pairs keyed by the parities of x, y and the
 place of z = x * y among them.  A verification failure in assembly is a bug,
-not an input error, and raises AssertionError.
+not an input error, and raises the verifier's AssertionError.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ class ConstructionPlan(NamedTuple):
     route: str  # catalog | quasigroup-columns | four-level-gdd | sixteen-blocks | nine-level-gdd | paste
     group_keys: tuple  # catalog key per scaffold group, in group order (catalog: the entry)
     block_key: str = ""  # catalog key on every scaffold block (paste: every bridge)
-    k: int = 0  # scaffold size: holes / blocks / group count
+    k: int = 0  # quasigroup-columns: holes; four-level-gdd, sixteen-blocks: groups;
+    # nine-level-gdd: half the points (type 2^k, or 4.2^(k-2) with k - 1 groups)
     r: int = 0  # fixed points, except for length 6: v mod 24 (with one fixed point)
     group_sizes: tuple = ()  # points per scaffold group, groups on consecutive points
     h: int = 0  # column height
@@ -172,12 +173,7 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> Ort
     m = meta(source="construct", route=plan.route, length=plan.l, order=plan.v, **scaffold)
     pair = OrthogonalPair(spec, CycleSystem._of_canonical(spec, first, meta=m),
                           CycleSystem._of_canonical(spec, second, meta=m))
-    report = verify_pair(pair, plan.l)
-    if not report.ok:
-        raise AssertionError(
-            f"assembled pair is invalid (bug): {len(report.edge_deficits)} "
-            f"edge deficits, {len(report.bad_cycles)} bad cycles, "
-            f"max cross intersection {report.max_cross_intersection}")
+    verify_pair(pair, plan.l).check("assembled pair")
     return pair
 
 

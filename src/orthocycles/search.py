@@ -86,9 +86,7 @@ def _run(budget: SearchBudget, search) -> SearchResult:
 
 
 def _checked(pair: OrthogonalPair, l: int) -> OrthogonalPair:
-    rep = verify_pair(pair, l)
-    if not rep.ok:
-        raise AssertionError(f"search produced an invalid pair: {rep}")
+    verify_pair(pair, l).check("searched pair")
     return pair
 
 

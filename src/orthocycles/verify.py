@@ -10,16 +10,15 @@ alone (its ids are distinct, none is a vertex pair the host lacks, and there
 are as many as the host has edges); the edge-by-edge listing of missing,
 over-covered and foreign edges runs only when those counts disagree.
 
-The verifier is the root of trust for every construction, so it depends on
-core alone and accepts cycles as written: a cycle need not be canonical, and a
-loop or repeated vertex is reported instead of raised.
+The verifier is the root of trust for every construction, scaffolds (as
+3-cycle covers) and pairs alike, so it imports the standard library alone and
+accepts cycles as written: a cycle need not be canonical, and a loop or
+repeated vertex is reported instead of raised.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-
-from .core import GraphSpec, Value
 
 
 class VerificationReport:
@@ -35,8 +34,7 @@ class VerificationReport:
     (first index, second index) pair found to share that many.
     """
 
-    __slots__ = _fields = ("ok", "edge_deficits", "bad_cycles", "max_cross_intersection", "witness")
-    __repr__ = Value.__repr__
+    __slots__ = ("ok", "edge_deficits", "bad_cycles", "max_cross_intersection", "witness")
 
     def __init__(self, ok: bool = True, edge_deficits: dict = None, bad_cycles: list = None,
                  max_cross_intersection: int = 0, witness: tuple | None = None):
@@ -46,10 +44,24 @@ class VerificationReport:
         self.max_cross_intersection = max_cross_intersection
         self.witness = witness
 
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"VerificationReport({args})"
+
+    def check(self, what: str) -> None:
+        """Raise AssertionError unless ok: a design the package built failing
+        its own check is a bug, not an input error."""
+        if not self.ok:
+            first = (self.bad_cycles or list(self.edge_deficits.items()) or [None])[0]
+            raise AssertionError(
+                f"{what} is invalid (bug): {len(self.edge_deficits)} edge deficits, "
+                f"{len(self.bad_cycles)} bad cycles, max cross intersection "
+                f"{self.max_cross_intersection}, first defect {first}")
+
 
 # ------------------------------------------------------------------ host
 
-def _host(spec: GraphSpec) -> tuple[int, set]:
+def _host(spec) -> tuple[int, set]:
     """Edge count of the host, and the ids of the vertex pairs it lacks
     (those inside the hole or inside a part)."""
     v = spec.v

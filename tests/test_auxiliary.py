@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthocycles import auxiliary
 from orthocycles.auxiliary import (
+    GroupDivisibleDesign,
+    QuasigroupWithHoles,
     _check_gdd,
     _check_qh,
     build_gdd,
@@ -200,3 +203,74 @@ def test_scaffolds_are_pinned():
     for k in range(3, 61):
         digest.update(repr(build_quasigroup_with_holes(k).table).encode())
     assert digest.hexdigest() == "4ce87f458fd28cc2ae3a4edf48a89860a99fac31697b756b679e055ee67654dd"
+
+
+# ------------------------------------------------ self-check failure paths
+
+def test_triple_system_with_two_points_swapped_fails_its_check(monkeypatch):
+    # swapping points between two triples keeps the triple count, which is
+    # all the check once looked at; the verifier sees the pairs
+    levels = auxiliary._levels
+
+    def swapped(f, pt):
+        out = levels(f, pt)
+        i = next(i for i, t in enumerate(out) if not set(t) & set(out[0]))
+        (a, b, c), (d, e, g) = out[0], out[i]
+        out[0], out[i] = (a, b, g), (d, e, c)
+        return out
+
+    monkeypatch.setattr(auxiliary, "_levels", swapped)
+    with pytest.raises(AssertionError, match=r"triple system of order 9 is invalid \(bug\)"):
+        steiner_triple_system(9)
+
+
+def _broken_gdd(edit):
+    triples = [list(t) for t in build_gdd((2, 2, 2, 2)).triples]
+    edit(triples)
+    return GroupDivisibleDesign((2, 2, 2, 2), tuple(map(tuple, triples)))
+
+
+def test_gdd_with_a_point_out_of_range_fails_its_check():
+    def out_of_range(triples):
+        triples[0][2] = 8
+
+    with pytest.raises(AssertionError, match="leaves the vertex range 0..7"):
+        _check_gdd(_broken_gdd(out_of_range))
+
+
+def test_gdd_with_a_duplicated_pair_fails_its_check():
+    def duplicated(triples):
+        triples[1] = triples[0]
+
+    with pytest.raises(AssertionError, match=r"block-three design is invalid \(bug\): 6 edge deficits"):
+        _check_gdd(_broken_gdd(duplicated))
+
+
+def _broken_qh(k, cells):
+    t = [list(row) for row in build_quasigroup_with_holes(k).table]
+    for (x, y), z in cells.items():
+        t[x][y] = z
+    return QuasigroupWithHoles(k, tuple(map(tuple, t)))
+
+
+def test_quasigroup_with_two_cells_swapped_symmetrically_fails_its_check():
+    # both cells of row 0 over the hole {2, 3} hold a symbol of the hole
+    # {4, 5}, so the swap leaves row 0 latin and breaks rows 2 and 3
+    t = build_quasigroup_with_holes(3).table
+    one, two = t[0][2], t[0][3]
+    q = _broken_qh(3, {(0, 2): two, (2, 0): two, (0, 3): one, (3, 0): one})
+    with pytest.raises(AssertionError, match="row 2 is not a bijection outside its hole"):
+        _check_qh(q)
+
+
+def test_quasigroup_that_is_not_symmetric_fails_its_check():
+    t = build_quasigroup_with_holes(3).table
+    q = _broken_qh(3, {(0, 2): t[0][3], (0, 3): t[0][2]})
+    with pytest.raises(AssertionError, match="table is not symmetric"):
+        _check_qh(q)
+
+
+def test_quasigroup_with_an_empty_cell_fails_its_check():
+    q = _broken_qh(3, {(0, 2): None, (2, 0): None})
+    with pytest.raises(AssertionError, match=r"cell \(0, 2\) = None is empty"):
+        _check_qh(q)

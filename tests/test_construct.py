@@ -12,6 +12,7 @@ from orthocycles.construct import (
     NotAdmissibleError,
     UnsatisfiableError,
     admissible,
+    _assemble,
     _columns,
     _onto,
     _quasigroup_cross,
@@ -19,7 +20,8 @@ from orthocycles.construct import (
     plan_for,
 )
 from orthocycles.core import CycleSystem, canonical_cycle, complete
-from orthocycles.verify import verify_pair
+from orthocycles.search import SearchBudget, search_pair
+from orthocycles.verify import VerificationReport, verify_pair
 
 PINNED = [
     (5, 31, 93), (5, 35, 119),
@@ -188,6 +190,45 @@ def test_placement_rejects_targets_that_disagree_with_the_host_parts():
                           (tri, [range(4), range(4), range(5)])):
         with pytest.raises(ValueError):
             _onto(pair, targets)
+
+
+def test_assembly_with_a_placement_dropped_raises_through_the_verifier(monkeypatch):
+    plan = plan_for(9, 91)
+    labels, placements, cross = _columns(plan)
+    checked, check = [], VerificationReport.check
+
+    def spy(report, what):
+        checked.append(what)
+        check(report, what)
+
+    monkeypatch.setattr(VerificationReport, "check", spy)
+    assert verify_pair(_assemble(plan, labels, placements, cross), 9).ok
+    with pytest.raises(AssertionError, match=r"assembled pair is invalid \(bug\): \d+ edge deficits"):
+        _assemble(plan, labels, placements[:-1], cross)
+    assert checked == ["assembled pair"] * 2
+
+
+def _readme_admissible(l, v):
+    # the README's spectrum: v odd, v >= l, and 2l divides v(v-1)
+    return v % 2 == 1 and v >= l and v * (v - 1) % (2 * l) == 0
+
+
+def test_spectrum_matches_the_readme_formula():
+    for l in range(5, 10):
+        assert [v for v in range(2001) if admissible(l, v)] == [
+            v for v in range(2001) if _readme_admissible(l, v)]
+
+
+@pytest.mark.parametrize("l", range(5, 10))
+def test_search_refuses_exactly_off_the_spectrum(l):
+    # on the spectrum a one-node budget returns at once, whatever the engine
+    for v in range(61):
+        if _readme_admissible(l, v):
+            res = search_pair(complete(v), l, SearchBudget(max_nodes=1))
+            assert res.status in ("exhausted", "unsatisfiable") and res.nodes <= 1
+        else:
+            with pytest.raises(ValueError, match="can exist"):
+                search_pair(complete(v), l, SearchBudget(max_nodes=1))
 
 
 def _sweep():

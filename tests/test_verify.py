@@ -1,11 +1,15 @@
+import ast
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cycle_edges, graph_edges
+from orthocycles import verify
 from orthocycles.catalog import cycle_length, get_ingredient
 from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, complete
 from orthocycles.verify import VerificationReport, verify_decomposition, verify_pair
@@ -285,3 +289,29 @@ def test_each_report_gets_fresh_containers():
     assert (c.ok, c.edge_deficits, c.bad_cycles, c.max_cross_intersection, c.witness) == (
         False, {}, [], 2, (0, 1))
 
+
+def test_verifier_imports_only_the_standard_library():
+    # the root of trust shares no code with the builders it checks
+    tree = ast.parse(Path(verify.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import at line {node.lineno}"
+            imported.append(node.module)
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    assert all(name.split(".")[0] in sys.stdlib_module_names for name in imported), imported
+
+
+def test_check_raises_the_one_bug_error_only_on_a_failed_report():
+    assert repr(VerificationReport()) == ("VerificationReport(ok=True, edge_deficits={}, "
+                                          "bad_cycles=[], max_cross_intersection=0, witness=None)")
+    VerificationReport().check("anything")
+    bad = verify_decomposition(CycleSystem(complete(5), [(0, 1, 2, 3, 4)]), 5)
+    with pytest.raises(AssertionError, match=r"^built system is invalid \(bug\): 5 edge deficits, "
+                                             r"0 bad cycles, max cross intersection 0, first defect"):
+        bad.check("built system")
+    crossed = VerificationReport(ok=False, max_cross_intersection=2, witness=(0, 3))
+    with pytest.raises(AssertionError, match="max cross intersection 2, first defect None"):
+        crossed.check("pair")
