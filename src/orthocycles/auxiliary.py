@@ -51,6 +51,14 @@ def _levels(f, pt) -> list:
 def steiner_triple_system(n: int) -> tuple:
     """Triples on {0..n-1} covering every pair exactly once (n = 1, 3 mod 6):
     Bose's construction for n = 3 mod 6, Skolem's for n = 1 mod 6."""
+    triples = _triple_system(n)
+    if n > 1:  # order 1 has no pair to cover
+        _check_gdd(GroupDivisibleDesign((1,) * n, triples), f"triple system of order {n}")
+    return triples
+
+
+def _triple_system(n: int) -> tuple:
+    # unchecked: point deletion's design is checked whole by build_gdd
     if n < 1:
         raise ValueError(f"no triple system of order {n}")
     if n == 1:
@@ -70,9 +78,7 @@ def steiner_triple_system(n: int) -> tuple:
     triples += [(x, m + x, 2 * m + x) for x in range(t)]
     triples += [tuple(sorted((a * m + x, (a + 1) % 3 * m + x - t, n - 1)))
                 for a in range(3) for x in range(t, m)]
-    triples = tuple(sorted(triples))
-    _check_gdd(GroupDivisibleDesign((1,) * n, triples), f"triple system of order {n}")
-    return triples
+    return tuple(sorted(triples))
 
 
 class GroupDivisibleDesign(NamedTuple):
@@ -93,7 +99,7 @@ def _check_gdd(gdd: GroupDivisibleDesign, what="block-three design"):
 def _gdd_from_point_deletion(u: int) -> GroupDivisibleDesign:
     # delete one point of a triple system of order 2u+1; its triples become
     # the u groups of size 2
-    sts = steiner_triple_system(2 * u + 1)
+    sts = _triple_system(2 * u + 1)
     gone = 2 * u
     pairs = sorted(tuple(x for x in t if x != gone) for t in sts if gone in t)
     relabel = {}

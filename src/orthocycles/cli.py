@@ -162,6 +162,9 @@ def cmd_generate(args) -> int:
     except NotAdmissibleError as exc:
         _reason("not admissible", str(exc))
         return 3
+    # assembly certifies a pair from its parts; the full verifier runs here,
+    # before the pair is published
+    verify_pair(pair, args.length).check("generated pair")
     return _emit(design_text(pair, args.length), args.out)
 
 

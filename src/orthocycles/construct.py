@@ -1,11 +1,11 @@
 """Assembly of orthogonal cycle-system pairs for cycle lengths five through
-nine, one verified pair for every admissible order.
+nine, one certified pair for every admissible order.
 
 Small orders come straight from the embedded catalog.  Every larger order is
 one assembly: catalog pairs placed on the groups (or around the holes) of a
 scaffold, multipartite pairs or generated cross cycles on the edges between
-groups, and the verifier on the result.  All routes but one use columns of
-height h over the scaffold's points plus fixed points:
+groups, and a certificate of the result from those parts.  All routes but
+one use columns of height h over the scaffold's points plus fixed points:
 
 - lengths 5 and 7: height l over a quasigroup with holes, plus 1 or l fixed
   points; cross-hole column joins come from the quasigroup,
@@ -27,8 +27,9 @@ blocks are placed by laying their target lists end to end.  Cycles are built
 canonical: placed cycles stay so under increasing vertex maps, holed pairs
 are relabelled by rank first, and cross cycles are emitted canonical, one
 rotation per group of quasigroup pairs keyed by the parities of x, y and the
-place of z = x * y among them.  A verification failure in assembly is a bug,
-not an input error, and raises the verifier's AssertionError.
+place of z = x * y among them.  A certificate failure is a bug, not an
+input error, and raises the verifier's AssertionError; the full verifier
+still runs where a pair is published, in `orthocycles generate`.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import NamedTuple
 
 from .auxiliary import build_gdd, build_quasigroup_with_holes
 from .catalog import get_ingredient, has_ingredient
-from .core import CycleSystem, OrthogonalPair, canonical_cycle, complete, meta
-from .verify import verify_pair
+from .core import CycleSystem, GraphSpec, OrthogonalPair, canonical_cycle, complete, meta
+from .verify import verify_cover, verify_orbits, verify_pair
 
 
 class NotAdmissibleError(ValueError):
@@ -130,34 +131,60 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
 
 # ----------------------------------------------------------------- assembly
 
+@lru_cache(maxsize=None)
+def _catalog_report(key: str, l: int):
+    return verify_pair(get_ingredient(key), l)
+
+
+def _placed(key: str, l: int) -> OrthogonalPair:
+    """The catalog pair under key, verified as l-cycle systems once per key."""
+    _catalog_report(key, l).check(f"catalog pair {key}")
+    return get_ingredient(key)
+
+
+def _parts(spec) -> tuple[list, tuple]:
+    """A host's parts in placement order, and the indices of those with edges
+    inside: every vertex of a complete host, the hole and then the rest of a
+    holed host, each part of a multipartite host."""
+    if spec.kind == "complete":
+        return [range(spec.v)], (0,)
+    if spec.kind == "complete_minus_hole":
+        return [sorted(spec.hole), sorted(set(range(spec.v)) - spec.hole)], (1,)
+    return spec.parts, ()
+
+
 def _onto(pair: OrthogonalPair, targets) -> list:
     """Vertex map of pair's host onto targets, as a list indexed by source
-    vertex; one target list per host part in order: every vertex of a
-    complete host, the hole and then the rest of a holed host, each part of a
-    multipartite host.  Every catalog host numbers its parts in that order
-    from vertex 0, so the map is the targets laid end to end."""
-    spec = pair.spec
-    if spec.kind == "complete":
-        sizes = [spec.v]
-    elif spec.kind == "complete_minus_hole":
-        sizes = [len(spec.hole), spec.v - len(spec.hole)]
-    else:
-        sizes = list(map(len, spec.parts))
+    vertex; one target list per host part, in _parts order.  Every catalog
+    host numbers its parts in that order from vertex 0, so the map is the
+    targets laid end to end."""
+    sizes = list(map(len, _parts(pair.spec)[0]))
     if sizes != [len(t) for t in targets]:
         raise ValueError(f"target sizes {[len(t) for t in targets]} disagree "
                          f"with the host parts {sizes}")
     return list(chain.from_iterable(targets))
 
 
-def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> OrthogonalPair:
+def _assemble(plan: ConstructionPlan, labels, placements, cross=((), (), ())) -> OrthogonalPair:
     """Place each (pair, target lists) block next to the generated cross
-    cycles (first-system list, second-system list), and verify the result; a
-    pair whose vertex map is not increasing is relabelled by rank first."""
+    cycles (first-system list, second-system list, parts of their host); a
+    pair whose vertex map is not increasing is relabelled by rank first.
+
+    The result is certified, as the paper proves it, from parts certified
+    already (_placed, verify_orbits; paste's order v-20 pair is an assembly
+    itself) and verify_cover's exact cover of K_v by their hosts: cycles on
+    different hosts share no edge."""
     spec = complete(plan.v, labels)
+    mappings = [_onto(pair, targets) for pair, targets in placements]
+    hosts = [(cross[2], ())]
+    for (pair, _), mapping in zip(placements, mappings):
+        parts, inner = _parts(pair.spec)
+        hosts.append(([[mapping[x] for x in part] for part in parts], inner))
+    # paste's atoms are vertex pairs: its n = 24t and bridge parts are even
+    verify_cover(spec.v, hosts, 2 if plan.route == "paste" else plan.h).check("assembled pair")
     first, second = list(cross[0]), list(cross[1])
     relabelled = {}
-    for pair, targets in placements:
-        mapping = _onto(pair, targets)
+    for (pair, _), mapping in zip(placements, mappings):
         ascending = sorted(mapping)
         systems = pair.first.cycles, pair.second.cycles
         if mapping != ascending:
@@ -171,10 +198,8 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross=((), ())) -> Ort
             out.extend(zip(*[map(at, chain.from_iterable(cycles))] * plan.l))
     scaffold = {} if plan.route == "paste" else {"k": plan.k, "r": plan.r}
     m = meta(source="construct", route=plan.route, length=plan.l, order=plan.v, **scaffold)
-    pair = OrthogonalPair(spec, CycleSystem._of_canonical(spec, first, meta=m),
+    return OrthogonalPair(spec, CycleSystem._of_canonical(spec, first, meta=m),
                           CycleSystem._of_canonical(spec, second, meta=m))
-    verify_pair(pair, plan.l).check("assembled pair")
-    return pair
 
 
 # ------------------------------------------------------------------- routes
@@ -193,7 +218,9 @@ def _quasigroup_cross(l: int, q):
     shift i, the same rotation and reflection to make a template cycle
     canonical, found once per group from its first pair.  z avoids both
     holes, so its place among the columns is (z > x) + (z > y); for l = 7,
-    x ^ 1 and y ^ 1 lie above x and y exactly when these are even."""
+    x ^ 1 and y ^ 1 lie above x and y exactly when these are even.  The
+    bases pass verify_orbits before their orbits are emitted, next to the
+    parts of their host: each hole's two columns."""
     n, m, bit = 2 * q.k, 3 if l == 5 else 5, int(l == 7)
     groups: dict = {}
     for x, products in enumerate(q.table):
@@ -201,16 +228,22 @@ def _quasigroup_cross(l: int, q):
             z = products[y]
             groups.setdefault(((z > x) + (z > y), x & bit, y & bit), []).append(
                 (l * x, l * y, l * z, l * (x ^ 1), l * (y ^ 1))[:m])
+    # at[j]: the j-th vertex of each pair's base cycle, its template at shift 0
+    ats = [[[tuple(map(add, cols[c], repeat(s))) for c, s in template] for template in _CROSS[l]]
+           for cols in (list(zip(*members)) for members in groups.values())]
+    parts = tuple(tuple(range(2 * l * i, 2 * l * i + 2 * l)) for i in range(q.k))
+    host = GraphSpec("multipartite", tuple(map(str, range(l * n))), parts=parts)
+    verify_orbits(host, l, l, *([b for group in ats for b in zip(*group[t])] for t in (0, 1))
+                  ).check("cross cycles")
     first, second = [], []
-    for members in groups.values():
-        bases = list(zip(*members))
-        for template, out in zip(_CROSS[l], (first, second)):
+    for group in ats:
+        for at, template, out in zip(group, _CROSS[l], (first, second)):
             for i in range(l):
-                slots = [(c, (i + s) % l) for c, s in template]
-                rep = [members[0][c] + row for c, row in slots]
-                out.extend(zip(*[map(add, bases[slots[j][0]], repeat(slots[j][1]))
+                shift = [(s + i) % l - s for _, s in template]
+                rep = [a[0] + d for a, d in zip(at, shift)]
+                out.extend(zip(*[map(add, at[j], repeat(shift[j]))
                                  for j in map(rep.index, canonical_cycle(rep))]))
-    return first, second
+    return first, second, parts
 
 
 def _columns(plan: ConstructionPlan):
@@ -226,7 +259,7 @@ def _columns(plan: ConstructionPlan):
     - length 8: singleton groups, every pair of points a block.
     """
     h, fixed, sizes = plan.h, plan.fixed, plan.group_sizes
-    blocks, cross = (), ((), ())
+    blocks, cross = (), ((), (), ())
     if plan.route == "quasigroup-columns":
         cross = _quasigroup_cross(plan.l, build_quasigroup_with_holes(plan.k))
     elif plan.route == "sixteen-blocks":
@@ -237,7 +270,7 @@ def _columns(plan: ConstructionPlan):
     infs = list(range(h * n, h * n + fixed))
     labels = ([f"({x},{t})" for x in range(n) for t in range(h)]
               + [f"inf{j}" for j in range(fixed)])
-    ing = {key: get_ingredient(key) for key in dict.fromkeys(plan.group_keys)}
+    ing = {key: _placed(key, plan.l) for key in dict.fromkeys(plan.group_keys)}
     placements, start = [], 0
     for s, key in zip(sizes, plan.group_keys, strict=True):
         pair, cols = ing[key], list(range(h * start, h * (start + s)))
@@ -245,7 +278,7 @@ def _columns(plan: ConstructionPlan):
         holed = pair.spec.kind == "complete_minus_hole"
         placements.append((pair, [infs, cols] if holed else [cols + infs]))
     if plan.block_key:
-        block = get_ingredient(plan.block_key)
+        block = _placed(plan.block_key, plan.l)
         placements += [(block, [range(h * x, h * x + h) for x in b]) for b in blocks]
     return labels, placements, cross
 
@@ -257,8 +290,8 @@ def _paste(plan: ConstructionPlan):
     n = plan.v - 21
     labels = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(20)] + ["inf0"]
     placements = [(construct_pair(6, n + 1), [list(range(n)) + [n + 20]]),
-                  (get_ingredient(plan.group_keys[0]), [list(range(n, n + 20)) + [n + 20]])]
-    bridge = get_ingredient(plan.block_key)
+                  (_placed(plan.group_keys[0], 6), [list(range(n, n + 20)) + [n + 20]])]
+    bridge = _placed(plan.block_key, 6)
     placements += [(bridge, [range(6 * i, 6 * i + 6), range(n + 10 * j, n + 10 * j + 10)])
                    for i in range(n // 6) for j in range(2)]
     return labels, placements
@@ -274,7 +307,9 @@ def _build(plan: ConstructionPlan) -> OrthogonalPair:
 
 @lru_cache(maxsize=None)
 def construct_pair(l: int, v: int) -> OrthogonalPair:
-    """Verified orthogonal pair of l-cycle systems of order v.
+    """Orthogonal pair of l-cycle systems of order v, certified from its
+    parts: verified catalog pairs, template cycles checked by orbit, and an
+    exact cover of K_v by their hosts.
 
     Raises NotAdmissibleError off the spectrum and UnsatisfiableError for the
     three admissible orders (5,5), (7,7), (9,9) where no pair exists.

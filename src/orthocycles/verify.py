@@ -13,12 +13,14 @@ over-covered and foreign edges runs only when those counts disagree.
 The verifier is the root of trust for every construction, scaffolds (as
 3-cycle covers) and pairs alike, so it imports the standard library alone and
 accepts cycles as written: a cycle need not be canonical, and a loop or
-repeated vertex is reported instead of raised.
+repeated vertex is reported instead of raised.  verify_cover and
+verify_orbits certify an assembled pair from its parts, not the whole pair.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from collections import Counter
+from itertools import chain, combinations
 
 
 class VerificationReport:
@@ -215,4 +217,108 @@ def verify_pair(pair, length: int) -> VerificationReport:
     report.max_cross_intersection, report.witness = _cross(*scanned, v)
     report.ok = not (report.bad_cycles or report.edge_deficits
                      or report.max_cross_intersection > 1)
+    return report
+
+
+# ---------------------------------------------------- assembly certificates
+
+def _host_atoms(parts, v: int, m: int, tag, bad: list) -> list:
+    """The atoms, runs x // m of 0..v-1, that each part is the union of, []
+    for a bad part: one that repeats or leaves the vertices, holds part of an
+    atom, or shares an atom with an earlier part.  Appends ((tag, part
+    index), reason) to bad for each."""
+    out, seen = [], set()
+    for p, part in enumerate(parts):
+        atoms = sorted({x // m for x in part})
+        if len(set(part)) != len(part):
+            reason = "repeats a vertex"
+        elif part and (min(part) < 0 or max(part) >= v):
+            reason = f"leaves the vertex range 0..{v - 1}"
+        elif sum(min(m, v - a * m) for a in atoms) != len(part):
+            reason = f"is not a union of whole runs of {m}"
+        elif not seen.isdisjoint(atoms):
+            reason = "shares a run with another part"
+        else:
+            seen.update(atoms)
+            out.append(atoms)
+            continue
+        bad.append(((tag, p), f"part {list(part)} {reason}"))
+        out.append([])
+    return out
+
+
+def verify_cover(v: int, hosts, m: int) -> VerificationReport:
+    """Check that the hosts partition the edges of K_v, counted per pair of
+    atoms, the runs x // m.  A host is (parts, inner): an edge across every
+    two parts, and inside each part whose index is in inner.  Every part must
+    be a union of whole atoms (_host_atoms), so an atom pair's count is that
+    of each of its edges.  Deficits are keyed by atom pair (a, b), a <= b;
+    bad_cycles lists ((host index, part index), reason)."""
+    n = -(-v // m)
+    single = [min(m, v - a * m) == 1 for a in range(n)]  # no edge inside
+    cover = [0] * (n * n)
+    report = VerificationReport()
+    for h, (parts, inner) in enumerate(hosts):
+        atoms = _host_atoms(parts, v, m, h, report.bad_cycles)
+        for p, q in combinations(atoms, 2):
+            for a in p:
+                for b in q:
+                    cover[a * n + b if a < b else b * n + a] += 1
+        for p in inner:
+            for i, a in enumerate(atoms[p]):
+                for b in atoms[p][i + single[a]:]:
+                    cover[a * n + b] += 1
+    for a in range(n):
+        for b in range(a + single[a], n):
+            if cover[a * n + b] != 1:
+                report.edge_deficits[(a, b)] = cover[a * n + b] - 1
+    report.ok = not (report.bad_cycles or report.edge_deficits)
+    return report
+
+
+def verify_orbits(spec, length: int, m: int, first_bases, second_bases) -> VerificationReport:
+    """Full certificate, from the bases alone, for the pair whose systems are
+    the orbits of the base cycles under the row shift c*m + r -> c*m + (r+1)
+    % m; every part of the host must be whole columns, the runs x // m.
+
+    An edge from row r of column c to row s of column d >= c lies in the
+    class (c, d, s - r mod m) at phase r, and the shift moves it one phase
+    on.  So the orbits decompose the host iff each base is a simple
+    `length`-cycle and each system's bases meet every class of the host
+    once; and the pair is orthogonal iff no first base i and second base j
+    share two classes at one phase offset o.  Deficits are keyed by (tag,
+    class); max_cross_intersection is the largest (i, j, o) count, witness
+    its first (i, j)."""
+    v = spec.v
+    report = VerificationReport()
+    bad = report.bad_cycles
+    if v % m:
+        bad.append((("host", None), f"{v} vertices are not whole columns of {m}"))
+    n = v // m
+    cols = _host_atoms(spec.parts, v, m, "host", bad)
+    size = m * (n * (n - 1) - sum(len(c) * (len(c) - 1) for c in cols)) // 2
+    absent = {(c * n + d) * m + r for atoms in cols
+              for i, c in enumerate(atoms) for d in atoms[i:] for r in range(m)}
+    systems = []
+    for tag, bases in (("first", first_bases), ("second", second_bases)):
+        # (base, a, b) per edge; a < b, so a's column is the lower
+        edges = [(i, *divmod(e, v)) for i, es in enumerate(_scan(bases, v, length, tag, bad))
+                 if es for e in es]
+        keys = [(a // m * n + b // m) * m + (b - a) % m for _, a, b in edges]
+        if not (len(set(keys)) == len(keys) == size and absent.isdisjoint(keys)):
+            count = Counter(keys)
+            for key in range(n * n * m):
+                c, d = divmod(key // m, n)
+                k = count[key] - (c < d and key not in absent)
+                if k:
+                    report.edge_deficits[(tag, (c, d, key % m))] = k
+        systems.append((keys, [i * m + a % m for i, a, _ in edges]))  # base and phase
+    (keys, owners), (second_keys, seconds) = systems
+    owner = dict(zip(keys, owners))
+    shared = Counter((owner[k] // m, j // m, (owner[k] - j) % m)
+                     for k, j in zip(second_keys, seconds) if k in owner)
+    if shared:
+        best = report.max_cross_intersection = max(shared.values())
+        report.witness = next(meet[:2] for meet, k in shared.items() if k == best)
+    report.ok = not (bad or report.edge_deficits or report.max_cross_intersection > 1)
     return report

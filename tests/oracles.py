@@ -31,6 +31,25 @@ def graph_edges(spec):
     return {(a, b) for a in range(v) for b in range(a + 1, v) if part_of[a] != part_of[b]}
 
 
+def host_cover_is_exact(v, hosts):
+    """Whether the hosts partition the edges of K_v, edge by edge.  A host is
+    (parts, inner): an edge across every two parts, and one inside each part
+    whose index is in inner.  A host that names a vertex twice, or one outside
+    0..v-1, is no simple graph, so no partition."""
+    counts = {}
+    for parts, inner in hosts:
+        flat = [x for part in parts for x in part]
+        if len(set(flat)) != len(flat) or not all(0 <= x < v for x in flat):
+            return False
+        for p, part in enumerate(parts):
+            pairs = [(a, b) for q in parts[p + 1:] for a in part for b in q]
+            if p in inner:
+                pairs += [(a, b) for i, a in enumerate(part) for b in part[i + 1:]]
+            for a, b in pairs:
+                counts[edge(a, b)] = counts.get(edge(a, b), 0) + 1
+    return counts == {(a, b): 1 for a in range(v) for b in range(a + 1, v)}
+
+
 def array_text(cells):
     """The Heffter array text format: one row per line, cells comma-separated,
     "." for an empty cell."""

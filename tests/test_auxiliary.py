@@ -224,6 +224,26 @@ def test_triple_system_with_two_points_swapped_fails_its_check(monkeypatch):
         steiner_triple_system(9)
 
 
+def test_point_deletion_designs_are_checked_once_and_whole(monkeypatch):
+    checked, check = [], auxiliary._check_gdd
+
+    def spy(gdd, *what):
+        checked.append(gdd.group_sizes)
+        check(gdd, *what)
+
+    monkeypatch.setattr(auxiliary, "_check_gdd", spy)
+    for u in (3, 4, 9, 10, 30):
+        build_gdd.__wrapped__((2,) * u)
+    assert checked == [(2,) * u for u in (3, 4, 9, 10, 30)]
+    # the triple system under the design goes unchecked, so a broken one
+    # reaches the design's own check
+    levels = auxiliary._levels
+    monkeypatch.setattr(auxiliary, "_levels",
+                        lambda f, pt: levels(f, pt)[1:] + levels(f, pt)[:1] * 2)
+    with pytest.raises(AssertionError, match=r"block-three design is invalid \(bug\)"):
+        build_gdd.__wrapped__((2,) * 4)
+
+
 def _broken_gdd(edit):
     triples = [list(t) for t in build_gdd((2, 2, 2, 2)).triples]
     edit(triples)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orthocycles
+from orthocycles import cli
 from orthocycles.catalog import cycle_length, get_ingredient, list_ingredients
 from orthocycles.cli import design_text, load_design, main
 from orthocycles.construct import UNSATISFIABLE, admissible, construct_pair, no_pair_reason
@@ -57,6 +58,21 @@ def test_generate_writes_a_verifiable_design(tmp_path, capsys):
     assert doc["meta"]["length"] == 5
     assert run("verify", str(out)) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_generate_refuses_a_broken_pair_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # assembly certifies a pair from its parts; generate verifies it whole
+    pair = construct_pair(5, 31)
+    monkeypatch.setattr(cli, "construct_pair",
+                        lambda l, v: OrthogonalPair(pair.spec, pair.first, pair.first))
+    out = tmp_path / "d.json"
+    with pytest.raises(AssertionError, match=r"generated pair is invalid \(bug\): 0 edge "
+                                             r"deficits, 0 bad cycles, max cross intersection 5"):
+        run("generate", "--length", "5", "--order", "31", "--out", str(out))
+    assert not out.exists()
+    with pytest.raises(AssertionError, match="generated pair is invalid"):
+        run("generate", "--length", "5", "--order", "31")
+    assert capsys.readouterr().out == ""
 
 
 def test_generate_to_stdout(capsys):

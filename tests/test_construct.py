@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthocycles.auxiliary import build_quasigroup_with_holes
+from orthocycles import construct
+from orthocycles.auxiliary import GroupDivisibleDesign, build_gdd, build_quasigroup_with_holes
 from orthocycles.catalog import get_ingredient, has_ingredient
 from orthocycles.construct import (
     UNSATISFIABLE,
@@ -15,13 +16,14 @@ from orthocycles.construct import (
     _assemble,
     _columns,
     _onto,
+    _paste,
     _quasigroup_cross,
     construct_pair,
     plan_for,
 )
 from orthocycles.core import CycleSystem, canonical_cycle, complete
 from orthocycles.search import SearchBudget, search_pair
-from orthocycles.verify import VerificationReport, verify_pair
+from orthocycles.verify import VerificationReport, verify_orbits, verify_pair
 
 PINNED = [
     (5, 31, 93), (5, 35, 119),
@@ -194,18 +196,107 @@ def test_placement_rejects_targets_that_disagree_with_the_host_parts():
 
 def test_assembly_with_a_placement_dropped_raises_through_the_verifier(monkeypatch):
     plan = plan_for(9, 91)
-    labels, placements, cross = _columns(plan)
     checked, check = [], VerificationReport.check
 
     def spy(report, what):
         checked.append(what)
         check(report, what)
 
+    _columns(plan)  # the scaffold checks itself once, when it is first built
     monkeypatch.setattr(VerificationReport, "check", spy)
+    labels, placements, cross = _columns(plan)
     assert verify_pair(_assemble(plan, labels, placements, cross), 9).ok
     with pytest.raises(AssertionError, match=r"assembled pair is invalid \(bug\): \d+ edge deficits"):
         _assemble(plan, labels, placements[:-1], cross)
-    assert checked == ["assembled pair"] * 2
+    # each catalog pair placed, then the cover of the whole, once per assembly
+    assert checked == ["catalog pair l9_v37", "catalog pair l9_v19", "catalog pair l9_K999",
+                       "assembled pair", "assembled pair"]
+
+
+def _refused(plan, labels, placements, cross=((), (), ()),
+             match=r"assembled pair is invalid \(bug\)"):
+    with pytest.raises(AssertionError, match=match):
+        _assemble(plan, labels, placements, cross)
+
+
+def test_assembly_with_target_lists_swapped_between_blocks_is_refused():
+    plan = plan_for(9, 91)
+    labels, placements, cross = _columns(plan)
+    (a, ta), (b, tb) = placements[4], placements[7]
+    assert ta[0] != tb[0] and ta[1:] != tb[1:]  # two triples through different points
+    placements[4], placements[7] = (a, [tb[0], *ta[1:]]), (b, [ta[0], *tb[1:]])
+    _refused(plan, labels, placements, cross)
+
+
+def test_assembly_with_a_wrong_group_key_is_refused():
+    plan = plan_for(5, 35)
+    assert plan.group_keys == ("l5_v15", "l5_K15mK5", "l5_K15mK5")
+    # a complete pair where a holed one belongs covers the fixed points twice
+    wrong = plan._replace(group_keys=("l5_v15", "l5_v15", "l5_K15mK5"))
+    _refused(wrong, *_columns(wrong), match=r"assembled pair is invalid \(bug\): 1 edge deficits")
+    # a pair of another cycle length fails its own check
+    paste = plan_for(6, 45)._replace(group_keys=("l5_v21",))
+    with pytest.raises(AssertionError, match=r"catalog pair l5_v21 is invalid \(bug\)"):
+        _paste(paste)
+
+
+def test_assembly_with_a_part_repeating_a_vertex_of_its_atom_is_refused():
+    # the bridge's first part keeps its column's size and run, so only the
+    # repeated vertex tells it from the column
+    plan = plan_for(8, 33)
+    labels, placements, cross = _columns(plan)
+    block, (left, right) = placements[-1]
+    placements[-1] = (block, [[left[0], *left[:-1]], right])
+    _refused(plan, labels, placements, cross, match="repeats a vertex")
+
+
+def test_assembly_on_a_broken_scaffold_triple_is_refused(monkeypatch):
+    plan = plan_for(9, 55)
+    triples = list(build_gdd(plan.group_sizes).triples)
+    assert triples[0] == (0, 2, 4)
+    triples[0] = (0, 2, 5)  # the pairs {0, 5} and {2, 5} now twice, {0, 4} and {2, 4} never
+    monkeypatch.setattr(construct, "build_gdd",
+                        lambda sizes: GroupDivisibleDesign(sizes, tuple(triples)))
+    _refused(plan, *_columns(plan), match=r"assembled pair is invalid \(bug\): \d+ edge deficits")
+
+
+def _cross_with(monkeypatch, l, edit):
+    """_quasigroup_cross on three holes, with its bases edited on their way
+    to the certificate."""
+    def edited(spec, length, m, first, second):
+        return verify_orbits(spec, length, m, *edit(list(first), list(second)))
+
+    monkeypatch.setattr(construct, "verify_orbits", edited)
+    return _quasigroup_cross(l, build_quasigroup_with_holes(3))
+
+
+def _swap_two(c):
+    return (c[1], c[0], *c[2:])
+
+
+@pytest.mark.parametrize("l", [5, 7])
+@pytest.mark.parametrize("edit, match", [
+    (lambda f, s: (f[:3] + [_swap_two(f[3])] + f[4:], s), r"[1-9]\d* edge deficits"),
+    (lambda f, s: (f, f), r"0 edge deficits, 0 bad cycles, max cross intersection [3-7]"),
+    (lambda f, s: (f, s[:-1]), r"[1-9]\d* edge deficits"),
+], ids=["base-with-two-vertices-swapped", "second-bases-equal-first", "base-dropped"])
+def test_cross_certificate_refuses_mutated_bases(monkeypatch, l, edit, match):
+    assert _cross_with(monkeypatch, l, lambda f, s: (f, s))[2]
+    with pytest.raises(AssertionError, match=r"cross cycles is invalid \(bug\): " + match):
+        _cross_with(monkeypatch, l, edit)
+
+
+def test_assembly_runs_the_full_verifier_once_per_catalog_key(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(construct, "verify_pair",
+                        lambda pair, l: sizes.append(pair.spec.v) or verify_pair(pair, l))
+    construct._catalog_report.cache_clear()
+    construct_pair.cache_clear()
+    for l, v in ((5, 31), (5, 41), (5, 51), (8, 33), (8, 49), (6, 45)):
+        construct_pair(l, v)
+    # l5_v11; l8_v17 and l8_K16x16; for (6, 45) first its order-25 pair's
+    # l6_v9 and l6_K444, then l6_v21 and l6_K6x10
+    assert sizes == [11, 17, 32, 9, 12, 21, 16]
 
 
 def _readme_admissible(l, v):
@@ -272,8 +363,11 @@ def test_quasigroup_cross_cycles_are_the_canonical_template_cycles():
     assert {l for l, _ in ks} == {5, 7}
     for l, k in sorted(ks):
         q = build_quasigroup_with_holes(k)
-        for got, want in zip(_quasigroup_cross(l, q), _template_cross(l, q), strict=True):
+        *cycles, parts = _quasigroup_cross(l, q)
+        for got, want in zip(cycles, _template_cross(l, q), strict=True):
             assert sorted(got) == sorted(map(canonical_cycle, want)), (l, k)
+        # the cross host: one part per hole, its two columns of height l
+        assert parts == tuple(tuple(range(2 * l * i, 2 * l * (i + 1))) for i in range(k))
 
 
 @pytest.mark.parametrize("l,v", [(5, 35), (7, 49), (9, 63)])

@@ -8,11 +8,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cycle_edges, graph_edges
+import random
+
+from oracles import cycle_edges, graph_edges, host_cover_is_exact
 from orthocycles import verify
 from orthocycles.catalog import cycle_length, get_ingredient
 from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, complete
-from orthocycles.verify import VerificationReport, verify_decomposition, verify_pair
+from orthocycles.verify import (VerificationReport, verify_cover, verify_decomposition,
+                                verify_orbits, verify_pair)
 
 # K5 decomposes into two 5-cycles, and this particular pair shares <= 1 edge
 # cycle against cycle, so it doubles as a tiny orthogonality fixture.
@@ -315,3 +318,198 @@ def test_check_raises_the_one_bug_error_only_on_a_failed_report():
     crossed = VerificationReport(ok=False, max_cross_intersection=2, witness=(0, 3))
     with pytest.raises(AssertionError, match="max cross intersection 2, first defect None"):
         crossed.check("pair")
+
+
+# ------------------------------------------------ assembly certificates
+
+def test_cover_counts_atom_pairs_and_rejects_a_repeated_vertex():
+    # K_4 on the atoms {0, 1} and {2, 3}: each atom's pair, then the 2x2 across
+    halves = [([[0, 1]], (0,)), ([[2, 3]], (0,)), ([[0, 1], [2, 3]], ())]
+    assert verify_cover(4, halves, 2).ok
+    assert verify_cover(4, [([[1, 0, 3, 2]], (0,))], 2).ok  # any vertex order
+    dropped = verify_cover(4, halves[:2], 2)
+    assert dropped.edge_deficits == {(0, 1): -1} and not dropped.ok
+    assert verify_cover(4, halves + halves[:1], 2).edge_deficits == {(0, 0): 1}
+    # [0, 0] names atom {0, 1} by count alone, but it is no part of K_4
+    repeated = verify_cover(4, [([[0, 0]], (0,))] + halves[1:], 2)
+    assert repeated.bad_cycles == [((0, 0), "part [0, 0] repeats a vertex")]
+    with pytest.raises(AssertionError, match="repeats a vertex"):
+        repeated.check("assembled pair")
+    for part, why in (([0, 4], "leaves the vertex range"), ([0, 2], "not a union of whole runs")):
+        assert why in verify_cover(4, [([part], (0,))], 2).bad_cycles[0][1]
+    shared = verify_cover(4, [([[0, 1], [1, 0]], ())], 2)
+    assert shared.bad_cycles == [((0, 1), "part [1, 0] shares a run with another part")]
+
+
+def test_cover_of_an_order_with_a_single_vertex_atom():
+    # v = 5, m = 2: the atom {4} has no edge inside, so nothing need cover it
+    star = [([[0, 1, 2, 3]], (0,)), ([[0, 1, 2, 3], [4]], ())]
+    assert verify_cover(5, star, 2).ok
+    assert verify_cover(5, star + [([[4]], (0,))], 2).ok
+    assert verify_cover(5, star[:1], 2).edge_deficits == {(0, 2): -1, (1, 2): -1}
+
+
+def _shifted(base, m, i):
+    return tuple(x - x % m + (x % m + i) % m for x in base)
+
+
+def _orbit_pair(spec, m, first, second):
+    systems = [SimpleNamespace(cycles=[_shifted(b, m, i) for b in bases for i in range(m)])
+               for bases in (first, second)]
+    return SimpleNamespace(spec=spec, first=systems[0], second=systems[1])
+
+
+def _triangle_bases(m, c, d=0):
+    # columns 0, 1, 2 of height m: rows 0, a, c*a + d hold the classes
+    # (0,1,a), (0,2,ca+d), (1,2,(c-1)a+d), each met once when c and c - 1
+    # are units mod m; two such systems with one c and two d are orthogonal
+    return [(0, m + a, 2 * m + (c * a + d) % m) for a in range(m)]
+
+
+def test_orbits_certify_a_triangle_pair_and_refuse_its_mutants():
+    spec = multipartite((5, 5, 5))
+    first, second = _triangle_bases(5, 2), _triangle_bases(5, 2, 1)
+    good = verify_orbits(spec, 3, 5, first, second)
+    assert good.ok and good.max_cross_intersection == 1
+    assert verify_pair(_orbit_pair(spec, 5, first, second), 3).ok
+    same = verify_orbits(spec, 3, 5, first, first)
+    assert same.max_cross_intersection == 3 and same.witness == (0, 0) and not same.ok
+    dropped = verify_orbits(spec, 3, 5, first[1:], second)
+    assert dropped.edge_deficits == {("first", (0, 1, 0)): -1, ("first", (0, 2, 0)): -1,
+                                     ("first", (1, 2, 0)): -1}
+    inside = verify_orbits(spec, 3, 5, first, [(0, 1, 5)] + second[1:])
+    assert ("second", (0, 0, 1)) in inside.edge_deficits and not inside.ok
+    with pytest.raises(AssertionError, match="cross cycles is invalid"):
+        verify_orbits(multipartite((4, 6, 5)), 3, 5, first, second).check("cross cycles")
+
+
+def _cover_case(rng):
+    """Hosts over the atoms of m vertices: an exact cover of K_v by recursive
+    splits, then maybe one edit.  Returns (v, m, hosts, aligned); aligned is
+    False when the edit left a part that is no union of whole atoms."""
+    v, m = rng.randint(1, 30), rng.randint(2, 5)
+    atoms = [list(range(a, min(a + m, v))) for a in range(0, v, m)]
+    hosts = []
+
+    def verts(group):
+        out = [x for a in group for x in atoms[a]]
+        rng.shuffle(out)
+        return out
+
+    def split(group):
+        if len(group) < 2 or rng.random() < 0.25:
+            hosts.append(([verts(group)], (0,)))
+            return
+        rng.shuffle(group)
+        cuts = sorted(rng.sample(range(1, len(group)), rng.randint(1, min(3, len(group) - 1))))
+        chunks = [group[a:b] for a, b in zip([0] + cuts, cuts + [len(group)])]
+        if rng.random() < 0.5:  # each chunk on its own, and a multipartite host across
+            for chunk in chunks:
+                split(chunk)
+            hosts.append(([verts(c) for c in chunks], ()))
+        else:  # the first chunk on its own, the others as inner parts of one host
+            split(chunks[0])
+            hosts.append(([verts(c) for c in chunks], tuple(range(1, len(chunks)))))
+
+    split(list(range(len(atoms))))
+    edit = rng.choice(("none", "drop", "duplicate", "move atom", "copy atom", "toggle inner",
+                       "repeat vertex", "foreign vertex", "out of range"))
+    h = rng.randrange(len(hosts))
+    parts, inner = hosts[h]
+    p = rng.randrange(len(parts))
+    part, q = parts[p], rng.choice([q for q in range(len(parts)) if q != p] or [p])
+    aligned = True
+    if edit == "drop":
+        del hosts[h]
+    elif edit == "duplicate":
+        hosts.append(hosts[h])
+    elif edit in ("move atom", "copy atom") and part:
+        a = rng.choice(part) // m
+        if edit == "move atom":
+            parts[p] = [x for x in part if x // m != a]
+        if q != p:
+            parts[q] = parts[q] + atoms[a]
+    elif edit == "toggle inner":
+        hosts[h] = (parts, tuple(sorted(set(inner) ^ {p})))
+    elif edit == "repeat vertex" and len(atoms[part[0] // m]) > 1:
+        # a twin of part[0] from its own atom, which the part holds whole
+        twin = next(x for x in atoms[part[0] // m] if x != part[0])
+        parts[p], aligned = [twin] + part[1:], False
+    elif edit == "foreign vertex":
+        outside = [x for a in atoms if len(a) > 1 for x in a if x not in part]
+        if outside:
+            parts[p], aligned = [rng.choice(outside)] + part[1:], False
+    elif edit == "out of range":
+        parts[p], aligned = part[:-1] + [v], False
+    return v, m, hosts, aligned
+
+
+def test_cover_agrees_with_the_edge_by_edge_oracle():
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(1500):
+        v, m, hosts, aligned = _cover_case(rng)
+        got, want = verify_cover(v, hosts, m).ok, host_cover_is_exact(v, hosts)
+        # a part that is no union of atoms is refused even where the edges
+        # happen to work out; otherwise the counts per atom pair decide
+        assert got == (want and aligned), (v, m, hosts)
+        seen[got, aligned] += 1
+    assert seen[True, True] > 300 and seen[False, True] > 300 and seen[False, False] > 100
+
+
+def _orbit_case(rng):
+    """(spec, length, m, first bases, second bases) on at most 30 vertices:
+    a triangle pair over three columns, or random cycles on columns grouped
+    into random parts, then maybe one edit."""
+    m = rng.choice((3, 5))
+    if rng.random() < 0.6:
+        spec, length = multipartite((m, m, m)), 3
+        c = rng.randrange(m)
+        first = _triangle_bases(m, c)
+        c2 = c if rng.random() < 0.7 else rng.randrange(m)
+        second = _triangle_bases(m, c2, rng.randrange(m))
+    else:
+        n = rng.randint(2, 30 // m)
+        cols = list(range(n))
+        rng.shuffle(cols)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        groups = [cols[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        spec = GraphSpec("multipartite", complete(n * m).labels,
+                         parts=tuple(tuple(x for c in g for x in range(c * m, c * m + m))
+                                     for g in groups))
+        length = rng.randint(3, min(6, n * m))
+        first, second = ([tuple(rng.sample(range(n * m), length))
+                          for _ in range(rng.randint(0, 6))] for _ in range(2))
+    bases = rng.choice((first, second))
+    edit = rng.choice(("none", "none", "swap", "drop", "duplicate", "same", "shift", "replace"))
+    if edit == "same":
+        second = first
+    elif bases and edit != "none":
+        i = rng.randrange(len(bases))
+        c = list(bases[i])
+        if edit == "swap":
+            a, b = rng.sample(range(len(c)), 2)
+            c[a], c[b] = c[b], c[a]
+        elif edit == "shift":
+            c = list(_shifted(c, m, rng.randrange(1, m)))
+        elif edit == "replace":
+            c[rng.randrange(len(c))] = rng.randrange(spec.v)
+        if edit == "drop":
+            del bases[i]
+        elif edit == "duplicate":
+            bases.append(tuple(c))
+        else:
+            bases[i] = tuple(c)
+    return spec, length, m, first, second
+
+
+def test_orbits_agree_with_the_verifier_on_the_developed_pair():
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(1500):
+        spec, length, m, first, second = _orbit_case(rng)
+        got = verify_orbits(spec, length, m, first, second)
+        want = verify_pair(_orbit_pair(spec, m, first, second), length)
+        assert got.ok == want.ok, (spec.parts, length, m, first, second)
+        seen[got.ok] += 1
+    assert seen[True] > 100 and seen[False] > 300
