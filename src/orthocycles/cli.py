@@ -98,8 +98,9 @@ def load_design(text: str) -> tuple[OrthogonalPair, int]:
         raise ValueError(f"not valid JSON: {exc}") from None
     try:
         json_object(doc, "the design file")
-        if doc["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {doc['format_version']}")
+        version = _json_int(doc["format_version"], "format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {version}")
         spec = spec_from_dict(json_object(doc["spec"], "spec"))
         if _json_int(doc["spec"].get("v", spec.v), "spec.v") != spec.v:
             raise ValueError("declared vertex count disagrees with the labels")

@@ -8,7 +8,8 @@ groups, and a certificate of the result from those parts.  All routes but
 one use columns of height h over the scaffold's points plus fixed points:
 
 - lengths 5 and 7: height l over a quasigroup with holes, plus 1 or l fixed
-  points; cross-hole column joins come from the quasigroup,
+  points; cross-hole column joins come from the quasigroup, built and
+  certified once per (l, k) and shared by the orders 2lk+1 and 2lk+l,
 - lengths 6 and 9: height 4 or 9 over a group divisible design; groups carry
   small complete or holed pairs, triples carry tripartite pairs,
 - length 8: height 16 over singleton groups around one fixed point, every
@@ -211,17 +212,23 @@ _CROSS = {5: (((0, 0), (1, 0), (0, 1), (2, 3), (1, 1)), ((0, 0), (1, 0), (0, 2),
               ((0, 0), (1, 0), (3, 3), (1, 4), (2, 6), (0, 4), (4, 3)))}
 
 
-def _quasigroup_cross(l: int, q):
+@lru_cache(maxsize=None)
+def _quasigroup_cross(l: int, k: int):
     """Cycles of each system joining the columns of symbols x < y from
     different holes, one orbit of l per pair, steered by z = x * y in the
-    quasigroup q.  Pairs whose columns lie in the same order need, at each
-    shift i, the same rotation and reflection to make a template cycle
-    canonical, found once per group from its first pair.  z avoids both
+    quasigroup with k holes.  Pairs whose columns lie in the same order
+    need, at each shift i, the same rotation and reflection to make a
+    template cycle canonical, found once per group from its first pair.  z avoids both
     holes, so its place among the columns is (z > x) + (z > y); for l = 7,
     x ^ 1 and y ^ 1 lie above x and y exactly when these are even.  The
     bases pass verify_orbits before their orbits are emitted, next to the
-    parts of their host: each hole's two columns."""
-    n, m, bit = 2 * q.k, 3 if l == 5 else 5, int(l == 7)
+    parts of their host: each hole's two columns.
+
+    They depend on (l, k) alone, so they are built and certified once and
+    shared, as tuples, by the orders 2lk+1 and 2lk+l; a failed certificate
+    raises and caches nothing."""
+    q = build_quasigroup_with_holes(k)
+    n, m, bit = 2 * k, 3 if l == 5 else 5, int(l == 7)
     groups: dict = {}
     for x, products in enumerate(q.table):
         for y in range((x | 1) + 1, n):
@@ -231,7 +238,7 @@ def _quasigroup_cross(l: int, q):
     # at[j]: the j-th vertex of each pair's base cycle, its template at shift 0
     ats = [[[tuple(map(add, cols[c], repeat(s))) for c, s in template] for template in _CROSS[l]]
            for cols in (list(zip(*members)) for members in groups.values())]
-    parts = tuple(tuple(range(2 * l * i, 2 * l * i + 2 * l)) for i in range(q.k))
+    parts = tuple(tuple(range(2 * l * i, 2 * l * i + 2 * l)) for i in range(k))
     host = GraphSpec("multipartite", tuple(map(str, range(l * n))), parts=parts)
     verify_orbits(host, l, l, *([b for group in ats for b in zip(*group[t])] for t in (0, 1))
                   ).check("cross cycles")
@@ -243,7 +250,7 @@ def _quasigroup_cross(l: int, q):
                 rep = [a[0] + d for a, d in zip(at, shift)]
                 out.extend(zip(*[map(add, at[j], repeat(shift[j]))
                                  for j in map(rep.index, canonical_cycle(rep))]))
-    return first, second, parts
+    return tuple(first), tuple(second), parts
 
 
 def _columns(plan: ConstructionPlan):
@@ -261,7 +268,7 @@ def _columns(plan: ConstructionPlan):
     h, fixed, sizes = plan.h, plan.fixed, plan.group_sizes
     blocks, cross = (), ((), (), ())
     if plan.route == "quasigroup-columns":
-        cross = _quasigroup_cross(plan.l, build_quasigroup_with_holes(plan.k))
+        cross = _quasigroup_cross(plan.l, plan.k)
     elif plan.route == "sixteen-blocks":
         blocks = combinations(range(plan.k), 2)
     else:

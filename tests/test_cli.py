@@ -153,9 +153,11 @@ def test_verify_rejects_malformed_files(tmp_path, capsys):
     assert run("verify", str(bad)) == 2
     assert "cannot load" in capsys.readouterr().err
     for section, field, value in (("meta", "length", 5.9), ("meta", "length", "5"),
-                                  ("meta", "length", True), ("spec", "v", 11.0)):
+                                  ("meta", "length", True), ("spec", "v", 11.0),
+                                  (None, "format_version", True),
+                                  (None, "format_version", 1.0)):
         doc = json.loads(design_text(construct_pair(5, 11), 5))
-        doc[section][field] = value
+        (doc[section] if section else doc)[field] = value
         bad.write_text(json.dumps(doc))
         assert run("verify", str(bad)) == 2, (field, value)
         assert "cannot load" in capsys.readouterr().err

@@ -157,6 +157,46 @@ def test_planned_blocks_cover_the_edge_count_exactly():
             assert _planned_edge_total(plan_for(l, v)) == comb(v, 2), (l, v)
 
 
+def _target_sizes(plan: ConstructionPlan, i: int, s: int) -> list:
+    # the target lists' sizes for group i of s points: its columns with the
+    # fixed points, or, after the first group when there are several fixed
+    # points, the fixed points as a hole and then the columns
+    if plan.route == "catalog":
+        return [plan.v]
+    if plan.route == "paste":
+        return [21]
+    if i and plan.fixed > 1:
+        return [plan.fixed, plan.h * s]
+    return [plan.h * s + plan.fixed]
+
+
+def test_plans_to_ten_thousand_name_fitting_pairs_and_cover_k_v():
+    # plan-level evidence far past the built sweep: no scaffold is built
+    host_sizes, refused = {}, []
+    for l in range(5, 10):
+        for v in _admissible_orders(l, 10_000):
+            try:
+                plan = plan_for(l, v)
+            except UnsatisfiableError:
+                refused.append((l, v))
+                continue
+            sizes = plan.group_sizes or (0,) * len(plan.group_keys)
+            # groups after the second repeat its size and key
+            wanted = {key: _target_sizes(plan, i, s)
+                      for i, (s, key) in enumerate(zip(sizes[:2], plan.group_keys[:2]))}
+            assert len(set(zip(sizes[1:], plan.group_keys[1:]))) <= 1, (l, v)
+            if plan.block_key:
+                arity = 2 if plan.route == "sixteen-blocks" else 3
+                wanted[plan.block_key] = [6, 10] if plan.route == "paste" else [plan.h] * arity
+            for key, want in wanted.items():
+                if key not in host_sizes:
+                    assert has_ingredient(key), (l, v, key)
+                    host_sizes[key] = list(map(len, construct._parts(get_ingredient(key).spec)[0]))
+                assert host_sizes[key] == want, (l, v, key)
+            assert _planned_edge_total(plan) == comb(v, 2), (l, v)
+    assert refused == sorted(UNSATISFIABLE)
+
+
 def test_construction_metadata_records_the_route():
     m = dict(construct_pair(5, 31).first.meta)
     assert m["source"] == "construct"
@@ -262,12 +302,13 @@ def test_assembly_on_a_broken_scaffold_triple_is_refused(monkeypatch):
 
 def _cross_with(monkeypatch, l, edit):
     """_quasigroup_cross on three holes, with its bases edited on their way
-    to the certificate."""
+    to the certificate; the cache is cleared so that each call reaches it."""
     def edited(spec, length, m, first, second):
         return verify_orbits(spec, length, m, *edit(list(first), list(second)))
 
     monkeypatch.setattr(construct, "verify_orbits", edited)
-    return _quasigroup_cross(l, build_quasigroup_with_holes(3))
+    _quasigroup_cross.cache_clear()
+    return _quasigroup_cross(l, 3)
 
 
 def _swap_two(c):
@@ -284,6 +325,28 @@ def test_cross_certificate_refuses_mutated_bases(monkeypatch, l, edit, match):
     assert _cross_with(monkeypatch, l, lambda f, s: (f, s))[2]
     with pytest.raises(AssertionError, match=r"cross cycles is invalid \(bug\): " + match):
         _cross_with(monkeypatch, l, edit)
+
+
+def test_cross_cycles_are_built_and_certified_once_per_l_and_k(monkeypatch):
+    calls = []
+    monkeypatch.setattr(construct, "verify_orbits",
+                        lambda spec, l, *args: calls.append((l, spec.v // (2 * l)))
+                        or verify_orbits(spec, l, *args))
+    _quasigroup_cross.cache_clear()
+    construct_pair.cache_clear()
+    plans = [plan_for(l, v) for l, v in _sweep() if l in (5, 7)]
+    plans = [p for p in plans if p.route == "quasigroup-columns"]
+    assert len(plans) == 58
+    for plan in plans:
+        construct_pair(plan.l, plan.v)
+    # the cross host has l columns per symbol, 2k symbols
+    assert sorted(calls) == sorted({(p.l, p.k) for p in plans})
+    assert len(calls) == 30
+    # (5, 191) and (5, 195) share k = 19 and so the very same cross cycles
+    for v in (191, 195):
+        assert verify_pair(construct_pair(5, v), 5).ok
+    cross = _quasigroup_cross(5, 19)
+    assert type(cross[0]) is tuple and type(cross[1]) is tuple
 
 
 def test_assembly_runs_the_full_verifier_once_per_catalog_key(monkeypatch):
@@ -362,9 +425,9 @@ def test_quasigroup_cross_cycles_are_the_canonical_template_cycles():
     ks = {(l, plan_for(l, v).k) for l, v in _sweep() if plan_for(l, v).route == "quasigroup-columns"}
     assert {l for l, _ in ks} == {5, 7}
     for l, k in sorted(ks):
-        q = build_quasigroup_with_holes(k)
-        *cycles, parts = _quasigroup_cross(l, q)
-        for got, want in zip(cycles, _template_cross(l, q), strict=True):
+        *cycles, parts = _quasigroup_cross(l, k)
+        for got, want in zip(cycles, _template_cross(l, build_quasigroup_with_holes(k)),
+                             strict=True):
             assert sorted(got) == sorted(map(canonical_cycle, want)), (l, k)
         # the cross host: one part per hole, its two columns of height l
         assert parts == tuple(tuple(range(2 * l * i, 2 * l * (i + 1))) for i in range(k))
