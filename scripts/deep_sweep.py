@@ -2,13 +2,17 @@
 each pair with perfbench/checker.py, which never imports the package.
 
 Prints, per route, how many orders took it, the largest of them and the
-seconds spent building them, then every defect found; exits 1 on any
-defect.  The three orders v = l with no pair must be refused, and no other.
+seconds spent building them, then the peak resident memory and every defect
+found; exits 1 on any defect.  The three orders v = l with no pair must be
+refused, and no other.  Each pair is dropped from construct_pair's cache once
+it is checked, so memory stays bounded; the paste route then builds its
+order v-20 pair again.
 
 Run from the repository root:  python3 scripts/deep_sweep.py --max-order 401
 """
 
 import argparse
+import resource
 import sys
 import time
 from collections import defaultdict
@@ -48,11 +52,15 @@ def main() -> int:
             defects.append(f"({l},{v}): built, but no pair exists")
         defects += [f"({l},{v}): {d}" for d in
                     check_pair(v, l, pair.first.cycles, pair.second.cycles)[:3]]
+        del pair
+        construct_pair.cache_clear()
 
     for route in sorted(count):
         print(f"{route:20s} {count[route]:4d} orders, largest {largest[route]:5d}, "
               f"built in {seconds[route]:.2f} s")
-    print(f"{sum(count.values())} orders built, {len(defects)} defects")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"{sum(count.values())} orders built, {len(defects)} defects, "
+          f"peak RSS {peak_mb:.0f} MB")
     for d in defects:
         print(d)
     return 1 if defects else 0

@@ -23,8 +23,9 @@ together with the f fixed points, takes l{l}_v{h*s+f}; when f > 1, every
 group after the first takes the holed l{l}_K{h*s+f}mK{f} instead, its hole on
 the fixed points.
 
-Every catalog host numbers its parts from vertex 0 in placement order, so
-blocks are placed by laying their target lists end to end.  Cycles are built
+Every catalog host numbers its parts from vertex 0 in placement order,
+checked once per key, so blocks are placed by laying their target lists end
+to end, and the target lists are the placed host's parts.  Cycles are built
 canonical: placed cycles stay so under increasing vertex maps, holed pairs
 are relabelled by rank first, and cross cycles are emitted canonical, one
 rotation per group of quasigroup pairs keyed by the parities of x, y and the
@@ -134,34 +135,44 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
 
 @lru_cache(maxsize=None)
 def _catalog_report(key: str, l: int):
+    """The full verifier's report on the catalog pair under key; first an
+    AssertionError unless its host numbers its parts from vertex 0 in
+    _layout order, as _onto lays out their targets."""
+    spec = get_ingredient(key).spec
+    laid = [*sorted(spec.hole), *chain.from_iterable(spec.parts)]
+    if laid != list(range(len(laid))):
+        raise AssertionError(f"catalog pair {key} is invalid (bug): its host's parts "
+                             f"are not numbered from 0 in placement order")
     return verify_pair(get_ingredient(key), l)
 
 
 def _placed(key: str, l: int) -> OrthogonalPair:
-    """The catalog pair under key, verified as l-cycle systems once per key."""
+    """The catalog pair under key, its layout checked and the pair verified
+    as l-cycle systems once per key."""
     _catalog_report(key, l).check(f"catalog pair {key}")
     return get_ingredient(key)
 
 
-def _parts(spec) -> tuple[list, tuple]:
-    """A host's parts in placement order, and the indices of those with edges
-    inside: every vertex of a complete host, the hole and then the rest of a
-    holed host, each part of a multipartite host."""
+def _layout(spec) -> tuple[list, tuple]:
+    """The sizes of a host's parts in placement order, and the indices of
+    those with edges inside: every vertex of a complete host, the hole and
+    then the rest of a holed host, each part of a multipartite host."""
     if spec.kind == "complete":
-        return [range(spec.v)], (0,)
+        return [spec.v], (0,)
     if spec.kind == "complete_minus_hole":
-        return [sorted(spec.hole), sorted(set(range(spec.v)) - spec.hole)], (1,)
-    return spec.parts, ()
+        return [len(spec.hole), spec.v - len(spec.hole)], (1,)
+    return list(map(len, spec.parts)), ()
 
 
 def _onto(pair: OrthogonalPair, targets) -> list:
     """Vertex map of pair's host onto targets, as a list indexed by source
-    vertex; one target list per host part, in _parts order.  Every catalog
-    host numbers its parts in that order from vertex 0, so the map is the
-    targets laid end to end."""
-    sizes = list(map(len, _parts(pair.spec)[0]))
-    if sizes != [len(t) for t in targets]:
-        raise ValueError(f"target sizes {[len(t) for t in targets]} disagree "
+    vertex; one target list per host part, in _layout order.  The map is the
+    targets laid end to end, so the targets are the parts' images only for a
+    host that numbers its parts in that order from vertex 0: a complete host
+    always does, and _catalog_report checks each catalog host once."""
+    sizes = _layout(pair.spec)[0]
+    if sizes != list(map(len, targets)):
+        raise ValueError(f"target sizes {list(map(len, targets))} disagree "
                          f"with the host parts {sizes}")
     return list(chain.from_iterable(targets))
 
@@ -177,10 +188,8 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross=((), (), ())) ->
     different hosts share no edge."""
     spec = complete(plan.v, labels)
     mappings = [_onto(pair, targets) for pair, targets in placements]
-    hosts = [(cross[2], ())]
-    for (pair, _), mapping in zip(placements, mappings):
-        parts, inner = _parts(pair.spec)
-        hosts.append(([[mapping[x] for x in part] for part in parts], inner))
+    # each placed host's parts are its target lists (see _onto)
+    hosts = [(cross[2], ())] + [(targets, _layout(pair.spec)[1]) for pair, targets in placements]
     # paste's atoms are vertex pairs: its n = 24t and bridge parts are even
     verify_cover(spec.v, hosts, 2 if plan.route == "paste" else plan.h).check("assembled pair")
     first, second = list(cross[0]), list(cross[1])
@@ -274,16 +283,16 @@ def _columns(plan: ConstructionPlan):
     else:
         blocks = build_gdd(sizes).triples
     n = sum(sizes)
-    infs = list(range(h * n, h * n + fixed))
+    infs = range(h * n, h * n + fixed)
     labels = ([f"({x},{t})" for x in range(n) for t in range(h)]
               + [f"inf{j}" for j in range(fixed)])
     ing = {key: _placed(key, plan.l) for key in dict.fromkeys(plan.group_keys)}
     placements, start = [], 0
     for s, key in zip(sizes, plan.group_keys, strict=True):
-        pair, cols = ing[key], list(range(h * start, h * (start + s)))
+        pair, cols = ing[key], range(h * start, h * (start + s))
         start += s
         holed = pair.spec.kind == "complete_minus_hole"
-        placements.append((pair, [infs, cols] if holed else [cols + infs]))
+        placements.append((pair, [infs, cols] if holed else [[*cols, *infs]]))
     if plan.block_key:
         block = _placed(plan.block_key, plan.l)
         placements += [(block, [range(h * x, h * x + h) for x in b]) for b in blocks]

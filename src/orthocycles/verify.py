@@ -15,12 +15,16 @@ The verifier is the root of trust for every construction, scaffolds (as
 accepts cycles as written: a cycle need not be canonical, and a loop or
 repeated vertex is reported instead of raised.  verify_cover and
 verify_orbits certify an assembled pair from its parts, not the whole pair.
+verify_orbits, too, is confirmed by counts alone when the base classes are
+exact: each meet of two bases is one integer, and they are counted one by
+one only when two of them coincide.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
+from operator import add, floordiv, mod
 
 
 class VerificationReport:
@@ -226,15 +230,23 @@ def _host_atoms(parts, v: int, m: int, tag, bad: list) -> list:
     """The atoms, runs x // m of 0..v-1, that each part is the union of, []
     for a bad part: one that repeats or leaves the vertices, holds part of an
     atom, or shares an atom with an earlier part.  Appends ((tag, part
-    index), reason) to bad for each."""
+    index), reason) to bad for each.  A step-1 range within 0..v-1 is
+    checked by arithmetic: it repeats no vertex, and it is whole runs iff it
+    starts on one and ends on one or at v."""
     out, seen = [], set()
     for p, part in enumerate(parts):
-        atoms = sorted({x // m for x in part})
-        if len(set(part)) != len(part):
+        if type(part) is range and part.step == 1 and 0 <= part.start < part.stop <= v:
+            atoms, repeats, leaves = range(part.start // m, -(-part.stop // m)), False, False
+            whole = part.start % m == 0 and (part.stop % m == 0 or part.stop == v)
+        else:
+            atoms = sorted({x // m for x in part})
+            repeats, leaves = len(set(part)) != len(part), part and (min(part) < 0 or max(part) >= v)
+            whole = sum(min(m, v - a * m) for a in atoms) == len(part)
+        if repeats:
             reason = "repeats a vertex"
-        elif part and (min(part) < 0 or max(part) >= v):
+        elif leaves:
             reason = f"leaves the vertex range 0..{v - 1}"
-        elif sum(min(m, v - a * m) for a in atoms) != len(part):
+        elif not whole:
             reason = f"is not a union of whole runs of {m}"
         elif not seen.isdisjoint(atoms):
             reason = "shares a run with another part"
@@ -299,12 +311,15 @@ def verify_orbits(spec, length: int, m: int, first_bases, second_bases) -> Verif
     size = m * (n * (n - 1) - sum(len(c) * (len(c) - 1) for c in cols)) // 2
     absent = {(c * n + d) * m + r for atoms in cols
               for i, c in enumerate(atoms) for d in atoms[i:] for r in range(m)}
+    # an edge a < b, a's column the lower, has class key lower[a] + upper[b]
+    # + (b - a) % m, and base * m + the row of a as its base and phase
+    lower, upper = [x // m * n * m for x in range(v)], [x - x % m for x in range(v)]
     systems = []
     for tag, bases in (("first", first_bases), ("second", second_bases)):
-        # (base, a, b) per edge; a < b, so a's column is the lower
-        edges = [(i, *divmod(e, v)) for i, es in enumerate(_scan(bases, v, length, tag, bad))
-                 if es for e in es]
-        keys = [(a // m * n + b // m) * m + (b - a) % m for _, a, b in edges]
+        scanned = _scan(bases, v, length, tag, bad)
+        ids = list(chain.from_iterable(filter(None, scanned)))
+        lows = list(map(floordiv, ids, repeat(v)))
+        keys = [lower[a] + upper[b] + (b - a) % m for a, b in zip(lows, map(mod, ids, repeat(v)))]
         if not (len(set(keys)) == len(keys) == size and absent.isdisjoint(keys)):
             count = Counter(keys)
             for key in range(n * n * m):
@@ -312,13 +327,19 @@ def verify_orbits(spec, length: int, m: int, first_bases, second_bases) -> Verif
                 k = count[key] - (c < d and key not in absent)
                 if k:
                     report.edge_deficits[(tag, (c, d, key % m))] = k
-        systems.append((keys, [i * m + a % m for i, a, _ in edges]))  # base and phase
-    (keys, owners), (second_keys, seconds) = systems
-    owner = dict(zip(keys, owners))
-    shared = Counter((owner[k] // m, j // m, (owner[k] - j) % m)
-                     for k, j in zip(second_keys, seconds) if k in owner)
+        owners = [i * m for i, es in enumerate(scanned) if es for _ in es]
+        systems.append((keys, list(map(add, owners, map(mod, lows, repeat(m))))))
+        del scanned, ids, lows, owners  # so that two systems' edge lists never coexist
+    (keys, phases), (second_keys, second_phases) = systems
+    # first base i meets second base j at phase offset o as (i * t + j) * m +
+    # o; an orthogonal pair meets each (i, j, o) once, so Counter runs only on a repeat
+    t = len(second_bases)
+    owner = dict(zip(keys, phases))
+    meets = [(p // m * t + q // m) * m + (p - q) % m
+             for p, q in zip(map(owner.get, second_keys), second_phases) if p is not None]
+    shared = dict.fromkeys(meets[:1], 1) if len(set(meets)) == len(meets) else Counter(meets)
     if shared:
         best = report.max_cross_intersection = max(shared.values())
-        report.witness = next(meet[:2] for meet, k in shared.items() if k == best)
+        report.witness = divmod(next(meet for meet, k in shared.items() if k == best) // m, t)
     report.ok = not (bad or report.edge_deficits or report.max_cross_intersection > 1)
     return report

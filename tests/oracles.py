@@ -2,6 +2,8 @@
 module never imports orthocycles, so a fault there cannot hide in both the
 code and its oracle."""
 
+from itertools import permutations
+
 
 def edge(a, b):
     """Undirected edge as an ordered pair (lo, hi)."""
@@ -48,6 +50,35 @@ def host_cover_is_exact(v, hosts):
             for a, b in pairs:
                 counts[edge(a, b)] = counts.get(edge(a, b), 0) + 1
     return counts == {(a, b): 1 for a in range(v) for b in range(a + 1, v)}
+
+
+def hamiltonian_decompositions(n):
+    """Every decomposition of K_n into Hamiltonian cycles, each a sorted tuple
+    of cycles written from vertex 0 with the lesser neighbour of 0 second.
+    The cycle through the least edge not yet covered is chosen at each step,
+    so every decomposition is found exactly once."""
+    bit = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            bit[a, b] = 1 << len(bit)
+    masks = {}
+    for rest in permutations(range(1, n)):
+        if rest[0] < rest[-1]:
+            cycle = (0, *rest)
+            masks[cycle] = sum(bit[e] for e in cycle_edges(cycle))
+    full, out = (1 << len(bit)) - 1, []
+
+    def extend(chosen, covered):
+        if covered == full:
+            out.append(tuple(sorted(chosen)))
+            return
+        least = ~covered & (covered + 1)
+        for cycle, mask in masks.items():
+            if mask & least and not mask & covered:
+                extend(chosen + [cycle], covered | mask)
+
+    extend([], 0)
+    return out
 
 
 def array_text(cells):

@@ -1,9 +1,12 @@
+from functools import reduce
 from math import comb
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cycle_edges, hamiltonian_decompositions
 from orthocycles import construct
 from orthocycles.auxiliary import GroupDivisibleDesign, build_gdd, build_quasigroup_with_holes
 from orthocycles.catalog import get_ingredient, has_ingredient
@@ -21,7 +24,7 @@ from orthocycles.construct import (
     construct_pair,
     plan_for,
 )
-from orthocycles.core import CycleSystem, canonical_cycle, complete
+from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, canonical_cycle, complete
 from orthocycles.search import SearchBudget, search_pair
 from orthocycles.verify import VerificationReport, verify_orbits, verify_pair
 
@@ -62,6 +65,30 @@ def test_admissible_but_unsatisfiable_orders_raise():
         assert admissible(l, v)
         with pytest.raises(UnsatisfiableError):
             construct_pair(l, v)
+
+
+def test_refusals_at_five_and_seven_hold_by_exhaustion():
+    # every ordered pair of Hamiltonian decompositions of K_v, v = 5 and 7:
+    # pair (a, b) is orthogonal iff no cycle of b shares two edges with a
+    # cycle of a; (9, 9) rests on the pigeonhole argument alone
+    for v, count in ((5, 6), (7, 960)):
+        decompositions = hamiltonian_decompositions(v)
+        assert len(decompositions) == count == len(set(decompositions))
+        cycles = sorted({c for d in decompositions for c in d})
+        edges = [cycle_edges(c) for c in cycles]
+        clash = [sum(1 << j for j, f in enumerate(edges) if len(e & f) > 1) for e in edges]
+        assert min(map(int.bit_count, clash)) < len(cycles)  # some cycles do not clash
+        index = {c: i for i, c in enumerate(cycles)}
+        held = [sum(1 << index[c] for c in d) for d in decompositions]
+        clashing = [reduce(or_, (clash[index[c]] for c in d)) for d in decompositions]
+        assert sum(not h & c for c in clashing for h in held) == 0, v
+        with pytest.raises(UnsatisfiableError, match="no orthogonal pair"):
+            construct_pair(v, v)
+    # the verifier agrees on every pair of K_5 decompositions
+    fives = [CycleSystem(complete(5), d) for d in hamiltonian_decompositions(5)]
+    for a in fives:
+        for b in fives:
+            assert verify_pair(OrthogonalPair(a.spec, a, b), 5).max_cross_intersection > 1
 
 
 def test_small_orders_route_to_catalog():
@@ -191,7 +218,7 @@ def test_plans_to_ten_thousand_name_fitting_pairs_and_cover_k_v():
             for key, want in wanted.items():
                 if key not in host_sizes:
                     assert has_ingredient(key), (l, v, key)
-                    host_sizes[key] = list(map(len, construct._parts(get_ingredient(key).spec)[0]))
+                    host_sizes[key] = construct._layout(get_ingredient(key).spec)[0]
                 assert host_sizes[key] == want, (l, v, key)
             assert _planned_edge_total(plan) == comb(v, 2), (l, v)
     assert refused == sorted(UNSATISFIABLE)
@@ -288,6 +315,31 @@ def test_assembly_with_a_part_repeating_a_vertex_of_its_atom_is_refused():
     block, (left, right) = placements[-1]
     placements[-1] = (block, [[left[0], *left[:-1]], right])
     _refused(plan, labels, placements, cross, match="repeats a vertex")
+
+
+def test_a_catalog_host_renumbered_off_its_layout_is_refused(monkeypatch):
+    # moved off {0..f-1}, the hole no longer lies where placement lays the
+    # fixed points; the pair itself stays valid, so only the layout check,
+    # run next to the catalog pair's own verification, can refuse it
+    holed = get_ingredient("l5_K15mK5")
+    f, v = len(holed.spec.hole), holed.spec.v
+    spec = GraphSpec("complete_minus_hole", holed.spec.labels,
+                     hole=frozenset((x + f) % v for x in holed.spec.hole))
+    moved = OrthogonalPair(spec, *(CycleSystem(spec, [[(x + f) % v for x in c] for c in s.cycles])
+                                   for s in (holed.first, holed.second)))
+    assert verify_pair(moved, 5).ok and spec.hole == frozenset(range(f, 2 * f))
+    monkeypatch.setattr(construct, "get_ingredient",
+                        lambda key: moved if key == "l5_K15mK5" else get_ingredient(key))
+    construct._catalog_report.cache_clear()
+    construct_pair.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"catalog pair l5_K15mK5 is invalid \(bug\): "
+                                                 r"its host's parts are not numbered from 0"):
+            construct_pair(5, 35)
+    finally:
+        monkeypatch.undo()
+        construct._catalog_report.cache_clear()
+    assert verify_pair(construct_pair(5, 35), 5).ok
 
 
 def test_assembly_on_a_broken_scaffold_triple_is_refused(monkeypatch):

@@ -457,6 +457,73 @@ def test_cover_agrees_with_the_edge_by_edge_oracle():
     assert seen[True, True] > 300 and seen[False, True] > 300 and seen[False, False] > 100
 
 
+def _run_cover_case(rng):
+    """Hosts whose parts are runs of whole atoms, as ranges: an exact cover of
+    K_v by recursive splits of the atoms in order, some parts then listed,
+    and maybe one malformed range.  Returns (v, m, hosts, aligned) as
+    _cover_case does."""
+    v, m = rng.randint(1, 30), rng.randint(2, 5)
+    hosts = []
+
+    def run(a, b):
+        return range(a * m, min(b * m, v))
+
+    def split(a, b):
+        if b - a < 2 or rng.random() < 0.25:
+            hosts.append(([run(a, b)], (0,)))
+            return
+        cuts = sorted(rng.sample(range(a + 1, b), rng.randint(1, min(3, b - a - 1))))
+        chunks = list(zip([a] + cuts, cuts + [b]))
+        if rng.random() < 0.5:
+            for chunk in chunks:
+                split(*chunk)
+            hosts.append(([run(*c) for c in chunks], ()))
+        else:
+            split(*chunks[0])
+            hosts.append(([run(*c) for c in chunks], tuple(range(1, len(chunks)))))
+
+    split(0, -(-v // m))
+    parts, inner = hosts[rng.randrange(len(hosts))]
+    p = rng.randrange(len(parts))
+    part, aligned = parts[p], True
+    edit = rng.choice(("none", "drop", "duplicate", "step 2", "start inside a run",
+                       "stop inside a run", "stop past v", "negative start", "share a run"))
+    if edit == "drop":
+        hosts.remove((parts, inner))
+    elif edit == "duplicate":
+        hosts.append((list(parts), inner))
+    elif edit == "step 2" and len(part) > 2:
+        parts[p], aligned = range(part.start, part.stop, 2), False
+    elif edit == "start inside a run" and len(part) > 1 and part.start % m + 1 < m:
+        parts[p], aligned = range(part.start + 1, part.stop), False
+    elif edit == "stop inside a run" and len(part) > 1 and (part.stop - 1) % m:
+        parts[p], aligned = range(part.start, part.stop - 1), False
+    elif edit == "stop past v":
+        parts[p], aligned = range(part.start, v + 1), False
+    elif edit == "negative start":
+        parts[p], aligned = range(-1, part.stop), False
+    elif edit == "share a run" and len(parts) > 1:
+        q = rng.choice([q for q in range(len(parts)) if q != p])
+        parts[q] = range(part.start, min(part.start + m, v))
+    for parts, _ in hosts:
+        parts[:] = [list(x) if rng.random() < 0.2 else x for x in parts]
+    return v, m, hosts, aligned
+
+
+def test_cover_of_range_parts_agrees_with_the_oracle_and_the_listed_parts():
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(1500):
+        v, m, hosts, aligned = _run_cover_case(rng)
+        got = verify_cover(v, hosts, m)
+        assert got.ok == (host_cover_is_exact(v, hosts) and aligned), (v, m, hosts)
+        # ranges are checked by arithmetic, lists vertex by vertex: one report
+        listed = verify_cover(v, [([list(x) for x in parts], inner) for parts, inner in hosts], m)
+        assert repr(got) == repr(listed), (v, m, hosts)
+        seen[got.ok, aligned] += 1
+    assert seen[True, True] > 300 and seen[False, True] > 100 and seen[False, False] > 100
+
+
 def _orbit_case(rng):
     """(spec, length, m, first bases, second bases) on at most 30 vertices:
     a triangle pair over three columns, or random cycles on columns grouped
@@ -512,4 +579,10 @@ def test_orbits_agree_with_the_verifier_on_the_developed_pair():
         want = verify_pair(_orbit_pair(spec, m, first, second), length)
         assert got.ok == want.ok, (spec.parts, length, m, first, second)
         seen[got.ok] += 1
+        # once the developed systems decompose the host, each edge class
+        # stands for its edges, and the base meets count the shared edges
+        if not (want.edge_deficits or want.bad_cycles):
+            assert got.max_cross_intersection == want.max_cross_intersection, (first, second)
+            seen["decomposed", want.max_cross_intersection > 1] += 1
     assert seen[True] > 100 and seen[False] > 300
+    assert seen["decomposed", True] > 100 and seen["decomposed", False] > 100
