@@ -15,9 +15,8 @@ The verifier is the root of trust for every construction, scaffolds (as
 accepts cycles as written: a cycle need not be canonical, and a loop or
 repeated vertex is reported instead of raised.  verify_cover and
 verify_orbits certify an assembled pair from its parts, not the whole pair.
-verify_orbits, too, is confirmed by counts alone when the base classes are
-exact: each meet of two bases is one integer, and they are counted one by
-one only when two of them coincide.
+verify_orbits, too, confirms a cover by counts alone when the base classes
+are exact; it keys each class and each meet of two bases by one integer.
 """
 
 from __future__ import annotations
@@ -329,15 +328,13 @@ def verify_orbits(spec, length: int, m: int, first_bases, second_bases) -> Verif
                     report.edge_deficits[(tag, (c, d, key % m))] = k
         owners = [i * m for i, es in enumerate(scanned) if es for _ in es]
         systems.append((keys, list(map(add, owners, map(mod, lows, repeat(m))))))
-        del scanned, ids, lows, owners  # so that two systems' edge lists never coexist
     (keys, phases), (second_keys, second_phases) = systems
-    # first base i meets second base j at phase offset o as (i * t + j) * m +
-    # o; an orthogonal pair meets each (i, j, o) once, so Counter runs only on a repeat
+    # first base i meets second base j at phase offset o as (i * t + j) * m + o
     t = len(second_bases)
     owner = dict(zip(keys, phases))
     meets = [(p // m * t + q // m) * m + (p - q) % m
              for p, q in zip(map(owner.get, second_keys), second_phases) if p is not None]
-    shared = dict.fromkeys(meets[:1], 1) if len(set(meets)) == len(meets) else Counter(meets)
+    shared = Counter(meets)
     if shared:
         best = report.max_cross_intersection = max(shared.values())
         report.witness = divmod(next(meet for meet, k in shared.items() if k == best) // m, t)
