@@ -4,9 +4,11 @@ each pair with perfbench/checker.py, which never imports the package.
 Prints, per route, how many orders took it, the largest of them and the
 seconds spent building them, then the peak resident memory and every defect
 found; exits 1 on any defect.  The three orders v = l with no pair must be
-refused, and no other.  Each pair is dropped from construct_pair's cache once
-it is checked, so memory stays bounded; the paste route then builds its
-order v-20 pair again.
+refused, and no other.  Each built system must also be stored canonical and
+strictly sorted, as the package's equality of systems assumes; that is
+checked here, without the package's own code.  Each pair is dropped from
+construct_pair's cache once it is checked, so memory stays bounded; the
+paste route then builds its order v-20 pair again.
 
 Run from the repository root:  python3 scripts/deep_sweep.py --max-order 401
 """
@@ -25,6 +27,17 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from checker import check_pair, pair_impossible, spectrum_admissible  # noqa: E402
 
 from orthocycles.construct import UnsatisfiableError, construct_pair, plan_for  # noqa: E402
+
+
+def stored_order_defects(tag: str, cycles) -> list:
+    """The first cycle not stored canonical, starting at its least vertex with
+    its second vertex below its last, and the first not above the cycle
+    before it; [] when there is neither."""
+    out = [f"{tag} cycle {i} {c} is not canonical" for i, c in enumerate(cycles)
+           if c[0] != min(c) or not c[1] < c[-1]][:1]
+    out += [f"{tag} cycle {i + 1} {b} is not above cycle {i} {a}"
+            for i, (a, b) in enumerate(zip(cycles, cycles[1:])) if not a < b][:1]
+    return out
 
 
 def main() -> int:
@@ -51,7 +64,9 @@ def main() -> int:
         if pair_impossible(l, v):
             defects.append(f"({l},{v}): built, but no pair exists")
         defects += [f"({l},{v}): {d}" for d in
-                    check_pair(v, l, pair.first.cycles, pair.second.cycles)[:3]]
+                    check_pair(v, l, pair.first.cycles, pair.second.cycles)[:3]
+                    + stored_order_defects("first", pair.first.cycles)
+                    + stored_order_defects("second", pair.second.cycles)]
         del pair
         construct_pair.cache_clear()
 

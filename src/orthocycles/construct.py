@@ -164,13 +164,13 @@ def _layout(spec) -> tuple[list, tuple]:
     return list(map(len, spec.parts)), ()
 
 
-def _onto(pair: OrthogonalPair, targets) -> list:
-    """Vertex map of pair's host onto targets, as a list indexed by source
-    vertex; one target list per host part, in _layout order.  The map is the
-    targets laid end to end, so the targets are the parts' images only for a
-    host that numbers its parts in that order from vertex 0: a complete host
-    always does, and _catalog_report checks each catalog host once."""
-    sizes = _layout(pair.spec)[0]
+def _onto(sizes: list, targets) -> list:
+    """Vertex map of a host whose parts have these sizes (_layout) onto
+    targets, as a list indexed by source vertex; one target list per part.
+    The map is the targets laid end to end, so the targets are the parts'
+    images only for a host that numbers its parts in _layout order from
+    vertex 0: a complete host always does, and _catalog_report checks each
+    catalog host once."""
     if sizes != list(map(len, targets)):
         raise ValueError(f"target sizes {list(map(len, targets))} disagree "
                          f"with the host parts {sizes}")
@@ -179,33 +179,36 @@ def _onto(pair: OrthogonalPair, targets) -> list:
 
 def _assemble(plan: ConstructionPlan, labels, placements, cross=((), (), ())) -> OrthogonalPair:
     """Place each (pair, target lists) block next to the generated cross
-    cycles (first-system list, second-system list, parts of their host); a
-    pair whose vertex map is not increasing is relabelled by rank first.
+    cycles (first-system list, second-system list, parts of their host).
+    Each distinct pair's layout and flat systems, relabelled by rank for a
+    map that is not increasing, are prepared once per assembly.
 
     The result is certified, as the paper proves it, from parts certified
     already (_placed, verify_orbits; paste's order v-20 pair is an assembly
     itself) and verify_cover's exact cover of K_v by their hosts: cycles on
-    different hosts share no edge."""
+    different hosts share no edge.  The cover refuses a target outside
+    0..v-1, so the systems are stored without another vertex walk."""
     spec = complete(plan.v, labels)
-    mappings = [_onto(pair, targets) for pair, targets in placements]
+    layouts = {id(pair): _layout(pair.spec) for pair, _ in placements}
+    mappings = [_onto(layouts[id(pair)][0], targets) for pair, targets in placements]
     # each placed host's parts are its target lists (see _onto)
-    hosts = [(cross[2], ())] + [(targets, _layout(pair.spec)[1]) for pair, targets in placements]
+    hosts = [(cross[2], ())] + [(targets, layouts[id(pair)][1]) for pair, targets in placements]
     # paste's atoms are vertex pairs: its n = 24t and bridge parts are even
     verify_cover(spec.v, hosts, 2 if plan.route == "paste" else plan.h).check("assembled pair")
     first, second = list(cross[0]), list(cross[1])
-    relabelled = {}
+    flats = {}  # (id(pair), rank): its two systems relabelled by rank and flattened
     for (pair, _), mapping in zip(placements, mappings):
         ascending = sorted(mapping)
-        systems = pair.first.cycles, pair.second.cycles
-        if mapping != ascending:
-            rank = tuple(map(ascending.index, mapping))
-            if (id(pair), rank) not in relabelled:
-                relabelled[id(pair), rank] = [sorted(canonical_cycle(map(rank.__getitem__, c))
-                                                     for c in cycles) for cycles in systems]
-            systems = relabelled[id(pair), rank]
+        rank = () if mapping == ascending else tuple(map(ascending.index, mapping))
+        if (id(pair), rank) not in flats:
+            systems = pair.first.cycles, pair.second.cycles
+            if rank:
+                systems = [sorted(canonical_cycle(map(rank.__getitem__, c)) for c in cycles)
+                           for cycles in systems]
+            flats[id(pair), rank] = [tuple(chain.from_iterable(cycles)) for cycles in systems]
         at = ascending.__getitem__
-        for cycles, out in zip(systems, (first, second)):
-            out.extend(zip(*[map(at, chain.from_iterable(cycles))] * plan.l))
+        for flat, out in zip(flats[id(pair), rank], (first, second)):
+            out.extend(zip(*[map(at, flat)] * plan.l))
     scaffold = {} if plan.route == "paste" else {"k": plan.k, "r": plan.r}
     m = meta(source="construct", route=plan.route, length=plan.l, order=plan.v, **scaffold)
     return OrthogonalPair(spec, CycleSystem._of_canonical(spec, first, meta=m),
@@ -234,8 +237,9 @@ def _quasigroup_cross(l: int, k: int):
     parts of their host: each hole's two columns.
 
     They depend on (l, k) alone, so they are built and certified once and
-    shared, as tuples, by the orders 2lk+1 and 2lk+l; a failed certificate
-    raises and caches nothing."""
+    shared, as sorted tuples, by the orders 2lk+1 and 2lk+l, which each
+    merge them as one presorted run; a failed certificate raises and caches
+    nothing."""
     q = build_quasigroup_with_holes(k)
     n, m, bit = 2 * k, 3 if l == 5 else 5, int(l == 7)
     groups: dict = {}
@@ -259,7 +263,7 @@ def _quasigroup_cross(l: int, k: int):
                 rep = [a[0] + d for a, d in zip(at, shift)]
                 out.extend(zip(*[map(add, at[j], repeat(shift[j]))
                                  for j in map(rep.index, canonical_cycle(rep))]))
-    return tuple(first), tuple(second), parts
+    return tuple(sorted(first)), tuple(sorted(second)), parts
 
 
 def _columns(plan: ConstructionPlan):

@@ -119,24 +119,16 @@ def complete(v: int, labels=None) -> GraphSpec:
 class CycleSystem(Value):
     """A multiset-free list of canonical cycles claimed to decompose the host.
 
-    Cycles are canonicalized and sorted at construction, so two systems with
-    the same content compare equal.  meta carries provenance (source, seed,
-    citation, route) and never affects equality.
+    Cycles are canonicalized, range-checked and sorted at construction (only
+    sorted by _of_canonical, once certified), so equal content compares
+    equal.  meta carries provenance (source, seed, citation, route) and never
+    affects equality.
     """
 
     __slots__ = _fields = ("spec", "cycles", "meta")
 
     def __init__(self, spec: GraphSpec, cycles, meta: tuple = ()):
-        self._store(spec, map(canonical_cycle, cycles), meta)
-
-    @classmethod
-    def _of_canonical(cls, spec: GraphSpec, cycles, meta: tuple = ()) -> CycleSystem:
-        """System of cycles that are canonical already, so only sorted."""
-        (system := cls.__new__(cls))._store(spec, cycles, meta)
-        return system
-
-    def _store(self, spec: GraphSpec, cycles, meta: tuple) -> None:
-        canon = sorted(cycles)
+        canon = sorted(map(canonical_cycle, cycles))
         # a canonical cycle starts at its least vertex, so canon[0][0] is the
         # least vertex of all; walk the cycles only to name an offender
         if canon and (canon[0][0] < 0 or max(chain.from_iterable(canon)) >= spec.v):
@@ -144,6 +136,13 @@ class CycleSystem(Value):
                 if c[0] < 0 or max(c) >= spec.v:
                     raise ValueError(f"cycle {c} leaves the vertex range")
         self._set(spec=spec, cycles=tuple(canon), meta=meta)
+
+    @classmethod
+    def _of_canonical(cls, spec: GraphSpec, cycles, meta: tuple = ()) -> CycleSystem:
+        """System of cycles certified canonical and within spec's vertex
+        range, so only sorted: the caller's presorted runs are merged."""
+        (system := cls.__new__(cls))._set(spec=spec, cycles=tuple(sorted(cycles)), meta=meta)
+        return system
 
     def _key(self) -> tuple:
         return self.spec, self.cycles

@@ -18,6 +18,7 @@ from orthocycles.construct import (
     admissible,
     _assemble,
     _columns,
+    _layout,
     _onto,
     _paste,
     _quasigroup_cross,
@@ -241,24 +242,28 @@ def test_construction_is_deterministic():
     assert a.second.cycles == b.second.cycles
 
 
+def _map(pair, targets):
+    return _onto(_layout(pair.spec)[0], targets)
+
+
 def test_placement_rejects_targets_that_disagree_with_the_host_parts():
     k11 = get_ingredient("l5_v11")  # complete K11
     holed = get_ingredient("l5_K15mK5")  # hole of 5, rest of 10
     tri = get_ingredient("l6_K444")  # parts 4, 4, 4
-    assert _onto(k11, [range(100, 111)]) == list(range(100, 111))
+    assert _map(k11, [range(100, 111)]) == list(range(100, 111))
     # the hole's targets, then the rest's, land on the hole's and the rest's ids
     hole = sorted(holed.spec.hole)
     rest = sorted(set(range(15)) - holed.spec.hole)
-    mapping = _onto(holed, [range(100, 105), range(200, 210)])
+    mapping = _map(holed, [range(100, 105), range(200, 210)])
     assert [mapping[x] for x in hole + rest] == [*range(100, 105), *range(200, 210)]
-    assert _onto(tri, [range(10, 14), range(20, 24), range(30, 34)]) == [
+    assert _map(tri, [range(10, 14), range(20, 24), range(30, 34)]) == [
         *range(10, 14), *range(20, 24), *range(30, 34)]
     for pair, targets in ((k11, [range(10)]), (k11, [range(5), range(6)]),
                           (holed, [range(15)]), (holed, [range(10), range(5)]),
                           (tri, [range(4), range(4)]),
                           (tri, [range(4), range(4), range(5)])):
         with pytest.raises(ValueError):
-            _onto(pair, targets)
+            _map(pair, targets)
 
 
 def test_assembly_with_a_placement_dropped_raises_through_the_verifier(monkeypatch):
@@ -317,6 +322,24 @@ def test_assembly_with_a_part_repeating_a_vertex_of_its_atom_is_refused():
     _refused(plan, labels, placements, cross, match="repeats a vertex")
 
 
+@pytest.mark.parametrize("start", [87, -4], ids=["past-v", "below-0"])
+def test_assembly_with_targets_off_the_vertex_range_is_refused_before_storing(monkeypatch, start):
+    # the certificate is the only range check on the assembled cycles, so it
+    # must refuse the placement before any system is stored
+    plan = plan_for(9, 91)
+    labels, placements, cross = _columns(plan)
+    stored, of_canonical = [], CycleSystem._of_canonical
+    monkeypatch.setattr(CycleSystem, "_of_canonical",
+                        lambda *args, **kw: stored.append(args) or of_canonical(*args, **kw))
+    assert verify_pair(_assemble(plan, labels, placements, cross), 9).ok and len(stored) == 2
+    # the block's last part keeps its size of 9, and runs past 90 or below 0
+    block, targets = placements[-1]
+    placements[-1] = (block, [*targets[:-1], range(start, start + 9)])
+    stored.clear()
+    _refused(plan, labels, placements, cross, match=r"\(bug\): .* leaves the vertex range 0\.\.90")
+    assert stored == []
+
+
 def test_a_catalog_host_renumbered_off_its_layout_is_refused(monkeypatch):
     # moved off {0..f-1}, the hole no longer lies where placement lays the
     # fixed points; the pair itself stays valid, so only the layout check,
@@ -372,7 +395,10 @@ def _swap_two(c):
     (lambda f, s: (f[:3] + [_swap_two(f[3])] + f[4:], s), r"[1-9]\d* edge deficits"),
     (lambda f, s: (f, f), r"0 edge deficits, 0 bad cycles, max cross intersection [3-7]"),
     (lambda f, s: (f, s[:-1]), r"[1-9]\d* edge deficits"),
-], ids=["base-with-two-vertices-swapped", "second-bases-equal-first", "base-dropped"])
+    (lambda f, s: (f[:3] + [(*f[3][:-1], 1000)] + f[4:], s),
+     r"[1-9]\d* edge deficits, 1 bad cycles, .* leaves the vertex range"),
+], ids=["base-with-two-vertices-swapped", "second-bases-equal-first", "base-dropped",
+        "base-vertex-past-the-host"])
 def test_cross_certificate_refuses_mutated_bases(monkeypatch, l, edit, match):
     assert _cross_with(monkeypatch, l, lambda f, s: (f, s))[2]
     with pytest.raises(AssertionError, match=r"cross cycles is invalid \(bug\): " + match):
@@ -399,6 +425,10 @@ def test_cross_cycles_are_built_and_certified_once_per_l_and_k(monkeypatch):
         assert verify_pair(construct_pair(5, v), 5).ok
     cross = _quasigroup_cross(5, 19)
     assert type(cross[0]) is tuple and type(cross[1]) is tuple
+    # each cached system is presorted, so an assembly merges it as one run
+    for l, k in set(calls):
+        for system in _quasigroup_cross(l, k)[:2]:
+            assert list(system) == sorted(system), (l, k)
 
 
 def test_assembly_runs_the_full_verifier_once_per_catalog_key(monkeypatch):
@@ -489,25 +519,24 @@ def test_quasigroup_cross_cycles_are_the_canonical_template_cycles():
 def test_holed_placement_matches_per_cycle_canonicalisation(l, v):
     labels, placements, cross = _columns(plan_for(l, v))
     # the hole goes onto the fixed points, the highest ids: not an increasing map
-    holed = [_onto(pair, t) for pair, t in placements if pair.spec.kind == "complete_minus_hole"]
+    holed = [_map(pair, t) for pair, t in placements if pair.spec.kind == "complete_minus_hole"]
     assert holed and all(m != sorted(m) for m in holed)
     spec = complete(v, labels)
     pair = construct_pair(l, v)
     for i, (system, generated) in enumerate(zip((pair.first, pair.second), cross)):
         cycles = list(generated)
         for block, targets in placements:
-            at = _onto(block, targets).__getitem__
+            at = _map(block, targets).__getitem__
             cycles += [tuple(map(at, c)) for c in (block.first, block.second)[i].cycles]
         assert system == CycleSystem(spec, cycles)
 
 
-def test_canonical_constructor_sorts_and_checks_the_vertex_range():
+def test_canonical_constructor_sorts():
+    # the vertex range of certified cycles is the certificate's to check
+    # (test_assembly_with_targets_off_the_vertex_range_is_refused_before_storing)
     spec = complete(5)
     system = CycleSystem._of_canonical(spec, [(1, 2, 4), (0, 3, 4), (0, 1, 2)])
     assert system == CycleSystem(spec, [(4, 2, 1), (3, 4, 0), (2, 0, 1)])
-    for bad in ((0, 1, 5), (-1, 0, 1)):
-        with pytest.raises(ValueError, match="leaves the vertex range"):
-            CycleSystem._of_canonical(spec, [(0, 1, 2), bad])
 
 
 @settings(max_examples=300, deadline=None)
