@@ -23,15 +23,20 @@ together with the f fixed points, takes l{l}_v{h*s+f}; when f > 1, every
 group after the first takes the holed l{l}_K{h*s+f}mK{f} instead, its hole on
 the fixed points.
 
-Every catalog host numbers its parts from vertex 0 in placement order,
-checked once per key, so blocks are placed by laying their target lists end
-to end, and the target lists are the placed host's parts.  Cycles are built
-canonical: placed cycles stay so under increasing vertex maps, holed pairs
-are relabelled by rank first, and cross cycles are emitted canonical, one
-rotation per group of quasigroup pairs keyed by the parities of x, y and the
-place of z = x * y among them.  A certificate failure is a bug, not an
-input error, and raises the verifier's AssertionError; the full verifier
-still runs where a pair is published, in `orthocycles generate`.
+_placements turns a plan into its layout, as data and with no cycle built:
+the vertex labels, each placement as (key, target lists), and the parts of
+the cross host.  A key is a catalog key, or (6, v-20) for the pasted order
+v-20 pair; its target lists are its host's parts.  Every catalog host
+numbers its parts from vertex 0 in placement order, checked once per key,
+so a pair is placed by laying its target lists end to end.  _assemble
+resolves each key once, certifies that the hosts cover K_v exactly, and only
+then emits cycles.  They are built canonical: placed cycles stay so under
+increasing vertex maps, holed pairs are relabelled by rank first, and cross
+cycles are emitted canonical, one rotation per group of quasigroup pairs
+keyed by the parities of x, y and the place of z = x * y among them.  A
+certificate failure is a bug, not an input error, and raises the verifier's
+AssertionError; the full verifier still runs where a pair is published, in
+`orthocycles generate`.
 """
 
 from __future__ import annotations
@@ -137,20 +142,13 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
 def _catalog_report(key: str, l: int):
     """The full verifier's report on the catalog pair under key; first an
     AssertionError unless its host numbers its parts from vertex 0 in
-    _layout order, as _onto lays out their targets."""
+    _layout order, as assembly lays out their targets."""
     spec = get_ingredient(key).spec
     laid = [*sorted(spec.hole), *chain.from_iterable(spec.parts)]
     if laid != list(range(len(laid))):
         raise AssertionError(f"catalog pair {key} is invalid (bug): its host's parts "
                              f"are not numbered from 0 in placement order")
     return verify_pair(get_ingredient(key), l)
-
-
-def _placed(key: str, l: int) -> OrthogonalPair:
-    """The catalog pair under key, its layout checked and the pair verified
-    as l-cycle systems once per key."""
-    _catalog_report(key, l).check(f"catalog pair {key}")
-    return get_ingredient(key)
 
 
 def _layout(spec) -> tuple[list, tuple]:
@@ -164,50 +162,49 @@ def _layout(spec) -> tuple[list, tuple]:
     return list(map(len, spec.parts)), ()
 
 
-def _onto(sizes: list, targets) -> list:
-    """Vertex map of a host whose parts have these sizes (_layout) onto
-    targets, as a list indexed by source vertex; one target list per part.
-    The map is the targets laid end to end, so the targets are the parts'
-    images only for a host that numbers its parts in _layout order from
-    vertex 0: a complete host always does, and _catalog_report checks each
-    catalog host once."""
-    if sizes != list(map(len, targets)):
-        raise ValueError(f"target sizes {list(map(len, targets))} disagree "
-                         f"with the host parts {sizes}")
-    return list(chain.from_iterable(targets))
-
-
-def _assemble(plan: ConstructionPlan, labels, placements, cross=((), (), ())) -> OrthogonalPair:
-    """Place each (pair, target lists) block next to the generated cross
-    cycles (first-system list, second-system list, parts of their host).
-    Each distinct pair's layout and flat systems, relabelled by rank for a
-    map that is not increasing, are prepared once per assembly.
+def _assemble(plan: ConstructionPlan, labels, placements, cross_parts=()) -> OrthogonalPair:
+    """Place each (key, target lists) of _placements, next to the quasigroup
+    route's cross cycles when it has cross parts.  Each key is resolved once
+    per assembly: a catalog key to its pair, its layout checked and the pair
+    verified once per key (_catalog_report); (6, n) to the pair
+    construct_pair assembles.  Each distinct pair's flat systems, relabelled
+    by rank for a map that is not increasing, are prepared once per assembly.
 
     The result is certified, as the paper proves it, from parts certified
-    already (_placed, verify_orbits; paste's order v-20 pair is an assembly
-    itself) and verify_cover's exact cover of K_v by their hosts: cycles on
-    different hosts share no edge.  The cover refuses a target outside
+    already and verify_cover's exact cover of K_v by their hosts, whose
+    parts are the target lists: cycles on different hosts share no edge.
+    Only then are the cross cycles read.  The cover refuses a target outside
     0..v-1, so the systems are stored without another vertex walk."""
     spec = complete(plan.v, labels)
-    layouts = {id(pair): _layout(pair.spec) for pair, _ in placements}
-    mappings = [_onto(layouts[id(pair)][0], targets) for pair, targets in placements]
-    # each placed host's parts are its target lists (see _onto)
-    hosts = [(cross[2], ())] + [(targets, layouts[id(pair)][1]) for pair, targets in placements]
+    pairs = dict.fromkeys(key for key, _ in placements)
+    for key in pairs:
+        if type(key) is str:
+            _catalog_report(key, plan.l).check(f"catalog pair {key}")
+        pairs[key] = get_ingredient(key) if type(key) is str else construct_pair(*key)
+    layouts = {key: _layout(pair.spec) for key, pair in pairs.items()}
+    hosts = [(cross_parts, ())]
+    for key, targets in placements:
+        sizes, inner = layouts[key]
+        if sizes != list(map(len, targets)):
+            raise ValueError(f"target sizes {list(map(len, targets))} disagree "
+                             f"with the host parts {sizes}")
+        hosts.append((targets, inner))
     # paste's atoms are vertex pairs: its n = 24t and bridge parts are even
     verify_cover(spec.v, hosts, 2 if plan.route == "paste" else plan.h).check("assembled pair")
-    first, second = list(cross[0]), list(cross[1])
-    flats = {}  # (id(pair), rank): its two systems relabelled by rank and flattened
-    for (pair, _), mapping in zip(placements, mappings):
+    first, second = map(list, _quasigroup_cross(plan.l, plan.k) if cross_parts else ((), ()))
+    flats = {}  # (key, rank): its pair's two systems relabelled by rank and flattened
+    for key, targets in placements:
+        mapping = list(chain.from_iterable(targets))
         ascending = sorted(mapping)
         rank = () if mapping == ascending else tuple(map(ascending.index, mapping))
-        if (id(pair), rank) not in flats:
-            systems = pair.first.cycles, pair.second.cycles
+        if (key, rank) not in flats:
+            systems = pairs[key].first.cycles, pairs[key].second.cycles
             if rank:
                 systems = [sorted(canonical_cycle(map(rank.__getitem__, c)) for c in cycles)
                            for cycles in systems]
-            flats[id(pair), rank] = [tuple(chain.from_iterable(cycles)) for cycles in systems]
+            flats[key, rank] = [tuple(chain.from_iterable(cycles)) for cycles in systems]
         at = ascending.__getitem__
-        for flat, out in zip(flats[id(pair), rank], (first, second)):
+        for flat, out in zip(flats[key, rank], (first, second)):
             out.extend(zip(*[map(at, flat)] * plan.l))
     scaffold = {} if plan.route == "paste" else {"k": plan.k, "r": plan.r}
     m = meta(source="construct", route=plan.route, length=plan.l, order=plan.v, **scaffold)
@@ -233,8 +230,8 @@ def _quasigroup_cross(l: int, k: int):
     template cycle canonical, found once per group from its first pair.  z avoids both
     holes, so its place among the columns is (z > x) + (z > y); for l = 7,
     x ^ 1 and y ^ 1 lie above x and y exactly when these are even.  The
-    bases pass verify_orbits before their orbits are emitted, next to the
-    parts of their host: each hole's two columns.
+    bases pass verify_orbits on their host, whose parts are each hole's two
+    columns (the cross parts of _placements), before their orbits are emitted.
 
     They depend on (l, k) alone, so they are built and certified once and
     shared, as sorted tuples, by the orders 2lk+1 and 2lk+l, which each
@@ -251,8 +248,8 @@ def _quasigroup_cross(l: int, k: int):
     # at[j]: the j-th vertex of each pair's base cycle, its template at shift 0
     ats = [[[tuple(map(add, cols[c], repeat(s))) for c, s in template] for template in _CROSS[l]]
            for cols in (list(zip(*members)) for members in groups.values())]
-    parts = tuple(tuple(range(2 * l * i, 2 * l * i + 2 * l)) for i in range(k))
-    host = GraphSpec("multipartite", tuple(map(str, range(l * n))), parts=parts)
+    host = GraphSpec("multipartite", tuple(map(str, range(l * n))),
+                     parts=tuple(tuple(range(2 * l * i, 2 * l * i + 2 * l)) for i in range(k)))
     verify_orbits(host, l, l, *([b for group in ats for b in zip(*group[t])] for t in (0, 1))
                   ).check("cross cycles")
     first, second = [], []
@@ -263,66 +260,52 @@ def _quasigroup_cross(l: int, k: int):
                 rep = [a[0] + d for a, d in zip(at, shift)]
                 out.extend(zip(*[map(add, at[j], repeat(shift[j]))
                                  for j in map(rep.index, canonical_cycle(rep))]))
-    return tuple(sorted(first)), tuple(sorted(second)), parts
+    return tuple(sorted(first)), tuple(sorted(second))
 
 
-def _columns(plan: ConstructionPlan):
-    """Columns of height h over the points of a scaffold, plus fixed points.
+def _placements(plan: ConstructionPlan):
+    """The layout of an assembly, as data: the vertex labels, each placement
+    as (key, target lists), one target list per part of the key's host in
+    _layout order, and the cross host's parts (the quasigroup route's holes,
+    two columns each; none on other routes).  A key is a catalog key, or
+    (6, v-20) for paste's order v-20 pair, an assembly itself.
 
-    Each scaffold group's columns and the fixed points carry the group's
-    catalog pair, complete or holed with its hole on the fixed points; each
-    scaffold block carries the block pair, one column per part.  The scaffold:
+    All routes but paste lay columns of height h over the points of a
+    scaffold, plus fixed points.  Each group's columns and the fixed points
+    carry the group's pair, complete or holed with its hole on the fixed
+    points; each block carries the block pair, one column per part.  The
+    scaffold: for lengths 5 and 7 the holes {2i, 2i+1} of a quasigroup with
+    holes, whose products steer _quasigroup_cross; for lengths 6 and 9 the
+    groups and triples of a group divisible design; for length 8 singleton
+    groups, every pair of points a block.
 
-    - lengths 5, 7: the holes {2i, 2i+1} of a quasigroup with holes, whose
-      products steer the cross cycles of _quasigroup_cross;
-    - lengths 6, 9: the groups and triples of a group divisible design;
-    - length 8: singleton groups, every pair of points a block.
-    """
+    Paste, order v = 24t + 21: an order-(24t+1) pair on n = 24t points and
+    an order-21 pair on 20 more share one fixed point, and 8t complete
+    bipartite 6x10 pairs bridge the n x 20 remainder."""
+    if plan.route == "paste":
+        n = plan.v - 21
+        labels = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(20)] + ["inf0"]
+        placements = [((6, n + 1), [[*range(n), n + 20]]), (plan.group_keys[0], [range(n, n + 21)])]
+        placements += [(plan.block_key, [range(6 * i, 6 * i + 6), range(n + 10 * j, n + 10 * j + 10)])
+                       for i in range(n // 6) for j in range(2)]
+        return labels, placements, ()
     h, fixed, sizes = plan.h, plan.fixed, plan.group_sizes
-    blocks, cross = (), ((), (), ())
-    if plan.route == "quasigroup-columns":
-        cross = _quasigroup_cross(plan.l, plan.k)
-    elif plan.route == "sixteen-blocks":
-        blocks = combinations(range(plan.k), 2)
-    else:
-        blocks = build_gdd(sizes).triples
     n = sum(sizes)
     infs = range(h * n, h * n + fixed)
     labels = ([f"({x},{t})" for x in range(n) for t in range(h)]
               + [f"inf{j}" for j in range(fixed)])
-    ing = {key: _placed(key, plan.l) for key in dict.fromkeys(plan.group_keys)}
     placements, start = [], 0
     for s, key in zip(sizes, plan.group_keys, strict=True):
-        pair, cols = ing[key], range(h * start, h * (start + s))
+        cols = range(h * start, h * (start + s))
         start += s
-        holed = pair.spec.kind == "complete_minus_hole"
-        placements.append((pair, [infs, cols] if holed else [[*cols, *infs]]))
-    if plan.block_key:
-        block = _placed(plan.block_key, plan.l)
-        placements += [(block, [range(h * x, h * x + h) for x in b]) for b in blocks]
-    return labels, placements, cross
-
-
-def _paste(plan: ConstructionPlan):
-    """Order v = 24t + 21: an order-(24t+1) pair on n = 24t points and an
-    order-21 pair on 20 more share one fixed point, and 8t complete
-    bipartite 6x10 pairs bridge the n x 20 remainder."""
-    n = plan.v - 21
-    labels = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(20)] + ["inf0"]
-    placements = [(construct_pair(6, n + 1), [list(range(n)) + [n + 20]]),
-                  (_placed(plan.group_keys[0], 6), [list(range(n, n + 20)) + [n + 20]])]
-    bridge = _placed(plan.block_key, 6)
-    placements += [(bridge, [range(6 * i, 6 * i + 6), range(n + 10 * j, n + 10 * j + 10)])
-                   for i in range(n // 6) for j in range(2)]
-    return labels, placements
-
-
-def _build(plan: ConstructionPlan) -> OrthogonalPair:
-    if plan.route == "catalog":
-        return get_ingredient(plan.group_keys[0])
-    if plan.route == "paste":
-        return _assemble(plan, *_paste(plan))
-    return _assemble(plan, *_columns(plan))
+        holed = get_ingredient(key).spec.kind == "complete_minus_hole"
+        placements.append((key, [infs, cols] if holed else [[*cols, *infs]]))
+    if plan.route == "quasigroup-columns":
+        return labels, placements, [range(2 * h * i, 2 * h * i + 2 * h) for i in range(plan.k)]
+    blocks = (combinations(range(plan.k), 2) if plan.route == "sixteen-blocks"
+              else build_gdd(sizes).triples)
+    placements += [(plan.block_key, [range(h * x, h * x + h) for x in b]) for b in blocks]
+    return labels, placements, ()
 
 
 @lru_cache(maxsize=None)
@@ -334,4 +317,7 @@ def construct_pair(l: int, v: int) -> OrthogonalPair:
     Raises NotAdmissibleError off the spectrum and UnsatisfiableError for the
     three admissible orders (5,5), (7,7), (9,9) where no pair exists.
     """
-    return _build(plan_for(l, v))
+    plan = plan_for(l, v)
+    if plan.route == "catalog":
+        return get_ingredient(plan.group_keys[0])
+    return _assemble(plan, *_placements(plan))

@@ -1,4 +1,5 @@
 from functools import reduce
+from itertools import chain
 from math import comb
 from operator import or_
 
@@ -17,17 +18,14 @@ from orthocycles.construct import (
     UnsatisfiableError,
     admissible,
     _assemble,
-    _columns,
-    _layout,
-    _onto,
-    _paste,
+    _placements,
     _quasigroup_cross,
     construct_pair,
     plan_for,
 )
 from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, canonical_cycle, complete
 from orthocycles.search import SearchBudget, search_pair
-from orthocycles.verify import VerificationReport, verify_orbits, verify_pair
+from orthocycles.verify import VerificationReport, verify_cover, verify_orbits, verify_pair
 
 PINNED = [
     (5, 31, 93), (5, 35, 119),
@@ -219,10 +217,43 @@ def test_plans_to_ten_thousand_name_fitting_pairs_and_cover_k_v():
             for key, want in wanted.items():
                 if key not in host_sizes:
                     assert has_ingredient(key), (l, v, key)
-                    host_sizes[key] = construct._layout(get_ingredient(key).spec)[0]
+                    host_sizes[key] = _host_layout(key)[0]
                 assert host_sizes[key] == want, (l, v, key)
             assert _planned_edge_total(plan) == comb(v, 2), (l, v)
     assert refused == sorted(UNSATISFIABLE)
+
+
+def _host_layout(key):
+    # a placed key's host parts and inner parts, read without building it:
+    # a catalog entry's own host, or K_n for paste's order n pair (6, n)
+    return construct._layout(complete(key[1]) if type(key) is tuple else get_ingredient(key).spec)
+
+
+def test_plans_certify_their_cover_without_building_a_cycle(monkeypatch):
+    # verify_cover on the layouts alone, past the built sweep: every
+    # assembled order to 401 and the largest admissible order to 2,001 per
+    # length; near 10,000 the length-6 scaffold alone takes seconds
+    def unbuilt(*args):
+        raise AssertionError(f"no assembly cycle is built for a layout, called with {args}")
+
+    monkeypatch.setattr(construct, "_quasigroup_cross", unbuilt)
+    monkeypatch.setattr(construct, "construct_pair", unbuilt)
+    plans = [plan_for(l, v) for l in range(5, 10) for v in _admissible_orders(l, 401)
+             if (l, v) not in UNSATISFIABLE]
+    plans = [plan for plan in plans if plan.route != "catalog"]
+    assert len(plans) == 253 and {plan.route for plan in plans} >= {"paste", "quasigroup-columns"}
+    plans += [plan_for(l, _admissible_orders(l, 2001)[-1]) for l in range(5, 10)]
+    for plan in plans:
+        labels, placements, cross_parts = _placements(plan)
+        assert len(labels) == len(set(labels)) == plan.v
+        assert bool(cross_parts) == (plan.route == "quasigroup-columns")
+        hosts = [(cross_parts, ())]
+        for key, targets in placements:
+            sizes, inner = _host_layout(key)
+            assert list(map(len, targets)) == sizes, (plan.l, plan.v, key)
+            hosts.append((targets, inner))
+        m = 2 if plan.route == "paste" else plan.h
+        verify_cover(plan.v, hosts, m).check(f"layout of ({plan.l}, {plan.v})")
 
 
 def test_construction_metadata_records_the_route():
@@ -242,28 +273,42 @@ def test_construction_is_deterministic():
     assert a.second.cycles == b.second.cycles
 
 
-def _map(pair, targets):
-    return _onto(_layout(pair.spec)[0], targets)
+def _placed_alone(monkeypatch, l, key, targets):
+    # one placement assembled on its own, its cover taken as proven, so the
+    # assembled systems are the placed pair's mapped onto the targets
+    monkeypatch.setattr(construct, "verify_cover", lambda v, hosts, m: VerificationReport())
+    v = max(chain.from_iterable(targets)) + 1
+    pair = _assemble(ConstructionPlan(l, v, "one-placement", ()), None, [(key, targets)])
+    return [pair.first.cycles, pair.second.cycles]
 
 
-def test_placement_rejects_targets_that_disagree_with_the_host_parts():
-    k11 = get_ingredient("l5_v11")  # complete K11
-    holed = get_ingredient("l5_K15mK5")  # hole of 5, rest of 10
-    tri = get_ingredient("l6_K444")  # parts 4, 4, 4
-    assert _map(k11, [range(100, 111)]) == list(range(100, 111))
+def _mapped(key, at):
+    # the catalog pair under key, each vertex x relabelled at[x], on K_v
+    v = max(at.values()) + 1
+    return [CycleSystem(complete(v), [[at[x] for x in c] for c in system.cycles]).cycles
+            for system in (get_ingredient(key).first, get_ingredient(key).second)]
+
+
+def test_placement_rejects_targets_that_disagree_with_the_host_parts(monkeypatch):
+    # l5_v11: complete K11; l5_K15mK5: hole of 5, rest of 10; l6_K444: parts 4, 4, 4
+    assert _placed_alone(monkeypatch, 5, "l5_v11", [range(100, 111)]) == _mapped(
+        "l5_v11", {x: 100 + x for x in range(11)})
     # the hole's targets, then the rest's, land on the hole's and the rest's ids
-    hole = sorted(holed.spec.hole)
-    rest = sorted(set(range(15)) - holed.spec.hole)
-    mapping = _map(holed, [range(100, 105), range(200, 210)])
-    assert [mapping[x] for x in hole + rest] == [*range(100, 105), *range(200, 210)]
-    assert _map(tri, [range(10, 14), range(20, 24), range(30, 34)]) == [
-        *range(10, 14), *range(20, 24), *range(30, 34)]
-    for pair, targets in ((k11, [range(10)]), (k11, [range(5), range(6)]),
-                          (holed, [range(15)]), (holed, [range(10), range(5)]),
-                          (tri, [range(4), range(4)]),
-                          (tri, [range(4), range(4), range(5)])):
-        with pytest.raises(ValueError):
-            _map(pair, targets)
+    holed = get_ingredient("l5_K15mK5").spec
+    hole = sorted(holed.hole)
+    rest = sorted(set(range(15)) - holed.hole)
+    at = dict(zip(hole + rest, [*range(100, 105), *range(200, 210)]))
+    assert _placed_alone(monkeypatch, 5, "l5_K15mK5", [range(100, 105), range(200, 210)]) == _mapped(
+        "l5_K15mK5", at)
+    tri = [range(10, 14), range(20, 24), range(30, 34)]
+    at = dict(zip(chain.from_iterable(get_ingredient("l6_K444").spec.parts), chain.from_iterable(tri)))
+    assert _placed_alone(monkeypatch, 6, "l6_K444", tri) == _mapped("l6_K444", at)
+    for l, key, targets in ((5, "l5_v11", [range(10)]), (5, "l5_v11", [range(5), range(6)]),
+                            (5, "l5_K15mK5", [range(15)]), (5, "l5_K15mK5", [range(10), range(5)]),
+                            (6, "l6_K444", [range(4), range(4)]),
+                            (6, "l6_K444", [range(4), range(4), range(5)])):
+        with pytest.raises(ValueError, match="disagree with the host parts"):
+            _placed_alone(monkeypatch, l, key, targets)
 
 
 def test_assembly_with_a_placement_dropped_raises_through_the_verifier(monkeypatch):
@@ -274,30 +319,31 @@ def test_assembly_with_a_placement_dropped_raises_through_the_verifier(monkeypat
         checked.append(what)
         check(report, what)
 
-    _columns(plan)  # the scaffold checks itself once, when it is first built
+    _placements(plan)  # the scaffold checks itself once, when it is first built
     monkeypatch.setattr(VerificationReport, "check", spy)
-    labels, placements, cross = _columns(plan)
-    assert verify_pair(_assemble(plan, labels, placements, cross), 9).ok
+    labels, placements, cross_parts = _placements(plan)
+    assert verify_pair(_assemble(plan, labels, placements, cross_parts), 9).ok
     with pytest.raises(AssertionError, match=r"assembled pair is invalid \(bug\): \d+ edge deficits"):
-        _assemble(plan, labels, placements[:-1], cross)
-    # each catalog pair placed, then the cover of the whole, once per assembly
-    assert checked == ["catalog pair l9_v37", "catalog pair l9_v19", "catalog pair l9_K999",
-                       "assembled pair", "assembled pair"]
+        _assemble(plan, labels, placements[:-1], cross_parts)
+    # per assembly, each catalog key placed as it is resolved, then the cover
+    # of the whole
+    keys = ["catalog pair l9_v37", "catalog pair l9_v19", "catalog pair l9_K999"]
+    assert checked == [*keys, "assembled pair"] * 2
 
 
-def _refused(plan, labels, placements, cross=((), (), ()),
+def _refused(plan, labels, placements, cross_parts=(),
              match=r"assembled pair is invalid \(bug\)"):
     with pytest.raises(AssertionError, match=match):
-        _assemble(plan, labels, placements, cross)
+        _assemble(plan, labels, placements, cross_parts)
 
 
 def test_assembly_with_target_lists_swapped_between_blocks_is_refused():
     plan = plan_for(9, 91)
-    labels, placements, cross = _columns(plan)
+    labels, placements, cross_parts = _placements(plan)
     (a, ta), (b, tb) = placements[4], placements[7]
     assert ta[0] != tb[0] and ta[1:] != tb[1:]  # two triples through different points
     placements[4], placements[7] = (a, [tb[0], *ta[1:]]), (b, [ta[0], *tb[1:]])
-    _refused(plan, labels, placements, cross)
+    _refused(plan, labels, placements, cross_parts)
 
 
 def test_assembly_with_a_wrong_group_key_is_refused():
@@ -305,21 +351,21 @@ def test_assembly_with_a_wrong_group_key_is_refused():
     assert plan.group_keys == ("l5_v15", "l5_K15mK5", "l5_K15mK5")
     # a complete pair where a holed one belongs covers the fixed points twice
     wrong = plan._replace(group_keys=("l5_v15", "l5_v15", "l5_K15mK5"))
-    _refused(wrong, *_columns(wrong), match=r"assembled pair is invalid \(bug\): 1 edge deficits")
+    _refused(wrong, *_placements(wrong), match=r"assembled pair is invalid \(bug\): 1 edge deficits")
     # a pair of another cycle length fails its own check
     paste = plan_for(6, 45)._replace(group_keys=("l5_v21",))
     with pytest.raises(AssertionError, match=r"catalog pair l5_v21 is invalid \(bug\)"):
-        _paste(paste)
+        _assemble(paste, *_placements(paste))
 
 
 def test_assembly_with_a_part_repeating_a_vertex_of_its_atom_is_refused():
     # the bridge's first part keeps its column's size and run, so only the
     # repeated vertex tells it from the column
     plan = plan_for(8, 33)
-    labels, placements, cross = _columns(plan)
-    block, (left, right) = placements[-1]
-    placements[-1] = (block, [[left[0], *left[:-1]], right])
-    _refused(plan, labels, placements, cross, match="repeats a vertex")
+    labels, placements, cross_parts = _placements(plan)
+    key, (left, right) = placements[-1]
+    placements[-1] = (key, [[left[0], *left[:-1]], right])
+    _refused(plan, labels, placements, cross_parts, match="repeats a vertex")
 
 
 @pytest.mark.parametrize("start", [87, -4], ids=["past-v", "below-0"])
@@ -327,16 +373,16 @@ def test_assembly_with_targets_off_the_vertex_range_is_refused_before_storing(mo
     # the certificate is the only range check on the assembled cycles, so it
     # must refuse the placement before any system is stored
     plan = plan_for(9, 91)
-    labels, placements, cross = _columns(plan)
+    labels, placements, cross_parts = _placements(plan)
     stored, of_canonical = [], CycleSystem._of_canonical
     monkeypatch.setattr(CycleSystem, "_of_canonical",
                         lambda *args, **kw: stored.append(args) or of_canonical(*args, **kw))
-    assert verify_pair(_assemble(plan, labels, placements, cross), 9).ok and len(stored) == 2
+    assert verify_pair(_assemble(plan, labels, placements, cross_parts), 9).ok and len(stored) == 2
     # the block's last part keeps its size of 9, and runs past 90 or below 0
-    block, targets = placements[-1]
-    placements[-1] = (block, [*targets[:-1], range(start, start + 9)])
+    key, targets = placements[-1]
+    placements[-1] = (key, [*targets[:-1], range(start, start + 9)])
     stored.clear()
-    _refused(plan, labels, placements, cross, match=r"\(bug\): .* leaves the vertex range 0\.\.90")
+    _refused(plan, labels, placements, cross_parts, match=r"\(bug\): .* leaves the vertex range 0\.\.90")
     assert stored == []
 
 
@@ -365,6 +411,40 @@ def test_a_catalog_host_renumbered_off_its_layout_is_refused(monkeypatch):
     assert verify_pair(construct_pair(5, 35), 5).ok
 
 
+@pytest.mark.parametrize("wrong", ["latin-square-triangles", "first-system-twice"])
+def test_a_catalog_entry_of_the_right_shape_but_the_wrong_content_is_refused(monkeypatch, wrong):
+    # on l9_K999's own K_{9,9,9} host, so the layout check passes and only
+    # the catalog pair's verification can refuse it
+    real = get_ingredient("l9_K999")
+    spec = real.spec
+    a, b, c = spec.parts
+    if wrong == "latin-square-triangles":
+        # the triangles {a_i, b_j, c_(i + s*j)} of the Latin squares i + j and
+        # i + 2j mod 9: each system covers the host, with cycles of length 3
+        fake = OrthogonalPair(spec, *(CycleSystem(spec, [(a[i], b[j], c[(i + s * j) % 9])
+                                                         for i in range(9) for j in range(9)])
+                                      for s in (1, 2)))
+        report = verify_pair(fake, 3)
+        assert not report.edge_deficits and not report.bad_cycles
+    else:
+        fake = OrthogonalPair(spec, real.first, real.first)
+        report = verify_pair(fake, 9)
+        assert not report.edge_deficits and not report.bad_cycles
+        assert report.max_cross_intersection == 9
+    monkeypatch.setattr(construct, "get_ingredient",
+                        lambda key: fake if key == "l9_K999" else get_ingredient(key))
+    construct._catalog_report.cache_clear()
+    construct_pair.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"catalog pair l9_K999 is invalid \(bug\)"):
+            construct_pair(9, 55)
+    finally:
+        monkeypatch.undo()
+        construct._catalog_report.cache_clear()
+        construct_pair.cache_clear()
+    assert verify_pair(construct_pair(9, 55), 9).ok
+
+
 def test_assembly_on_a_broken_scaffold_triple_is_refused(monkeypatch):
     plan = plan_for(9, 55)
     triples = list(build_gdd(plan.group_sizes).triples)
@@ -372,7 +452,7 @@ def test_assembly_on_a_broken_scaffold_triple_is_refused(monkeypatch):
     triples[0] = (0, 2, 5)  # the pairs {0, 5} and {2, 5} now twice, {0, 4} and {2, 4} never
     monkeypatch.setattr(construct, "build_gdd",
                         lambda sizes: GroupDivisibleDesign(sizes, tuple(triples)))
-    _refused(plan, *_columns(plan), match=r"assembled pair is invalid \(bug\): \d+ edge deficits")
+    _refused(plan, *_placements(plan), match=r"assembled pair is invalid \(bug\): \d+ edge deficits")
 
 
 def _cross_with(monkeypatch, l, edit):
@@ -400,7 +480,7 @@ def _swap_two(c):
 ], ids=["base-with-two-vertices-swapped", "second-bases-equal-first", "base-dropped",
         "base-vertex-past-the-host"])
 def test_cross_certificate_refuses_mutated_bases(monkeypatch, l, edit, match):
-    assert _cross_with(monkeypatch, l, lambda f, s: (f, s))[2]
+    assert all(_cross_with(monkeypatch, l, lambda f, s: (f, s)))
     with pytest.raises(AssertionError, match=r"cross cycles is invalid \(bug\): " + match):
         _cross_with(monkeypatch, l, edit)
 
@@ -427,7 +507,7 @@ def test_cross_cycles_are_built_and_certified_once_per_l_and_k(monkeypatch):
     assert type(cross[0]) is tuple and type(cross[1]) is tuple
     # each cached system is presorted, so an assembly merges it as one run
     for l, k in set(calls):
-        for system in _quasigroup_cross(l, k)[:2]:
+        for system in _quasigroup_cross(l, k):
             assert list(system) == sorted(system), (l, k)
 
 
@@ -507,27 +587,29 @@ def test_quasigroup_cross_cycles_are_the_canonical_template_cycles():
     ks = {(l, plan_for(l, v).k) for l, v in _sweep() if plan_for(l, v).route == "quasigroup-columns"}
     assert {l for l, _ in ks} == {5, 7}
     for l, k in sorted(ks):
-        *cycles, parts = _quasigroup_cross(l, k)
-        for got, want in zip(cycles, _template_cross(l, build_quasigroup_with_holes(k)),
+        for got, want in zip(_quasigroup_cross(l, k), _template_cross(l, build_quasigroup_with_holes(k)),
                              strict=True):
             assert sorted(got) == sorted(map(canonical_cycle, want)), (l, k)
         # the cross host: one part per hole, its two columns of height l
-        assert parts == tuple(tuple(range(2 * l * i, 2 * l * (i + 1))) for i in range(k))
+        parts = _placements(plan_for(l, 2 * l * k + 1))[2]
+        assert list(map(list, parts)) == [list(range(2 * l * i, 2 * l * (i + 1))) for i in range(k)]
 
 
 @pytest.mark.parametrize("l,v", [(5, 35), (7, 49), (9, 63)])
 def test_holed_placement_matches_per_cycle_canonicalisation(l, v):
-    labels, placements, cross = _columns(plan_for(l, v))
+    plan = plan_for(l, v)
+    labels, placements, cross_parts = _placements(plan)
+    blocks = [(get_ingredient(key), list(chain.from_iterable(targets))) for key, targets in placements]
     # the hole goes onto the fixed points, the highest ids: not an increasing map
-    holed = [_map(pair, t) for pair, t in placements if pair.spec.kind == "complete_minus_hole"]
+    holed = [m for block, m in blocks if block.spec.kind == "complete_minus_hole"]
     assert holed and all(m != sorted(m) for m in holed)
     spec = complete(v, labels)
     pair = construct_pair(l, v)
+    cross = _quasigroup_cross(l, plan.k) if cross_parts else ((), ())
     for i, (system, generated) in enumerate(zip((pair.first, pair.second), cross)):
         cycles = list(generated)
-        for block, targets in placements:
-            at = _map(block, targets).__getitem__
-            cycles += [tuple(map(at, c)) for c in (block.first, block.second)[i].cycles]
+        for block, m in blocks:
+            cycles += [tuple(map(m.__getitem__, c)) for c in (block.first, block.second)[i].cycles]
         assert system == CycleSystem(spec, cycles)
 
 
