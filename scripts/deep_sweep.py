@@ -6,9 +6,8 @@ seconds spent building them, then the peak resident memory and every defect
 found; exits 1 on any defect.  The three orders v = l with no pair must be
 refused, and no other.  Each built system must also be stored canonical and
 strictly sorted, as the package's equality of systems assumes; that is
-checked here, without the package's own code.  Each pair is dropped from
-construct_pair's cache once it is checked, so memory stays bounded; the
-paste route then builds its order v-20 pair again.
+checked here, without the package's own code.  Each pair is dropped once it
+is checked, so memory stays bounded.
 
 Run from the repository root:  python3 scripts/deep_sweep.py --max-order 401
 """
@@ -68,7 +67,6 @@ def main() -> int:
                     + stored_order_defects("first", pair.first.cycles)
                     + stored_order_defects("second", pair.second.cycles)]
         del pair
-        construct_pair.cache_clear()
 
     for route in sorted(count):
         print(f"{route:20s} {count[route]:4d} orders, largest {largest[route]:5d}, "

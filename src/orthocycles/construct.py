@@ -14,8 +14,8 @@ one use columns of height h over the scaffold's points plus fixed points:
   small complete or holed pairs, triples carry tripartite pairs,
 - length 8: height 16 over singleton groups around one fixed point, every
   two columns joined by a complete bipartite pair,
-- length 6, order v = 21 (mod 24): a pasted join of an order v-20 pair, an
-  order-21 pair, and complete bipartite 6x10 pairs between the two.
+- length 6, order v = 21 (mod 24): the order v-20 layout and an order-21
+  pair on a shared fixed point, joined by complete bipartite 6x10 pairs.
 
 plan_for decides all of it, and assembly only reads the plan.  One rule names
 every group's pair: a group of s points, whose h * s columns carry a pair
@@ -25,18 +25,17 @@ the fixed points.
 
 _placements turns a plan into its layout, as data and with no cycle built:
 the vertex labels, each placement as (key, target lists), and the parts of
-the cross host.  A key is a catalog key, or (6, v-20) for the pasted order
-v-20 pair; its target lists are its host's parts.  Every catalog host
-numbers its parts from vertex 0 in placement order, checked once per key,
-so a pair is placed by laying its target lists end to end.  _assemble
-resolves each key once, certifies that the hosts cover K_v exactly, and only
-then emits cycles.  They are built canonical: placed cycles stay so under
-increasing vertex maps, holed pairs are relabelled by rank first, and cross
-cycles are emitted canonical, one rotation per group of quasigroup pairs
-keyed by the parities of x, y and the place of z = x * y among them.  A
-certificate failure is a bug, not an input error, and raises the verifier's
-AssertionError; the full verifier still runs where a pair is published, in
-`orthocycles generate`.
+the cross host.  Every key is a catalog key, and its target lists are its
+host's parts.  Every catalog host numbers its parts from vertex 0 in
+placement order, checked once per key, so a pair is placed by laying its
+target lists end to end.  _assemble resolves each key once, certifies that
+the hosts cover K_v exactly, and only then emits cycles.  They are built
+canonical: placed cycles stay so under increasing vertex maps, holed pairs
+are relabelled by rank first, and cross cycles are emitted canonical, one
+rotation per group of quasigroup pairs keyed by the parities of x, y and the
+place of z = x * y among them.  A certificate failure is a bug, not an input
+error, and raises the verifier's AssertionError; the full verifier still
+runs where a pair is published, in `orthocycles generate`.
 """
 
 from __future__ import annotations
@@ -164,11 +163,11 @@ def _layout(spec) -> tuple[list, tuple]:
 
 def _assemble(plan: ConstructionPlan, labels, placements, cross_parts=()) -> OrthogonalPair:
     """Place each (key, target lists) of _placements, next to the quasigroup
-    route's cross cycles when it has cross parts.  Each key is resolved once
-    per assembly: a catalog key to its pair, its layout checked and the pair
-    verified once per key (_catalog_report); (6, n) to the pair
-    construct_pair assembles.  Each distinct pair's flat systems, relabelled
-    by rank for a map that is not increasing, are prepared once per assembly.
+    route's cross cycles when it has cross parts.  Each key is resolved to
+    its catalog pair once per assembly, its layout checked and the pair
+    verified once per key (_catalog_report).  Each distinct pair's flat
+    systems, relabelled by rank for a map that is not increasing, are
+    prepared once per assembly.
 
     The result is certified, as the paper proves it, from parts certified
     already and verify_cover's exact cover of K_v by their hosts, whose
@@ -178,9 +177,8 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross_parts=()) -> Ort
     spec = complete(plan.v, labels)
     pairs = dict.fromkeys(key for key, _ in placements)
     for key in pairs:
-        if type(key) is str:
-            _catalog_report(key, plan.l).check(f"catalog pair {key}")
-        pairs[key] = get_ingredient(key) if type(key) is str else construct_pair(*key)
+        _catalog_report(key, plan.l).check(f"catalog pair {key}")
+        pairs[key] = get_ingredient(key)
     layouts = {key: _layout(pair.spec) for key, pair in pairs.items()}
     hosts = [(cross_parts, ())]
     for key, targets in placements:
@@ -189,7 +187,7 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross_parts=()) -> Ort
             raise ValueError(f"target sizes {list(map(len, targets))} disagree "
                              f"with the host parts {sizes}")
         hosts.append((targets, inner))
-    # paste's atoms are vertex pairs: its n = 24t and bridge parts are even
+    # paste's atoms are vertex pairs: all its parts are even but the last vertex
     verify_cover(spec.v, hosts, 2 if plan.route == "paste" else plan.h).check("assembled pair")
     first, second = map(list, _quasigroup_cross(plan.l, plan.k) if cross_parts else ((), ()))
     flats = {}  # (key, rank): its pair's two systems relabelled by rank and flattened
@@ -267,8 +265,7 @@ def _placements(plan: ConstructionPlan):
     """The layout of an assembly, as data: the vertex labels, each placement
     as (key, target lists), one target list per part of the key's host in
     _layout order, and the cross host's parts (the quasigroup route's holes,
-    two columns each; none on other routes).  A key is a catalog key, or
-    (6, v-20) for paste's order v-20 pair, an assembly itself.
+    two columns each; none on other routes).  Every key is a catalog key.
 
     All routes but paste lay columns of height h over the points of a
     scaffold, plus fixed points.  Each group's columns and the fixed points
@@ -279,13 +276,15 @@ def _placements(plan: ConstructionPlan):
     groups and triples of a group divisible design; for length 8 singleton
     groups, every pair of points a block.
 
-    Paste, order v = 24t + 21: an order-(24t+1) pair on n = 24t points and
-    an order-21 pair on 20 more share one fixed point, and 8t complete
-    bipartite 6x10 pairs bridge the n x 20 remainder."""
+    Paste, order v = 24t + 21: the order-(24t+1) layout on n = 24t points,
+    its fixed point n renamed v-1, shares it with an order-21 pair on the 20
+    points between; 8t complete bipartite 6x10 pairs bridge the n x 20 rest."""
     if plan.route == "paste":
         n = plan.v - 21
         labels = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(20)] + ["inf0"]
-        placements = [((6, n + 1), [[*range(n), n + 20]]), (plan.group_keys[0], [range(n, n + 21)])]
+        placements = [(key, [[plan.v - 1 if x == n else x for x in t] if n in t else t for t in targets])
+                      for key, targets in _placements(plan_for(6, n + 1))[1]]
+        placements.append((plan.group_keys[0], [range(n, n + 21)]))
         placements += [(plan.block_key, [range(6 * i, 6 * i + 6), range(n + 10 * j, n + 10 * j + 10)])
                        for i in range(n // 6) for j in range(2)]
         return labels, placements, ()
@@ -308,7 +307,6 @@ def _placements(plan: ConstructionPlan):
     return labels, placements, ()
 
 
-@lru_cache(maxsize=None)
 def construct_pair(l: int, v: int) -> OrthogonalPair:
     """Orthogonal pair of l-cycle systems of order v, certified from its
     parts: verified catalog pairs, template cycles checked by orbit, and an

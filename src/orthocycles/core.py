@@ -111,9 +111,10 @@ class GraphSpec(Value):
 def complete(v: int, labels=None) -> GraphSpec:
     if v < 0:
         raise ValueError(f"order must be non-negative, got {v}")
-    if labels is None:
-        labels = tuple(str(i) for i in range(v))
-    return GraphSpec("complete", tuple(labels))
+    labels = tuple(str(i) for i in range(v)) if labels is None else tuple(labels)
+    if len(labels) != v:
+        raise ValueError(f"order {v} needs {v} labels, got {len(labels)}")
+    return GraphSpec("complete", labels)
 
 
 class CycleSystem(Value):

