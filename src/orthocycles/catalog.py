@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from pathlib import Path
 
@@ -105,23 +106,40 @@ def develop(bases, action: dict, expected) -> list[tuple[str, ...]]:
     else:
         raise ValueError(f"unknown action kind {kind!r}")
 
-    def move(label: str, g) -> str:
+    size = len(elements)
+    # label strings, each row listed twice so that a slice wraps around: per
+    # first coordinate a for pair_both, the labels (a,0) .. (a,t-1); else per
+    # second coordinate j, the labels of 0 .. n-1 (j None: cyclic)
+    rows: dict = {}
+
+    def orbit(label: str) -> list:
+        """The label's image under each element, in element order: its
+        coordinates are parsed once and moved by slicing a doubled table."""
         if label.startswith("inf"):
-            return label
+            return [label] * size
         # cyclic moves integer labels only, the pair kinds "(x,j)" labels only
         if (kind == "cyclic") == label.startswith("("):
             raise ValueError(f"{kind} action cannot move label {label!r}")
         if kind == "cyclic":
-            return str((int(label) + g) % n)
-        x, j = map(int, label[1:-1].split(","))
-        if kind == "pair_first":
-            return f"({(x + g) % n},{j})"
-        return f"({(x + g[0]) % m},{(j + g[1]) % t})"
+            x, j = int(label), None
+        else:
+            x, j = map(int, label[1:-1].split(","))
+        if kind == "pair_both":
+            if not rows:
+                rows.update((a, [f"({a},{b})" for b in range(t)] * 2) for a in range(m))
+            x, j = x % m, j % t
+            return [s for a in range(x, x + m) for s in rows[a % m][j:j + t]]
+        if j not in rows:
+            rows[j] = [str(i) if j is None else f"({i},{j})" for i in range(n)] * 2
+        x %= n
+        return rows[j][x:x + n:elements.step]
 
     out: list[tuple[str, ...]] = []
     for i, base in enumerate(bases):
-        images = list(dict.fromkeys(
-            canonical_cycle(tuple(move(lab, g) for lab in base)) for g in elements))
+        # an empty group forms no image, so it reads no label
+        columns = [orbit(label) for label in base] if size else []
+        images = list(dict.fromkeys(map(canonical_cycle, zip(*columns) if columns
+                                        else repeat((), size))))
         if len(images) != expected[i]:
             raise ValueError(
                 f"base {i} develops into {len(images)} cycles, expected {expected[i]}")

@@ -9,7 +9,7 @@ one use columns of height h over the scaffold's points plus fixed points:
 
 - lengths 5 and 7: height l over a quasigroup with holes, plus 1 or l fixed
   points; cross-hole column joins come from the quasigroup, built and
-  certified once per (l, k) and shared by the orders 2lk+1 and 2lk+l,
+  certified per (l, k), the last one kept for the next order to read,
 - lengths 6 and 9: height 4 or 9 over a group divisible design; groups carry
   small complete or holed pairs, triples carry tripartite pairs,
 - length 8: height 16 over singleton groups around one fixed point, every
@@ -219,7 +219,7 @@ _CROSS = {5: (((0, 0), (1, 0), (0, 1), (2, 3), (1, 1)), ((0, 0), (1, 0), (0, 2),
               ((0, 0), (1, 0), (3, 3), (1, 4), (2, 6), (0, 4), (4, 3)))}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _quasigroup_cross(l: int, k: int):
     """Cycles of each system joining the columns of symbols x < y from
     different holes, one orbit of l per pair, steered by z = x * y in the
@@ -231,9 +231,10 @@ def _quasigroup_cross(l: int, k: int):
     bases pass verify_orbits on their host, whose parts are each hole's two
     columns (the cross parts of _placements), before their orbits are emitted.
 
-    They depend on (l, k) alone, so they are built and certified once and
-    shared, as sorted tuples, by the orders 2lk+1 and 2lk+l, which each
-    merge them as one presorted run; a failed certificate raises and caches
+    They depend on (l, k) alone and are kept, as sorted tuples that an
+    assembly merges as one presorted run, for the last (l, k) built only: a
+    build reads one cross, and the orders 2lk+1 and 2lk+l that read the same
+    one are adjacent in a sweep.  A failed certificate raises and caches
     nothing."""
     q = build_quasigroup_with_holes(k)
     n, m, bit = 2 * k, 3 if l == 5 else 5, int(l == 7)

@@ -13,17 +13,19 @@ over-covered and foreign edges runs only when those counts disagree.
 The verifier is the root of trust for every construction, scaffolds (as
 3-cycle covers) and pairs alike, so it imports the standard library alone and
 accepts cycles as written: a cycle need not be canonical, and a loop or
-repeated vertex is reported instead of raised.  verify_cover and
-verify_orbits certify an assembled pair from its parts, not the whole pair.
-verify_orbits, too, confirms a cover by counts alone when the base classes
-are exact; it keys each class and each meet of two bases by one integer.
+repeated vertex is reported instead of raised; one guard, _simple, names
+those defects for every scan.  verify_cover and verify_orbits certify an
+assembled pair from its parts, not the whole pair.  verify_orbits makes one
+pass per base: each pair of consecutive vertices gives its edge's class key
+and phase as integers, with no edge id in between.  It, too, confirms a
+cover by counts alone when the base classes are exact, and keys each meet
+of two bases by one integer.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, repeat
-from operator import add, floordiv, mod
+from itertools import chain, combinations
 
 
 class VerificationReport:
@@ -90,26 +92,42 @@ def _shape_defect(cyc, v: int) -> str | None:
     return None
 
 
-def _scan(cycles, v: int, length: int | None, tag, bad: list) -> list:
-    """Edge ids of each cycle, or None for one that is not a simple cycle.
+def _simple(cycles, v: int, length: int | None, tag, bad: list):
+    """The cycles, with None in place of each one that is not a simple cycle
+    on 0..v-1.
 
-    Appends ((tag, index), reason) to bad for every defective cycle, and for
-    every cycle whose length is not `length` (such a cycle keeps its ids, so
-    its edges still count towards coverage).
+    Appends ((tag, index), reason) to bad for every such cycle, and for
+    every cycle whose length is not `length` (a simple one is kept, so its
+    edges still count towards coverage).  When counts show nothing to name
+    (every vertex in range, each cycle of `length` distinct vertices, and at
+    least 3), the cycles come back as they are.
     """
     verts = set(chain.from_iterable(cycles))
     in_range = not verts or (min(verts) >= 0 and max(verts) < v)
-    out = []
-    for i, cyc in enumerate(cycles):
-        n = len(cyc)
+    sizes = list(map(len, cycles))
+    if (in_range and sizes == list(map(len, map(set, cycles))) and min(sizes, default=3) >= 3
+            and (length is None or sizes.count(length) == len(sizes))):
+        return cycles
+    out = list(cycles)
+    for i, (cyc, n) in enumerate(zip(cycles, sizes)):
         if length is not None and n != length:
             bad.append(((tag, i), f"length {n} != {length}"))
         if n < 3 or len(set(cyc)) != n or not in_range:  # cheap tests first
             reason = _shape_defect(cyc, v)
             if reason:
                 bad.append(((tag, i), reason))
-                out.append(None)
-                continue
+                out[i] = None
+    return out
+
+
+def _scan(cycles, v: int, length: int | None, tag, bad: list) -> list:
+    """Edge ids of each cycle, or None for one that is not a simple cycle;
+    bad gets _simple's reasons."""
+    out = []
+    for cyc in _simple(cycles, v, length, tag, bad):
+        if cyc is None:
+            out.append(None)
+            continue
         prev, es = cyc[-1], []
         for x in cyc:
             es.append(prev * v + x if prev < x else x * v + prev)
@@ -164,8 +182,9 @@ def _cross(first_ids: list, second_ids: list, v: int) -> tuple[int, tuple | None
         if es is None:
             continue
         got = list(map(owner.__getitem__, es))
-        if not extra and len(set(got)) == len(got):
-            # every second cycle met here is met in one edge
+        if len(set(got)) == len(got) and (not extra or extra.keys().isdisjoint(es)):
+            # every second cycle met here is met in one edge: the first is
+            # the witness the count below would name
             if best == 0:
                 j = next((j for j in got if j >= 0), -1)
                 if j >= 0:
@@ -310,15 +329,25 @@ def verify_orbits(spec, length: int, m: int, first_bases, second_bases) -> Verif
     size = m * (n * (n - 1) - sum(len(c) * (len(c) - 1) for c in cols)) // 2
     absent = {(c * n + d) * m + r for atoms in cols
               for i, c in enumerate(atoms) for d in atoms[i:] for r in range(m)}
-    # an edge a < b, a's column the lower, has class key lower[a] + upper[b]
-    # + (b - a) % m, and base * m + the row of a as its base and phase
+    # consecutive vertices a < b of base i, a's column the lower, make an
+    # edge of class key lower[a] + upper[b] + (b - a) % m at phase key
+    # i * m + a % m: its base and the row of a
     lower, upper = [x // m * n * m for x in range(v)], [x - x % m for x in range(v)]
     systems = []
     for tag, bases in (("first", first_bases), ("second", second_bases)):
-        scanned = _scan(bases, v, length, tag, bad)
-        ids = list(chain.from_iterable(filter(None, scanned)))
-        lows = list(map(floordiv, ids, repeat(v)))
-        keys = [lower[a] + upper[b] + (b - a) % m for a, b in zip(lows, map(mod, ids, repeat(v)))]
+        keys, phases = [], []
+        for i, cyc in enumerate(_simple(bases, v, length, tag, bad)):
+            if cyc is None:
+                continue
+            phase, a = i * m, cyc[-1]
+            for b in cyc:
+                if a < b:
+                    keys.append(lower[a] + upper[b] + (b - a) % m)
+                    phases.append(phase + a % m)
+                else:
+                    keys.append(lower[b] + upper[a] + (a - b) % m)
+                    phases.append(phase + b % m)
+                a = b
         if not (len(set(keys)) == len(keys) == size and absent.isdisjoint(keys)):
             count = Counter(keys)
             for key in range(n * n * m):
@@ -326,8 +355,7 @@ def verify_orbits(spec, length: int, m: int, first_bases, second_bases) -> Verif
                 k = count[key] - (c < d and key not in absent)
                 if k:
                     report.edge_deficits[(tag, (c, d, key % m))] = k
-        owners = [i * m for i, es in enumerate(scanned) if es for _ in es]
-        systems.append((keys, list(map(add, owners, map(mod, lows, repeat(m))))))
+        systems.append((keys, phases))
     (keys, phases), (second_keys, second_phases) = systems
     # first base i meets second base j at phase offset o as (i * t + j) * m + o
     t = len(second_bases)

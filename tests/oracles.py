@@ -1,8 +1,12 @@
 """Reference edge sets for the tests, written apart from the package: this
 module never imports orthocycles, so a fault there cannot hide in both the
-code and its oracle."""
+code and its oracle.  It also keeps the package's earlier versions of three
+loops that were rewritten for speed, so the rewrites can be held to the
+very same results."""
 
+from collections import Counter
 from itertools import permutations
+from math import gcd
 
 
 def edge(a, b):
@@ -85,3 +89,195 @@ def array_text(cells):
     """The Heffter array text format: one row per line, cells comma-separated,
     "." for an empty cell."""
     return "\n".join(",".join("." if x is None else str(x) for x in row) for row in cells) + "\n"
+
+
+# ------------------------------------------------ earlier implementations
+#
+# The package's previous verify_orbits, _cross and develop, with the helpers
+# they called, kept so that their rewrites can be held to the same reports
+# and results.  A report is the tuple (ok, edge_deficits, bad_cycles,
+# max_cross_intersection, witness), VerificationReport's fields in order.
+
+def report_fields(report):
+    """A report's fields, in the order the earlier implementations give them."""
+    return (report.ok, report.edge_deficits, report.bad_cycles,
+            report.max_cross_intersection, report.witness)
+
+
+def _shape_defect(cyc, v):
+    n = len(cyc)
+    if n < 3:
+        return f"cycle needs at least 3 vertices, got {n}"
+    if min(cyc) < 0 or max(cyc) >= v:
+        return f"cycle {tuple(cyc)} leaves the vertex range 0..{v - 1}"
+    if len(set(cyc)) != n:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if a == b:
+                return f"loop at vertex {a} in cycle {tuple(cyc)}"
+        return f"repeated vertex in cycle {tuple(cyc)}"
+    return None
+
+
+def scan(cycles, v, length, tag, bad):
+    """Edge ids a*v + b (a < b) of each cycle, or None for one that is not a
+    simple cycle; appends ((tag, index), reason) to bad for every defective
+    cycle and every cycle whose length is not `length`."""
+    out = []
+    for i, cyc in enumerate(cycles):
+        n = len(cyc)
+        if length is not None and n != length:
+            bad.append(((tag, i), f"length {n} != {length}"))
+        reason = _shape_defect(cyc, v)
+        if reason:
+            bad.append(((tag, i), reason))
+            out.append(None)
+            continue
+        prev, es = cyc[-1], []
+        for x in cyc:
+            es.append(prev * v + x if prev < x else x * v + prev)
+            prev = x
+        out.append(es)
+    return out
+
+
+def _host_atoms(parts, v, m, tag, bad):
+    out, seen = [], set()
+    for p, part in enumerate(parts):
+        atoms = sorted({x // m for x in part})
+        if len(set(part)) != len(part):
+            reason = "repeats a vertex"
+        elif part and (min(part) < 0 or max(part) >= v):
+            reason = f"leaves the vertex range 0..{v - 1}"
+        elif sum(min(m, v - a * m) for a in atoms) != len(part):
+            reason = f"is not a union of whole runs of {m}"
+        elif not seen.isdisjoint(atoms):
+            reason = "shares a run with another part"
+        else:
+            seen.update(atoms)
+            out.append(atoms)
+            continue
+        bad.append(((tag, p), f"part {list(part)} {reason}"))
+        out.append([])
+    return out
+
+
+def orbits_report(spec, length, m, first_bases, second_bases):
+    """verify_orbits as it was: edge ids from scan, split back into a
+    class key and a phase per edge."""
+    v = spec.v
+    bad, deficits, best, witness = [], {}, 0, None
+    if v % m:
+        bad.append((("host", None), f"{v} vertices are not whole columns of {m}"))
+    n = v // m
+    cols = _host_atoms(spec.parts, v, m, "host", bad)
+    size = m * (n * (n - 1) - sum(len(c) * (len(c) - 1) for c in cols)) // 2
+    absent = {(c * n + d) * m + r for atoms in cols
+              for i, c in enumerate(atoms) for d in atoms[i:] for r in range(m)}
+    lower, upper = [x // m * n * m for x in range(v)], [x - x % m for x in range(v)]
+    systems = []
+    for tag, bases in (("first", first_bases), ("second", second_bases)):
+        scanned = scan(bases, v, length, tag, bad)
+        ids = [e for es in scanned if es for e in es]
+        lows = [e // v for e in ids]
+        keys = [lower[a] + upper[b] + (b - a) % m for a, b in zip(lows, [e % v for e in ids])]
+        if not (len(set(keys)) == len(keys) == size and absent.isdisjoint(keys)):
+            count = Counter(keys)
+            for key in range(n * n * m):
+                c, d = divmod(key // m, n)
+                k = count[key] - (c < d and key not in absent)
+                if k:
+                    deficits[(tag, (c, d, key % m))] = k
+        owners = [i * m for i, es in enumerate(scanned) if es for _ in es]
+        systems.append((keys, [o + a % m for o, a in zip(owners, lows)]))
+    (keys, phases), (second_keys, second_phases) = systems
+    t = len(second_bases)
+    owner = dict(zip(keys, phases))
+    meets = [(p // m * t + q // m) * m + (p - q) % m
+             for p, q in zip(map(owner.get, second_keys), second_phases) if p is not None]
+    shared = Counter(meets)
+    if shared:
+        best = max(shared.values())
+        witness = divmod(next(meet for meet, k in shared.items() if k == best) // m, t)
+    return not (bad or deficits or best > 1), deficits, bad, best, witness
+
+
+def cross(first_ids, second_ids, v):
+    """_cross as it was: once any edge is over-covered, every first cycle
+    counts its meets edge by edge."""
+    owner = [-1] * (v * v)
+    extra = {}
+    for j, es in enumerate(second_ids):
+        if es is None:
+            continue
+        for e in es:
+            if owner[e] < 0:
+                owner[e] = j
+            else:
+                extra.setdefault(e, []).append(j)
+    best, witness = 0, None
+    for i, es in enumerate(first_ids):
+        if es is None:
+            continue
+        got = list(map(owner.__getitem__, es))
+        if not extra and len(set(got)) == len(got):
+            if best == 0:
+                j = next((j for j in got if j >= 0), -1)
+                if j >= 0:
+                    best, witness = 1, (i, j)
+            continue
+        shared = {}
+        for e, j in zip(es, got):
+            for k in ([j] if j >= 0 else []) + extra.get(e, []):
+                shared[k] = shared.get(k, 0) + 1
+        for j, k in shared.items():
+            if k > best:
+                best, witness = k, (i, j)
+    return best, witness
+
+
+def _canonical(vertices):
+    """Least tuple over every rotation of the sequence and of its reversal,
+    found by trying them all."""
+    seq = tuple(vertices)
+    n = len(seq)
+    if n < 3:
+        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    if len(set(seq)) != n:
+        raise ValueError(f"repeated vertex in cycle {seq}")
+    return min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(n))
+
+
+def develop(bases, action, expected):
+    """catalog.develop as it was: every label parsed and formatted again for
+    every group element."""
+    kind, modulus = action["kind"], action["modulus"]
+    if kind == "pair_both":
+        m, t = modulus
+        elements = [(a, b) for a in range(m) for b in range(t)]
+    elif kind in ("cyclic", "pair_first"):
+        (n,) = modulus
+        elements = range(0, n, gcd(n, action.get("step", 1)))
+    else:
+        raise ValueError(f"unknown action kind {kind!r}")
+
+    def move(label, g):
+        if label.startswith("inf"):
+            return label
+        if (kind == "cyclic") == label.startswith("("):
+            raise ValueError(f"{kind} action cannot move label {label!r}")
+        if kind == "cyclic":
+            return str((int(label) + g) % n)
+        x, j = map(int, label[1:-1].split(","))
+        if kind == "pair_first":
+            return f"({(x + g) % n},{j})"
+        return f"({(x + g[0]) % m},{(j + g[1]) % t})"
+
+    out = []
+    for i, base in enumerate(bases):
+        images = list(dict.fromkeys(
+            _canonical(tuple(move(lab, g) for lab in base)) for g in elements))
+        if len(images) != expected[i]:
+            raise ValueError(
+                f"base {i} develops into {len(images)} cycles, expected {expected[i]}")
+        out.extend(images)
+    return out

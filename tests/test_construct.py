@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cycle_edges, hamiltonian_decompositions
+from oracles import cycle_edges, hamiltonian_decompositions, orbits_report, report_fields
 from orthocycles import construct
 from orthocycles.auxiliary import GroupDivisibleDesign, build_gdd, build_quasigroup_with_holes
 from orthocycles.catalog import get_ingredient, has_ingredient
@@ -494,19 +494,45 @@ def _swap_two(c):
     return (c[1], c[0], *c[2:])
 
 
+# edits of the cross bases on their way to the certificate, and the refusal
+_BASE_EDITS = {
+    "base-with-two-vertices-swapped": (lambda f, s: (f[:3] + [_swap_two(f[3])] + f[4:], s),
+                                       r"[1-9]\d* edge deficits"),
+    "second-bases-equal-first": (lambda f, s: (f, f),
+                                 r"0 edge deficits, 0 bad cycles, max cross intersection [3-7]"),
+    "base-dropped": (lambda f, s: (f, s[:-1]), r"[1-9]\d* edge deficits"),
+    "base-vertex-past-the-host": (lambda f, s: (f[:3] + [(*f[3][:-1], 1000)] + f[4:], s),
+                                  r"[1-9]\d* edge deficits, 1 bad cycles, .* leaves the vertex range"),
+}
+
+
 @pytest.mark.parametrize("l", [5, 7])
-@pytest.mark.parametrize("edit, match", [
-    (lambda f, s: (f[:3] + [_swap_two(f[3])] + f[4:], s), r"[1-9]\d* edge deficits"),
-    (lambda f, s: (f, f), r"0 edge deficits, 0 bad cycles, max cross intersection [3-7]"),
-    (lambda f, s: (f, s[:-1]), r"[1-9]\d* edge deficits"),
-    (lambda f, s: (f[:3] + [(*f[3][:-1], 1000)] + f[4:], s),
-     r"[1-9]\d* edge deficits, 1 bad cycles, .* leaves the vertex range"),
-], ids=["base-with-two-vertices-swapped", "second-bases-equal-first", "base-dropped",
-        "base-vertex-past-the-host"])
+@pytest.mark.parametrize("edit, match", list(_BASE_EDITS.values()), ids=list(_BASE_EDITS))
 def test_cross_certificate_refuses_mutated_bases(monkeypatch, l, edit, match):
     assert all(_cross_with(monkeypatch, l, lambda f, s: (f, s)))
     with pytest.raises(AssertionError, match=r"cross cycles is invalid \(bug\): " + match):
         _cross_with(monkeypatch, l, edit)
+
+
+@pytest.mark.parametrize("l", [5, 7])
+def test_cross_certificate_reports_as_the_earlier_implementation(monkeypatch, l):
+    # the bases _quasigroup_cross certifies for k = 3..6, as built and under
+    # each edit above: the one-pass certificate gives the very same report
+    calls = []
+    monkeypatch.setattr(construct, "verify_orbits",
+                        lambda *args: calls.append(args) or verify_orbits(*args))
+    for k in range(3, 7):
+        _quasigroup_cross.cache_clear()
+        _quasigroup_cross(l, k)
+    monkeypatch.undo()
+    _quasigroup_cross.cache_clear()
+    assert len(calls) == 4
+    for spec, length, m, first, second in calls:
+        for edit in [lambda f, s: (f, s)] + [edit for edit, _ in _BASE_EDITS.values()]:
+            bases = edit(list(first), list(second))
+            got = verify_orbits(spec, length, m, *bases)
+            want = orbits_report(spec, length, m, *bases)
+            assert repr(report_fields(got)) == repr(want), (l, spec.v)
 
 
 def test_cross_cycles_are_built_and_certified_once_per_l_and_k(monkeypatch):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
-from oracles import cycle_edges, graph_edges, host_cover_is_exact
+from oracles import (cross, cycle_edges, graph_edges, host_cover_is_exact, orbits_report,
+                     report_fields, scan)
 from orthocycles import verify
 from orthocycles.catalog import cycle_length, get_ingredient
 from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, complete
@@ -586,3 +587,67 @@ def test_orbits_agree_with_the_verifier_on_the_developed_pair():
             seen["decomposed", want.max_cross_intersection > 1] += 1
     assert seen[True] > 100 and seen[False] > 300
     assert seen["decomposed", True] > 100 and seen["decomposed", False] > 100
+
+
+def test_orbits_report_as_the_earlier_implementation():
+    # the one-pass certificate against the edge-id one it replaced, report
+    # for report, deficits and bad cycles in the same order
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(1500):
+        case = _orbit_case(rng)
+        got = verify_orbits(*case)
+        assert repr(report_fields(got)) == repr(orbits_report(*case)), case
+        # every base of the wrong length, listed beside any shape defect
+        spec, length, *rest = case
+        wrong = (spec, length + 1, *rest)
+        assert repr(report_fields(verify_orbits(*wrong))) == repr(orbits_report(*wrong)), case
+        seen["ok"] += got.ok
+        seen["deficits"] += bool(got.edge_deficits)
+        seen["bad cycles"] += bool(got.bad_cycles)
+        seen["crossed"] += not got.edge_deficits and got.max_cross_intersection > 1
+    assert seen["ok"] > 100 and seen["deficits"] > 300 and seen["crossed"] > 100
+    assert seen["bad cycles"] > 20
+
+
+CROSS_PAIRS = ("l5_v11", "l5_K15mK5", "l6_K444", "l7_v15", "l9_v45", (5, 41), (8, 33))
+
+
+def _mutant(cycles, kind, rng):
+    """cycles with one defect, as perfbench's design-file mutants make them:
+    two vertices of a cycle swapped, a cycle dropped, or a cycle whose last
+    vertex repeats its first."""
+    cycles = list(cycles)
+    i = rng.randrange(len(cycles))
+    if kind == "drop":
+        del cycles[i]
+        return cycles
+    c = list(cycles[i])
+    if kind == "transpose":
+        a, b = rng.sample(range(len(c)), 2)
+        c[a], c[b] = c[b], c[a]
+    else:
+        c[-1] = c[0]
+    cycles[i] = tuple(c)
+    return cycles
+
+
+@pytest.mark.parametrize("source", CROSS_PAIRS, ids=map(str, CROSS_PAIRS))
+def test_cross_reports_as_the_earlier_implementation_on_mutants(source):
+    # over-covered edges in the second system no longer send every first
+    # cycle down the edge-by-edge count; the reports stay the same
+    from orthocycles.construct import construct_pair
+
+    pair = get_ingredient(source) if type(source) is str else construct_pair(*source)
+    v, rng, seen = pair.spec.v, random.Random(str(source)), Counter()
+    for side in (0, 1):
+        for kind in ("transpose", "drop", "repeat"):
+            for _ in range(8):
+                systems = [list(pair.first.cycles), list(pair.second.cycles)]
+                systems[side] = _mutant(systems[side], kind, rng)
+                scanned = [verify._scan(c, v, None, "", []) for c in systems]
+                assert scanned == [scan(c, v, None, "", []) for c in systems]
+                got = verify._cross(*scanned, v)
+                assert got == cross(*scanned, v), (source, side, kind)
+                seen[got[0]] += 1
+    assert seen[1] and seen[2]
