@@ -1,6 +1,7 @@
-"""Integer arrays whose rows and columns sum to zero modulo 2*rows*col_fill+1,
-using exactly one of {x, -x} for each symbol x, plus the simple-ordering
-check: a cyclic order of a line whose partial sums are pairwise distinct.
+"""Integer arrays whose rows and columns sum to zero modulo 2*rows*row_fill+1,
+twice the number of filled cells plus one, using exactly one of {x, -x} for
+each symbol x, plus the simple-ordering check: a cyclic order of a line whose
+partial sums are pairwise distinct.
 
 The square 3x3 case over modulus 19 has an exhaustive-search generator that
 serves as the independent oracle for the validator.
@@ -10,6 +11,7 @@ Text format: one row per line, cells comma-separated, "." for an empty cell.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -19,9 +21,10 @@ from .core import Value
 class HeffterArray(Value):
     """Partial integer matrix with declared fill counts per row and column.
 
-    The modulus is 2 * rows * col_fill + 1 and the symbol range is
-    rows * row_fill; both follow from the fill counts, so only the cells and
-    the two counts are stored.  cells[i][j] is an int or None.
+    The symbol range is rows * row_fill, the number of filled cells, and the
+    modulus is 2 * rows * row_fill + 1; both follow from the fill counts, so
+    only the cells and the two counts are stored.  cells[i][j] is an int or
+    None.
     """
 
     __slots__ = _fields = ("row_fill", "col_fill", "cells")
@@ -41,7 +44,7 @@ class HeffterArray(Value):
 
     @property
     def modulus(self) -> int:
-        return 2 * self.rows * self.col_fill + 1
+        return 2 * self.rows * self.row_fill + 1
 
     @property
     def symbol_count(self) -> int:
@@ -60,9 +63,13 @@ class HeffterReport(NamedTuple):
 
 
 def validate_heffter(a: HeffterArray) -> HeffterReport:
-    """Check fill counts, zero line sums mod the modulus, and that each
-    symbol 1..symbol_count appears exactly once, in exactly one sign."""
+    """Check fill counts (at least one cell per line), zero line sums mod the
+    modulus, and that each symbol 1..symbol_count appears exactly once, in
+    exactly one sign."""
     defects = []
+    for line, fill in (("row", a.row_fill), ("column", a.col_fill)):
+        if fill < 1:
+            defects.append(f"{line} fill count is {fill}, expected at least 1")
     mod = a.modulus
     for i in range(a.rows):
         entries = a.row_entries(i)
@@ -136,47 +143,60 @@ def check_simple(a: HeffterArray) -> SimpleOrderings:
     return SimpleOrderings(ok, rows, cols)
 
 
+@lru_cache(maxsize=None)
+def _census_tables():
+    """The 3x3 census's signed symbols 1, -1, ..., 9, -9 in scan order, and
+    per line total t (-18..18, read mod 19 through negative indices) the
+    signed symbol x, |x| <= 9, with t + x = 0 mod 19; each symbol paired
+    with its used-magnitude bit 1 << |x|."""
+    signed = tuple((x, 1 << mag) for mag in range(1, 10) for x in (mag, -mag))
+    forced = []
+    for t in range(19):
+        x = -t % 19
+        if x > 9:
+            x -= 19
+        forced.append((x, 1 << abs(x)))
+    return signed, tuple(forced)
+
+
 def search_3x3():
     """Exhaustively generate every full 3x3 array over modulus 19, scanning
     the two free cells of the first two rows in ascending signed order; the
-    last cell of each line is forced by the zero-sum condition.  Serves as
-    the independent oracle for the validator."""
-    mod, top = 19, 9
-    signed = [x for mag in range(1, top + 1) for x in (mag, -mag)]
-
-    def forced(total, used):
-        # the unique signed symbol completing the line to 0 mod 19, if free
-        residue = (-total) % mod
-        x = residue if residue <= top else residue - mod
-        if x == 0 or abs(x) in used:
-            return None
-        return x
-
-    for a in signed:
-        for b in signed:
-            if abs(b) == abs(a):
+    last cell of each line is forced by the zero-sum condition and read from
+    a table by the line's total.  The magnitudes used so far are the bits of
+    one int, bit 0 set from the start so that a zero completion is refused.
+    Serves as the independent oracle for the validator."""
+    signed, forced = _census_tables()
+    for a, bit_a in signed:
+        used_a = 1 | bit_a
+        for b, bit_b in signed:
+            if used_a & bit_b:
                 continue
-            c = forced(a + b, {abs(a), abs(b)})
-            if c is None:
+            c, bit_c = forced[a + b]
+            if (used_a | bit_b) & bit_c:
                 continue
-            used3 = {abs(a), abs(b), abs(c)}
-            for d in signed:
-                if abs(d) in used3:
+            used_c = used_a | bit_b | bit_c
+            for d, bit_d in signed:
+                if used_c & bit_d:
                     continue
-                for e in signed:
-                    if abs(e) in used3 or abs(e) == abs(d):
+                used_d = used_c | bit_d
+                for e, bit_e in signed:
+                    if used_d & bit_e:
                         continue
-                    f = forced(d + e, used3 | {abs(d), abs(e)})
-                    if f is None:
+                    used = used_d | bit_e
+                    f, bit_f = forced[d + e]
+                    if used & bit_f:
                         continue
-                    g = forced(a + d, used3 | {abs(d), abs(e), abs(f)})
-                    if g is None:
+                    used |= bit_f
+                    g, bit_g = forced[a + d]
+                    if used & bit_g:
                         continue
-                    h = forced(b + e, used3 | {abs(d), abs(e), abs(f), abs(g)})
-                    if h is None:
+                    used |= bit_g
+                    h, bit_h = forced[b + e]
+                    if used & bit_h:
                         continue
-                    i = forced(c + f, used3 | {abs(d), abs(e), abs(f), abs(g), abs(h)})
-                    if i is None or (g + h + i) % mod:
+                    i, bit_i = forced[c + f]
+                    if (used | bit_h) & bit_i or (g + h + i) % 19:
                         continue
                     yield HeffterArray(3, 3, ((a, b, c), (d, e, f), (g, h, i)))
 

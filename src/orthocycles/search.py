@@ -19,13 +19,15 @@ reads the first system's owner of edge {a, x} from a v x v table, and
 candidates are the set bits of the last vertex's row in ascending order;
 bytearray marks hold the open mate path's vertices and the first cycles it
 meets.  Every random order is the one Random.shuffle would give, drawn by
-_shuffled through the seeded Random's getrandbits alone, the Mersenne
+_shuffled (or, for a cyclic step's two signs, by its one 2-bit draw
+inline) through the seeded Random's getrandbits alone, the Mersenne
 Twister output, so no pin depends on the private helpers behind shuffle.
 All found pairs are re-checked with verify_pair before being returned.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from random import Random
 from typing import NamedTuple
@@ -90,13 +92,20 @@ def _checked(pair: OrthogonalPair, l: int) -> OrthogonalPair:
     return pair
 
 
+@lru_cache(maxsize=None)
+def _fisher_yates(n: int) -> tuple:
+    """The steps of a Fisher-Yates pass over n items, built once per n: for
+    i = n-1 down to 1, i and the (i+1).bit_length() bits that its partner
+    index is drawn with."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
 def _shuffled(xs, getrandbits) -> list:
     """xs as a list in the order Random.shuffle would leave it, drawn through
     getrandbits alone: a Fisher-Yates pass from the end, each index j <= i
     taken as (i+1).bit_length() bits and redrawn while it is above i."""
     xs = list(xs)
-    for i in range(len(xs) - 1, 0, -1):
-        k = (i + 1).bit_length()
+    for i, k in _fisher_yates(len(xs)):
         j = getrandbits(k)
         while j > i:
             j = getrandbits(k)
@@ -131,7 +140,14 @@ def _difference_bases(v: int, l: int, budget: _Budget, rng: Random):
                 yield tuple(verts)
             return
         for c in _shuffled((c for c in classes if c not in used), getrandbits):
-            steps = (c,) if pos == 1 else _shuffled((c, v - c), getrandbits)
+            if pos == 1:
+                steps = (c,)
+            else:
+                # _shuffled((c, v - c)): one 2-bit draw, redrawn above 1
+                j = getrandbits(2)
+                while j > 1:
+                    j = getrandbits(2)
+                steps = (c, v - c) if j else (v - c, c)
             for d in steps:
                 budget.spend()
                 nxt = (verts[-1] + d) % v

@@ -1,6 +1,6 @@
 """Reference edge sets for the tests, written apart from the package: this
 module never imports orthocycles, so a fault there cannot hide in both the
-code and its oracle.  It also keeps the package's earlier versions of three
+code and its oracle.  It also keeps the package's earlier versions of four
 loops that were rewritten for speed, so the rewrites can be held to the
 very same results."""
 
@@ -93,9 +93,10 @@ def array_text(cells):
 
 # ------------------------------------------------ earlier implementations
 #
-# The package's previous verify_orbits, _cross and develop, with the helpers
-# they called, kept so that their rewrites can be held to the same reports
-# and results.  A report is the tuple (ok, edge_deficits, bad_cycles,
+# The package's previous verify_orbits, _cross, develop and search's
+# _difference_bases, with the helpers they called, kept so that their
+# rewrites can be held to the same reports, results and random draws.
+# A report is the tuple (ok, edge_deficits, bad_cycles,
 # max_cross_intersection, witness), VerificationReport's fields in order.
 
 def report_fields(report):
@@ -281,3 +282,36 @@ def develop(bases, action, expected):
                 f"base {i} develops into {len(images)} cycles, expected {expected[i]}")
         out.extend(images)
     return out
+
+
+def difference_bases(v, l, budget, rng):
+    """search._difference_bases as it was, every random order drawn by
+    rng.shuffle itself: base l-cycles through 0 using each difference class
+    1..l once, the first step the class's positive representative, each
+    later step's class and then its two signs in shuffled order."""
+    classes = list(range(1, l + 1))
+
+    def rec(verts, used):
+        pos = len(verts)
+        if pos == l:
+            (last,) = set(classes) - used
+            d = (-verts[-1]) % v
+            budget.spend()
+            if d == last or d == v - last:
+                yield tuple(verts)
+            return
+        order = [c for c in classes if c not in used]
+        rng.shuffle(order)
+        for c in order:
+            steps = [c]
+            if pos > 1:
+                steps.append(v - c)
+                rng.shuffle(steps)
+            for d in steps:
+                budget.spend()
+                nxt = (verts[-1] + d) % v
+                if nxt in verts:
+                    continue
+                yield from rec(verts + [nxt], used | {c})
+
+    yield from rec([0], set())

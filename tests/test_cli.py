@@ -342,6 +342,15 @@ def test_heffter_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_heffter_refuses_an_array_with_no_filled_cell(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text(".,.\n.,.\n")
+    assert run("heffter", "validate", str(empty)) == 1
+    assert "row fill count is 0" in capsys.readouterr().out
+    assert run("heffter", "simple", str(empty)) == 1
+    assert "not valid" in capsys.readouterr().out
+
+
 def test_design_text_is_deterministic_and_stable(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import islice, permutations
 
@@ -47,6 +48,32 @@ def test_every_searched_3x3_is_valid_and_simple():
         assert all(sum(r[j] for r in a.cells) % 19 == 0 for j in range(3))
         assert check_simple(a).ok
     assert n > 100
+
+
+def test_census_order_is_pinned():
+    # every searched array, in the order search_3x3 yields them
+    cells = [a.cells for a in search_3x3()]
+    assert len(cells) == 432
+    digest = hashlib.sha256(repr(cells).encode()).hexdigest()
+    assert digest == "3c883308d58b642ac15529ccafa9724d889c7045094f789517d8c601cac51663"
+
+
+def test_rectangular_array_takes_twice_its_filled_cells_plus_one():
+    # H(3,4;4,3): 12 filled cells, so modulus 25; mod 19 12 and -7 would
+    # be one symbol
+    a = parse_array("1,2,3,-6\n8,-12,-7,11\n-9,10,4,-5\n")
+    assert (a.rows, a.cols, a.row_fill, a.col_fill) == (3, 4, 4, 3)
+    assert (a.modulus, a.symbol_count) == (25, 12)
+    assert validate_heffter(a) == (True, ())
+    assert simple_cyclic_order((8, -12, -7, 11), 25) == (8, -12, -7, 11)
+    assert check_simple(a).rows[1] == (8, -12, -7, 11)
+
+
+def test_an_array_with_no_filled_cell_is_a_defect():
+    report = validate_heffter(parse_array(".,.\n.,.\n"))
+    assert not report.ok
+    assert report.defects == ("row fill count is 0, expected at least 1",
+                              "column fill count is 0, expected at least 1")
 
 
 def test_negating_one_entry_breaks_line_sums():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cycle_edges, edge
+from oracles import cycle_edges, difference_bases, edge
 from orthocycles.core import complete
 from orthocycles.search import (
     SearchBudget,
@@ -51,6 +51,14 @@ class _NoLimit:
         pass
 
 
+class _Counter:
+    def __init__(self):
+        self.nodes = 0
+
+    def spend(self):
+        self.nodes += 1
+
+
 def test_budget_validation():
     with pytest.raises(ValueError, match="max_nodes"):
         SearchBudget(max_nodes=0)
@@ -77,6 +85,20 @@ def test_difference_bases_are_well_formed(l):
         if count >= 50:
             break
     assert count > 0
+
+
+@pytest.mark.parametrize("l", range(3, 10))
+def test_difference_bases_draw_as_the_earlier_implementation(l):
+    # the same bases, nodes and Mersenne Twister state as the earlier
+    # generator, which drew every order through Random.shuffle itself
+    v = 2 * l + 1
+    for seed in range(10):
+        rng, budget = Random(seed), _Counter()
+        ref_rng, ref_budget = Random(seed), _Counter()
+        got = list(islice(_difference_bases(v, l, budget, rng), 60))
+        want = list(islice(difference_bases(v, l, ref_budget, ref_rng), 60))
+        assert (got, budget.nodes) == (want, ref_budget.nodes), (l, seed)
+        assert rng.getstate() == ref_rng.getstate(), (l, seed)
 
 
 def _translates_cross_ok_by_translation(base_a, base_b, v):
