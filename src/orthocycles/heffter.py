@@ -62,30 +62,25 @@ class HeffterReport(NamedTuple):
     defects: tuple
 
 
-def validate_heffter(a: HeffterArray) -> HeffterReport:
-    """Check fill counts (at least one cell per line), zero line sums mod the
-    modulus, and that each symbol 1..symbol_count appears exactly once, in
-    exactly one sign."""
+def _line_defects(a: HeffterArray):
+    """validate_heffter's defects, and each row's and column's entries, every
+    line built and summed once."""
+    rows = [a.row_entries(i) for i in range(a.rows)]
+    cols = [tuple(x for x in col if x is not None) for col in zip(*a.cells)]
     defects = []
     for line, fill in (("row", a.row_fill), ("column", a.col_fill)):
         if fill < 1:
             defects.append(f"{line} fill count is {fill}, expected at least 1")
     mod = a.modulus
-    for i in range(a.rows):
-        entries = a.row_entries(i)
-        if len(entries) != a.row_fill:
-            defects.append(f"row {i}: {len(entries)} filled cells, expected {a.row_fill}")
-        if sum(entries) % mod:
-            defects.append(f"row {i}: sums to {sum(entries) % mod} mod {mod}")
-    for j in range(a.cols):
-        entries = a.col_entries(j)
-        if len(entries) != a.col_fill:
-            defects.append(f"column {j}: {len(entries)} filled cells, expected {a.col_fill}")
-        if sum(entries) % mod:
-            defects.append(f"column {j}: sums to {sum(entries) % mod} mod {mod}")
+    for line, fill, entries in (("row", a.row_fill, rows), ("column", a.col_fill, cols)):
+        for i, es in enumerate(entries):
+            if len(es) != fill:
+                defects.append(f"{line} {i}: {len(es)} filled cells, expected {fill}")
+            if total := sum(es) % mod:
+                defects.append(f"{line} {i}: sums to {total} mod {mod}")
     seen: dict = {}
-    for i in range(a.rows):
-        for x in a.row_entries(i):
+    for es in rows:
+        for x in es:
             if not 1 <= abs(x) <= a.symbol_count:
                 defects.append(f"entry {x}: outside the symbol range 1..{a.symbol_count}")
                 continue
@@ -96,6 +91,14 @@ def validate_heffter(a: HeffterArray) -> HeffterReport:
             defects.append(f"symbol {x}: neither {x} nor {-x} appears")
         elif len(got) > 1:
             defects.append(f"symbol {x}: appears {len(got)} times as {sorted(got)}")
+    return defects, rows, cols
+
+
+def validate_heffter(a: HeffterArray) -> HeffterReport:
+    """Check fill counts (at least one cell per line), zero line sums mod the
+    modulus, and that each symbol 1..symbol_count appears exactly once, in
+    exactly one sign."""
+    defects = _line_defects(a)[0]
     return HeffterReport(not defects, tuple(defects))
 
 
@@ -133,12 +136,13 @@ class SimpleOrderings(NamedTuple):
 
 
 def check_simple(a: HeffterArray) -> SimpleOrderings:
-    """Simple cyclic orders for every row and column of a valid array."""
-    report = validate_heffter(a)
-    if not report.ok:
-        raise ValueError(f"array is not valid: {'; '.join(report.defects[:3])}")
-    rows = tuple(simple_cyclic_order(a.row_entries(i), a.modulus) for i in range(a.rows))
-    cols = tuple(simple_cyclic_order(a.col_entries(j), a.modulus) for j in range(a.cols))
+    """Simple cyclic orders for every row and column of a valid array.  Each
+    line's entries are built and summed once, for validate_heffter's checks
+    and for the orders alike."""
+    defects, *lines = _line_defects(a)
+    if defects:
+        raise ValueError(f"array is not valid: {'; '.join(defects[:3])}")
+    rows, cols = (tuple(simple_cyclic_order(es, a.modulus) for es in part) for part in lines)
     ok = all(o is not None for o in rows + cols)
     return SimpleOrderings(ok, rows, cols)
 

@@ -18,10 +18,15 @@ marks the edges still uncovered (free[a][x] == free[x][a]), the mate search
 reads the first system's owner of edge {a, x} from a v x v table, and
 candidates are the set bits of the last vertex's row in ascending order;
 bytearray marks hold the open mate path's vertices and the first cycles it
-meets.  Every random order is the one Random.shuffle would give, drawn by
-_shuffled (or, for a cyclic step's two signs, by its one 2-bit draw
-inline) through the seeded Random's getrandbits alone, the Mersenne
-Twister output, so no pin depends on the private helpers behind shuffle.
+meets.  Both depth-first searches take their leaf step in the parent's
+candidate loop: the greedy path's and the mate path's last vertex each spend
+their node there and test the closing edge in place, so only a mate cycle
+that closes costs a call.  The cyclic bases grow one shared vertex list and
+keep the classes taken and vertices visited as int bit masks.  Every random
+order is the one Random.shuffle would give, drawn by _shuffled (or, for a
+cyclic step's two signs, by its one 2-bit draw inline) through the seeded
+Random's getrandbits alone, the Mersenne Twister output, so no pin depends
+on the private helpers behind shuffle.
 All found pairs are re-checked with verify_pair before being returned.
 """
 
@@ -127,19 +132,20 @@ def _difference_bases(v: int, l: int, budget: _Budget, rng: Random):
     has a representative of that shape (rotate to put 0 first, pick the
     traversal direction whose first difference is <= (v-1)/2).
     """
-    classes = list(range(1, l + 1))
     getrandbits = rng.getrandbits
+    verts = [0]
 
-    def rec(verts, used):
-        pos = len(verts)
+    def rec(used, seen):
+        # used: bit c per class taken; seen: bit x per vertex in verts
+        pos, tail = len(verts), verts[-1]
         if pos == l:
-            (last,) = set(classes) - used
-            d = (-verts[-1]) % v
+            last = ((1 << (l + 1)) - 2 & ~used).bit_length() - 1
+            d = -tail % v
             budget.spend()
             if d == last or d == v - last:
                 yield tuple(verts)
             return
-        for c in _shuffled((c for c in classes if c not in used), getrandbits):
+        for c in _shuffled([c for c in range(1, l + 1) if not used >> c & 1], getrandbits):
             if pos == 1:
                 steps = (c,)
             else:
@@ -150,12 +156,14 @@ def _difference_bases(v: int, l: int, budget: _Budget, rng: Random):
                 steps = (c, v - c) if j else (v - c, c)
             for d in steps:
                 budget.spend()
-                nxt = (verts[-1] + d) % v
-                if nxt in verts:
+                nxt = (tail + d) % v
+                if seen >> nxt & 1:
                     continue
-                yield from rec(verts + [nxt], used | {c})
+                verts.append(nxt)
+                yield from rec(used | 1 << c, seen | 1 << nxt)
+                verts.pop()
 
-    yield from rec([0], set())
+    yield from rec(0, 1)
 
 
 def _translates_cross_ok(base_a, base_b, v: int) -> bool:
@@ -247,15 +255,20 @@ def _greedy_system(spec: GraphSpec, l: int, budget: _Budget, rng: Random):
             if budget.left < 0:
                 raise _OutOfBudget
             last = path[-1]
-            if depth == 0:
-                return free[last][target]
             row = free[last]
             for nxt in _shuffled(range(v), getrandbits):
                 if not row[nxt] or nxt == target or nxt in path:
                     continue
+                if depth == 1:
+                    # the leaf step: nxt's node, then its edge to target
+                    budget.left -= 1
+                    if budget.left < 0:
+                        raise _OutOfBudget
+                    if not free[nxt][target]:
+                        continue
                 row[nxt] = free[nxt][last] = 0
                 path.append(nxt)
-                if path_search(path, target, depth - 1):
+                if depth == 1 or path_search(path, target, depth - 1):
                     return True
                 path.pop()
                 row[nxt] = free[nxt][last] = 1
@@ -322,33 +335,41 @@ def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalP
             mark(path, 0)
         return found
 
+    def close(path, done):
+        steps = list(_steps(path))
+        for a, x in steps:
+            free[a][x] = free[x][a] = 0
+        mark(path, 0)
+        found = rec(done + [tuple(path)])
+        if found is None:
+            mark(path, 1)
+            for a, x in steps:
+                free[a][x] = free[x][a] = 1
+        return found
+
     def extend(path, done):
         b.left -= 1
         if b.left < 0:
             raise _OutOfBudget
         last = path[-1]
-        if len(path) == l:
-            start = path[0]
-            if not free[last][start] or met[owner[last][start]]:
-                return None
-            steps = list(_steps(path))
-            for a, x in steps:
-                free[a][x] = free[x][a] = 0
-            mark(path, 0)
-            found = rec(done + [tuple(path)])
-            if found is None:
-                mark(path, 1)
-                for a, x in steps:
-                    free[a][x] = free[x][a] = 1
-            return found
         row = owner[last]
+        leaf = len(path) == l - 1
+        start = path[0]
         for nxt in compress(range(v), free[last]):
             j = row[nxt]
             if on_path[nxt] or met[j]:
                 continue
+            if leaf:
+                # the last vertex's node, then its closing edge nxt -> start
+                b.left -= 1
+                if b.left < 0:
+                    raise _OutOfBudget
+                k = owner[nxt][start]
+                if not free[nxt][start] or met[k] or k == j:
+                    continue
             met[j] = on_path[nxt] = 1
             path.append(nxt)
-            found = extend(path, done)
+            found = (close if leaf else extend)(path, done)
             if found is not None:
                 return found
             path.pop()
@@ -364,10 +385,10 @@ def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalP
 def search_pair(spec: GraphSpec, l: int, budget: SearchBudget = SearchBudget()) -> SearchResult:
     """A verified orthogonal pair on spec, or exhausted / unsatisfiable."""
     seed = budget.seed
+    v = spec.v
+    if l < 3 or l > v or spec.kind == "complete" and (v % 2 == 0 or v * (v - 1) % (2 * l)):
+        raise ValueError(f"no {l}-cycle decomposition of order {v} can exist")
     if spec.kind == "complete":
-        v = spec.v
-        if l < 3 or v % 2 == 0 or v < 3 or l > v or (v * (v - 1)) % (2 * l) != 0:
-            raise ValueError(f"no {l}-cycle decomposition of order {v} can exist")
         if v == l:
             # certificate, not search: a system has (l-1)/2 cycles, so the l
             # edges of any mate cycle put at least three into one of them

@@ -1,12 +1,13 @@
 """Reference edge sets for the tests, written apart from the package: this
 module never imports orthocycles, so a fault there cannot hide in both the
-code and its oracle.  It also keeps the package's earlier versions of four
+code and its oracle.  It also keeps the package's earlier versions of the
 loops that were rewritten for speed, so the rewrites can be held to the
 very same results."""
 
 from collections import Counter
-from itertools import permutations
+from itertools import compress, permutations
 from math import gcd
+from random import Random
 
 
 def edge(a, b):
@@ -93,9 +94,10 @@ def array_text(cells):
 
 # ------------------------------------------------ earlier implementations
 #
-# The package's previous verify_orbits, _cross, develop and search's
-# _difference_bases, with the helpers they called, kept so that their
-# rewrites can be held to the same reports, results and random draws.
+# The package's previous verify_orbits, _cross, develop, validate_heffter
+# and search's _difference_bases and _general_pair, with the helpers they
+# called, kept so that their rewrites can be held to the same reports,
+# results and random draws.
 # A report is the tuple (ok, edge_deficits, bad_cycles,
 # max_cross_intersection, witness), VerificationReport's fields in order.
 
@@ -315,3 +317,191 @@ def difference_bases(v, l, budget, rng):
                 yield from rec(verts + [nxt], used | {c})
 
     yield from rec([0], set())
+
+
+def heffter_report(a):
+    """validate_heffter as it was, every line's entries built and summed
+    apart for each check: (ok, defects)."""
+    defects = []
+    for line, fill in (("row", a.row_fill), ("column", a.col_fill)):
+        if fill < 1:
+            defects.append(f"{line} fill count is {fill}, expected at least 1")
+    mod = a.modulus
+    for i in range(a.rows):
+        entries = a.row_entries(i)
+        if len(entries) != a.row_fill:
+            defects.append(f"row {i}: {len(entries)} filled cells, expected {a.row_fill}")
+        if sum(entries) % mod:
+            defects.append(f"row {i}: sums to {sum(entries) % mod} mod {mod}")
+    for j in range(a.cols):
+        entries = a.col_entries(j)
+        if len(entries) != a.col_fill:
+            defects.append(f"column {j}: {len(entries)} filled cells, expected {a.col_fill}")
+        if sum(entries) % mod:
+            defects.append(f"column {j}: sums to {sum(entries) % mod} mod {mod}")
+    seen = {}
+    for i in range(a.rows):
+        for x in a.row_entries(i):
+            if not 1 <= abs(x) <= a.symbol_count:
+                defects.append(f"entry {x}: outside the symbol range 1..{a.symbol_count}")
+                continue
+            seen.setdefault(abs(x), []).append(x)
+    for x in range(1, a.symbol_count + 1):
+        got = seen.get(x, [])
+        if not got:
+            defects.append(f"symbol {x}: neither {x} nor {-x} appears")
+        elif len(got) > 1:
+            defects.append(f"symbol {x}: appears {len(got)} times as {sorted(got)}")
+    return not defects, tuple(defects)
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def general_pair(spec, l, max_nodes, seed):
+    """search._general_pair as it was, behind search_pair's node budget, every
+    random order drawn by Random.shuffle itself: a randomized greedy first
+    system, each cycle closing the least free edge by a depth-first path that
+    calls itself down to depth 0, then a depth-first mate whose every step,
+    the last one included, is a call.  (status, nodes, first cycles or None,
+    mate cycles or None, the Random's state); the cycles as the search left
+    them, not canonical.  The mate numbers the first cycles in greedy order,
+    not canonical order; it reads only which edges share an owner, so the
+    numbering changes nothing."""
+    v = spec.v
+    rng = Random(seed)
+    left = [max_nodes]
+
+    def spend():
+        left[0] -= 1
+        if left[0] < 0:
+            raise _OutOfBudget
+
+    def free_rows():
+        free = [bytearray(b"\x01") * v for _ in range(v)]
+        for a, row in enumerate(free):
+            row[a] = 0
+        for group in (spec.hole, *spec.parts):
+            for a in group:
+                for x in group:
+                    free[a][x] = 0
+        return free
+
+    def least_free(free):
+        for u, row in enumerate(free):
+            w = row.find(1)
+            if w >= 0:
+                return u, w
+        return None
+
+    def grow():
+        cycles, free = [], free_rows()
+
+        def path_search(path, target, depth):
+            spend()
+            last = path[-1]
+            if depth == 0:
+                return free[last][target]
+            row = free[last]
+            order = list(range(v))
+            rng.shuffle(order)
+            for nxt in order:
+                if not row[nxt] or nxt == target or nxt in path:
+                    continue
+                row[nxt] = free[nxt][last] = 0
+                path.append(nxt)
+                if path_search(path, target, depth - 1):
+                    return True
+                path.pop()
+                row[nxt] = free[nxt][last] = 1
+            return False
+
+        while (least := least_free(free)) is not None:
+            u, w = least
+            free[u][w] = free[w][u] = 0
+            path = [u]
+            if not path_search(path, w, l - 2):
+                return None
+            free[path[-1]][w] = free[w][path[-1]] = 0
+            cycles.append(tuple(path) + (w,))
+        return cycles
+
+    def greedy():
+        while True:
+            spend()
+            cycles = grow()
+            if cycles is not None:
+                return cycles
+
+    def steps(cycle):
+        return zip(cycle, cycle[1:] + cycle[:1])
+
+    def mate(first):
+        owner = [[-1] * v for _ in range(v)]
+        for j, c in enumerate(first):
+            for a, x in steps(c):
+                owner[a][x] = owner[x][a] = j
+        free = free_rows()
+        on_path = bytearray(v)
+        met = bytearray(len(first))
+
+        def mark(path, flag):
+            for a, x in zip(path, path[1:]):
+                met[owner[a][x]] = flag
+            for a in path:
+                on_path[a] = flag
+
+        def rec(done):
+            spend()
+            least = least_free(free)
+            if least is None:
+                return done
+            path = list(least)
+            mark(path, 1)
+            found = extend(path, done)
+            if found is None:
+                mark(path, 0)
+            return found
+
+        def extend(path, done):
+            spend()
+            last = path[-1]
+            if len(path) == l:
+                start = path[0]
+                if not free[last][start] or met[owner[last][start]]:
+                    return None
+                edges = list(steps(path))
+                for a, x in edges:
+                    free[a][x] = free[x][a] = 0
+                mark(path, 0)
+                found = rec(done + [tuple(path)])
+                if found is None:
+                    mark(path, 1)
+                    for a, x in edges:
+                        free[a][x] = free[x][a] = 1
+                return found
+            row = owner[last]
+            for nxt in compress(range(v), free[last]):
+                j = row[nxt]
+                if on_path[nxt] or met[j]:
+                    continue
+                met[j] = on_path[nxt] = 1
+                path.append(nxt)
+                found = extend(path, done)
+                if found is not None:
+                    return found
+                path.pop()
+                met[j] = on_path[nxt] = 0
+            return None
+
+        return rec([])
+
+    first = second = None
+    try:
+        first = greedy()
+        second = mate(first)
+    except _OutOfBudget:
+        return "exhausted", max_nodes, first, None, rng.getstate()
+    status = "exhausted" if second is None else "found"
+    return status, max_nodes - left[0], first, second, rng.getstate()

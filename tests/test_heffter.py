@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import array_text
+from oracles import array_text, heffter_report
 from orthocycles.heffter import (
     HeffterArray,
     check_simple,
@@ -109,6 +109,36 @@ def test_missing_cell_breaks_fill_counts():
 def test_check_simple_rejects_invalid_arrays():
     with pytest.raises(ValueError):
         check_simple(_with_cell(_first(), 0, 0, 15))
+
+
+def _malformed():
+    a = _first()
+    yield _with_cell(a, 2, 2, None)  # wrong fill in row 2 and column 2
+    yield _with_cell(a, 0, 0, a.cells[1][1])  # a repeated symbol, a missing one
+    yield _with_cell(a, 0, 0, -a.cells[0][0])  # the other sign: two line sums off
+    yield _with_cell(a, 1, 2, 15)  # out of range
+    yield _with_cell(_with_cell(a, 0, 1, 15), 1, 0, -12)  # two, reported row by row
+    yield _with_cell(a, 1, 2, 0)  # out of range, and a line summing to a nonzero
+    yield parse_array(".,.\n.,.\n")  # zero fill
+    yield parse_array("1,2,.\n.,3,4\n-5,.,6\n")  # fills agree, sums and symbols do not
+    yield HeffterArray(2, 3, ((1, -1, 2), (3, None, None)))  # fill counts disagree everywhere
+
+
+def test_line_checks_report_as_the_earlier_validator():
+    # each line built and summed once gives the same defects, in the same
+    # order, as the earlier validator that rebuilt the lines for every check
+    arrays = list(search_3x3())
+    for a in arrays + list(_malformed()):
+        assert tuple(validate_heffter(a)) == heffter_report(a), a.cells
+
+
+def test_check_simple_refuses_with_the_earlier_validators_first_defects():
+    for a in _malformed():
+        ok, defects = heffter_report(a)
+        assert not ok
+        with pytest.raises(ValueError) as err:
+            check_simple(a)
+        assert str(err.value) == f"array is not valid: {'; '.join(defects[:3])}"
 
 
 def test_three_entry_lines_are_always_simple():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cycle_edges, difference_bases, edge
-from orthocycles.core import complete
+from oracles import cycle_edges, difference_bases, edge, general_pair
+from orthocycles import search
+from orthocycles.core import CycleSystem, GraphSpec, complete
 from orthocycles.search import (
     SearchBudget,
     _difference_bases,
@@ -167,6 +168,74 @@ def test_search_rejects_impossible_shapes():
     for v, l in ((3, 0), (3, 1), (5, 2)):  # no cycle is shorter than 3
         with pytest.raises(ValueError):
             search_pair(complete(v), l)
+
+
+def _labels(v):
+    return tuple(str(i) for i in range(v))
+
+
+HOSTS = {
+    "complete": complete(7),
+    "complete_minus_hole": GraphSpec("complete_minus_hole", _labels(7), hole=frozenset({0, 1})),
+    "multipartite": GraphSpec("multipartite", _labels(6), parts=((0, 1), (2, 3), (4, 5))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HOSTS))
+def test_no_host_searches_a_length_below_3_or_above_its_order(kind):
+    # a refusal, not a search that spends the whole budget to say exhausted
+    spec = HOSTS[kind]
+    for l in (-1, 0, 1, 2, spec.v + 1, spec.v + 2):
+        with pytest.raises(ValueError, match=f"no {l}-cycle decomposition of order {spec.v}"):
+            search_pair(spec, l, SearchBudget(max_nodes=2_000, seed=1))
+
+
+def _search_as_the_earlier_implementation(monkeypatch, spec, l, max_nodes, seed):
+    """search_pair on the general route against oracles.general_pair, the
+    earlier greedy system and mate search drawing through Random.shuffle:
+    the same status, nodes, first system as the greedy left it, canonical
+    mate and Mersenne Twister state."""
+    rngs, systems = [], []
+    greedy = search._greedy_system
+
+    def recorded_random(seed):
+        rngs.append(Random(seed))
+        return rngs[-1]
+
+    def recorded_greedy(*args):
+        systems.append(greedy(*args))
+        return systems[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "Random", recorded_random)
+        patch.setattr(search, "_greedy_system", recorded_greedy)
+        res = search_pair(spec, l, SearchBudget(max_nodes=max_nodes, seed=seed))
+    status, nodes, first, second, state = general_pair(spec, l, max_nodes, seed)
+    case = (spec.kind, spec.v, l, max_nodes, seed)
+    assert (res.status, res.nodes) == (status, nodes), case
+    assert (systems or [None]) == [first], case
+    assert (res.pair and res.pair.second.cycles) == (second and CycleSystem(spec, second).cycles), case
+    assert [r.getstate() for r in rngs] == [state], case
+
+
+@pytest.mark.parametrize("spec, l", [
+    (complete(9), 3),
+    (complete(9), 6),
+    (complete(15), 5),
+    (complete(21), 6),
+    (GraphSpec("complete_minus_hole", _labels(11), hole=frozenset(range(5))), 5),
+    (GraphSpec("multipartite", _labels(8), parts=((0, 1, 2, 3), (4, 5, 6, 7))), 4),
+], ids=["K9-l3", "K9-l6", "K15-l5", "K21-l6", "K11-hole5-l5", "K44-l4"])
+def test_general_search_draws_as_the_earlier_implementation(monkeypatch, spec, l):
+    # at 20,000 nodes K21 with l = 6 both finds and exhausts among these seeds
+    for seed in range(20):
+        _search_as_the_earlier_implementation(monkeypatch, spec, l, 20_000, seed)
+
+
+@pytest.mark.parametrize("l, v", [(6, 9), (5, 15)])
+def test_general_search_exhausts_on_the_earlier_node(monkeypatch, l, v):
+    for max_nodes in range(1, 401):
+        _search_as_the_earlier_implementation(monkeypatch, complete(v), l, max_nodes, 1)
 
 
 def test_budget_exhaustion_is_reported():
