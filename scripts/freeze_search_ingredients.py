@@ -23,9 +23,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from orthocycles.catalog import get_ingredient  # noqa: E402
-from orthocycles.core import complete  # noqa: E402
+from orthocycles.core import GraphSpec, complete  # noqa: E402
 from orthocycles.search import SearchBudget, search_pair  # noqa: E402
-from orthocycles.verify import verify_pair  # noqa: E402
+from orthocycles.verify import verify_orbits, verify_pair  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "orthocycles" / "data"
 
@@ -67,24 +67,13 @@ def _bipartite_bases_with_diffs(diffs, m: int = 16):
         yield tuple(cyc)
 
 
-def _bipartite_edges(cycle_pairs):
-    out = set()
-    for (x, jx), (y, jy) in zip(cycle_pairs, cycle_pairs[1:] + cycle_pairs[:1]):
-        out.add((x, y) if jx == 0 else (y, x))
-    return out
-
-
 def _bipartite_cross_ok(c1, c2, m: int = 16) -> bool:
-    e1 = _bipartite_edges(c1)
-    base2 = list(_bipartite_edges(c2))
-    for s in range(m):
-        shared = 0
-        for x, y in base2:
-            if ((x + s) % m, (y + s) % m) in e1:
-                shared += 1
-                if shared > 1:
-                    return False
-    return True
+    """No translate of c2 shares two edges with c1: verify_orbits on K_{m,m},
+    with (x, j) as vertex m*j + x and one base per system."""
+    spec = GraphSpec("multipartite", tuple(map(str, range(2 * m))),
+                     parts=(tuple(range(m)), tuple(range(m, 2 * m))))
+    first, second = ([m * j + x for x, j in c] for c in (c1, c2))
+    return verify_orbits(spec, len(c1), m, [first], [second]).max_cross_intersection <= 1
 
 
 def bipartite_translation_completion(base_a, base_b, m: int = 16):

@@ -5,8 +5,9 @@ quasigroups whose holes are the pairs {2i, 2i+1}.
 Everything is built by direct algebra, with no search and no random source:
 triple systems and quasigroups with holes for every order, and block-three
 designs of the three types the constructions ask for, 2^u, 3^u and 4.2^m.
-Every builder self-checks before returning, so a returned object is always
-valid: the verifier checks the triples as 3-cycles, and _check_qh the tables.
+Every public builder self-checks before returning, so a returned object is
+always valid: the verifier checks the triples as 3-cycles, and _check_qh the
+tables.  A triple system is checked within the 2^u design made from it.
 """
 
 from __future__ import annotations
@@ -48,17 +49,10 @@ def _levels(f, pt) -> list:
             for a in range(3) for x, y in combinations(range(len(f)), 2)]
 
 
-def steiner_triple_system(n: int) -> tuple:
-    """Triples on {0..n-1} covering every pair exactly once (n = 1, 3 mod 6):
-    Bose's construction for n = 3 mod 6, Skolem's for n = 1 mod 6."""
-    triples = _triple_system(n)
-    if n > 1:  # order 1 has no pair to cover
-        _check_gdd(GroupDivisibleDesign((1,) * n, triples), f"triple system of order {n}")
-    return triples
-
-
 def _triple_system(n: int) -> tuple:
-    # unchecked: point deletion's design is checked whole by build_gdd
+    """Triples on {0..n-1} covering every pair exactly once (n = 1, 3 mod 6):
+    Bose's construction for n = 3 mod 6, Skolem's for n = 1 mod 6.
+    Unchecked: point deletion's design is checked whole by build_gdd."""
     if n < 1:
         raise ValueError(f"no triple system of order {n}")
     if n == 1:

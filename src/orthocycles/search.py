@@ -27,7 +27,8 @@ order is the one Random.shuffle would give, drawn by _shuffled (or, for a
 cyclic step's two signs, by its one 2-bit draw inline) through the seeded
 Random's getrandbits alone, the Mersenne Twister output, so no pin depends
 on the private helpers behind shuffle.
-All found pairs are re-checked with verify_pair before being returned.
+The engines return cycle lists; search_pair alone builds a found pair's two
+CycleSystems and runs verify_pair on it before returning it.
 """
 
 from __future__ import annotations
@@ -79,22 +80,6 @@ class _Budget:
         self.left -= 1
         if self.left < 0:
             raise _OutOfBudget
-
-
-def _run(budget: SearchBudget, search) -> SearchResult:
-    """search(b) on a fresh node budget b: found if it returns a pair,
-    exhausted if it returns None or runs out of nodes."""
-    b = _Budget(budget.max_nodes)
-    try:
-        pair = search(b)
-    except _OutOfBudget:
-        return SearchResult("exhausted", None, budget.max_nodes)
-    return SearchResult("found" if pair else "exhausted", pair, budget.max_nodes - b.left)
-
-
-def _checked(pair: OrthogonalPair, l: int) -> OrthogonalPair:
-    verify_pair(pair, l).check("searched pair")
-    return pair
 
 
 @lru_cache(maxsize=None)
@@ -192,11 +177,11 @@ def _orbit_cycles(base, v: int):
     return [tuple((x + s) % v for x in base) for s in range(v)]
 
 
-def _cyclic_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPair | None:
+def _cyclic_pair(spec: GraphSpec, l: int, b: _Budget, seed: int):
     """The orbit over Z_v of the first difference base, and as its mate the
     orbit of the first base of a second shuffle whose translates each cross
     the first base in at most one edge (a base fails against itself at
-    shift 0).  None if the bases run out.
+    shift 0), as two cycle lists.  None if the bases run out.
 
     Every l-cycle of Z_{2l+1} has a full orbit: a shift that maps it onto
     itself maps its l vertices onto themselves, so the shift's order
@@ -206,12 +191,9 @@ def _cyclic_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPa
     base = next(_difference_bases(v, l, b, Random(seed)), None)
     if base is None:
         return None
-    m = meta(route="search", seed=seed)
-    first = CycleSystem(spec, _orbit_cycles(base, v), meta=m)
     for cand in _difference_bases(v, l, b, Random(seed + 1)):
         if _translates_cross_ok(base, cand, v):
-            orbit = CycleSystem(spec, _orbit_cycles(cand, v), meta=m)
-            return _checked(OrthogonalPair(spec, first, orbit), l)
+            return _orbit_cycles(base, v), _orbit_cycles(cand, v)
     return None
 
 
@@ -291,30 +273,29 @@ def _greedy_system(spec: GraphSpec, l: int, budget: _Budget, rng: Random):
             return cycles
 
 
-def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalPair | None:
-    """A randomized greedy first system, then its depth-first mate, or None
-    once the mate tree is done.
+def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int):
+    """A randomized greedy first system and its depth-first mate, as two
+    cycle lists, or None once the mate tree is done.
 
     Each mate cycle starts on the least uncovered edge (u, anchor), so u is
     the least uncovered vertex.  A cycle may share at most one edge with each
     first cycle, and every host edge has one owner in the first system:
-    owner[a][x] is the index of the first cycle on edge {a, x}.  Uncovered
-    edges change only when a cycle closes, and a failed subtree restores
-    them, so every candidate of a step sees the same rows.  The open path
-    marks its vertices in on_path and the owners of its edges in met; a
-    closed cycle clears both marks for the next cycle, which starts fresh,
-    and restores them if that subtree fails.
+    owner[a][x] is the index, in drawn order, of the first cycle on edge
+    {a, x}.  Uncovered edges change only when a cycle closes, and a failed
+    subtree restores them, so every candidate of a step sees the same rows.
+    The open path marks its vertices in on_path and the owners of its edges
+    in met; a closed cycle clears both marks for the next cycle, which starts
+    fresh, and restores them if that subtree fails.
     """
-    m = meta(route="search", seed=seed)
-    first = CycleSystem(spec, _greedy_system(spec, l, b, Random(seed)), meta=m)
+    first = _greedy_system(spec, l, b, Random(seed))
     v = spec.v
     owner = [[-1] * v for _ in range(v)]
-    for j, c in enumerate(first.cycles):
+    for j, c in enumerate(first):
         for a, x in _steps(c):
             owner[a][x] = owner[x][a] = j
     free = _free_rows(spec)
     on_path = bytearray(v)
-    met = bytearray(len(first.cycles))
+    met = bytearray(len(first))
 
     def mark(path, flag):
         for a, x in zip(path, path[1:]):
@@ -377,22 +358,28 @@ def _general_pair(spec: GraphSpec, l: int, b: _Budget, seed: int) -> OrthogonalP
         return None
 
     found = rec([])
-    if found is None:
-        return None
-    return _checked(OrthogonalPair(spec, first, CycleSystem(spec, found, meta=m)), l)
+    return None if found is None else (first, found)
 
 
 def search_pair(spec: GraphSpec, l: int, budget: SearchBudget = SearchBudget()) -> SearchResult:
-    """A verified orthogonal pair on spec, or exhausted / unsatisfiable."""
-    seed = budget.seed
+    """A verified orthogonal pair on spec, or exhausted / unsatisfiable: the
+    one place that builds a found pair from its cycles and verifies it."""
     v = spec.v
     if l < 3 or l > v or spec.kind == "complete" and (v % 2 == 0 or v * (v - 1) % (2 * l)):
         raise ValueError(f"no {l}-cycle decomposition of order {v} can exist")
-    if spec.kind == "complete":
-        if v == l:
-            # certificate, not search: a system has (l-1)/2 cycles, so the l
-            # edges of any mate cycle put at least three into one of them
-            return SearchResult("unsatisfiable", None, 0)
-        if v == 2 * l + 1:
-            return _run(budget, lambda b: _cyclic_pair(spec, l, b, seed))
-    return _run(budget, lambda b: _general_pair(spec, l, b, seed))
+    if spec.kind == "complete" and v == l:
+        # certificate, not search: a system has (l-1)/2 cycles, so the l
+        # edges of any mate cycle put at least three into one of them
+        return SearchResult("unsatisfiable", None, 0)
+    engine = _cyclic_pair if spec.kind == "complete" and v == 2 * l + 1 else _general_pair
+    b = _Budget(budget.max_nodes)
+    try:
+        found = engine(spec, l, b, budget.seed)
+    except _OutOfBudget:
+        return SearchResult("exhausted", None, budget.max_nodes)
+    if found is None:
+        return SearchResult("exhausted", None, budget.max_nodes - b.left)
+    m = meta(route="search", seed=budget.seed)
+    pair = OrthogonalPair(spec, *(CycleSystem(spec, cycles, meta=m) for cycles in found))
+    verify_pair(pair, l).check("searched pair")
+    return SearchResult("found", pair, budget.max_nodes - b.left)

@@ -13,11 +13,11 @@ from orthocycles.auxiliary import (
     QuasigroupWithHoles,
     _check_gdd,
     _check_qh,
+    _triple_system,
     build_gdd,
     build_quasigroup_with_holes,
     half_idempotent_quasigroup,
     idempotent_symmetric_quasigroup,
-    steiner_triple_system,
 )
 from orthocycles.construct import UNSATISFIABLE, admissible, plan_for
 
@@ -55,7 +55,9 @@ def test_half_idempotent_quasigroup_properties(t):
 
 @pytest.mark.parametrize("n", [1, 3, 7, 9, 13, 15, 19, 21, 25, 27, 31, 33, 37, 39, 43, 45, 49, 51])
 def test_triple_system_covers_every_pair_once(n):
-    triples = steiner_triple_system(n)
+    triples = _triple_system(n)
+    if n > 1:  # order 1 has no pair, and K_1 no second part
+        _check_gdd(GroupDivisibleDesign((1,) * n, triples), f"triple system of order {n}")
     assert len(triples) == n * (n - 1) // 6
     seen = Counter(p for t in triples for p in combinations(sorted(t), 2))
     assert set(seen.values()) <= {1}
@@ -66,7 +68,7 @@ def test_triple_system_covers_every_pair_once(n):
 @pytest.mark.parametrize("n", [-5, -3, 0, 2, 5, 6, 11, 17])
 def test_triple_system_rejects_bad_orders(n):
     with pytest.raises(ValueError, match="no triple system of order"):
-        steiner_triple_system(n)
+        _triple_system(n)
 
 
 def _assert_covers_cross_pairs(gdd):
@@ -194,7 +196,7 @@ def test_scaffolds_are_pinned():
     digest = hashlib.sha256()
     for n in range(1, 202):
         if n % 6 in (1, 3):
-            digest.update(repr(steiner_triple_system(n)).encode())
+            digest.update(repr(_triple_system(n)).encode())
     shapes = ([(2,) * u for u in range(3, 61) if u % 3 in (0, 1)]
               + [(3,) * u for u in range(3, 61, 2)]
               + [(4,) + (2,) * m for m in range(3, 61, 3)])
@@ -221,7 +223,7 @@ def test_triple_system_with_two_points_swapped_fails_its_check(monkeypatch):
 
     monkeypatch.setattr(auxiliary, "_levels", swapped)
     with pytest.raises(AssertionError, match=r"triple system of order 9 is invalid \(bug\)"):
-        steiner_triple_system(9)
+        _check_gdd(GroupDivisibleDesign((1,) * 9, _triple_system(9)), "triple system of order 9")
 
 
 def test_point_deletion_designs_are_checked_once_and_whole(monkeypatch):

@@ -288,6 +288,42 @@ def test_hamiltonian_orders_without_mates_are_unsatisfiable():
         assert res.pair is None
 
 
+def test_search_pair_refuses_a_bad_engine_result(monkeypatch):
+    # an engine returns cycles only; search_pair certifies them, so a greedy
+    # system offered as its own mate is refused, not returned
+    def own_mate(spec, l, b, seed):
+        first = search._greedy_system(spec, l, b, Random(seed))
+        return first, first
+
+    monkeypatch.setattr(search, "_general_pair", own_mate)
+    with pytest.raises(AssertionError, match=r"searched pair is invalid \(bug\)"):
+        search_pair(complete(15), 5, SearchBudget(max_nodes=100_000, seed=1))
+
+
+def test_search_pair_verifies_each_found_pair_once(monkeypatch):
+    calls, verify = [], search.verify_pair
+
+    def spy(pair, l):
+        calls.append(l)
+        return verify(pair, l)
+
+    monkeypatch.setattr(search, "verify_pair", spy)
+    for l, v, max_nodes, status, verified in [
+        (5, 11, 100_000, "found", [5]),  # cyclic
+        (5, 15, 100_000, "found", [5]),  # greedy
+        (5, 11, 1, "exhausted", []),
+        (5, 15, 1, "exhausted", []),
+        (5, 5, 100_000, "unsatisfiable", []),
+    ]:
+        calls.clear()
+        res = search_pair(complete(v), l, SearchBudget(max_nodes=max_nodes, seed=1))
+        assert (res.status, calls) == (status, verified), (l, v, max_nodes)
+    calls.clear()
+    with pytest.raises(ValueError):
+        search_pair(complete(12), 5)
+    assert calls == []
+
+
 def test_general_route_handles_other_shapes():
     res = search_pair(complete(9), 4, SearchBudget(max_nodes=300_000, seed=1))
     assert res.status == "found"
