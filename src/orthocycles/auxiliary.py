@@ -208,16 +208,26 @@ def _qh_doubled(k: int):
 
 
 def _check_qh(q: QuasigroupWithHoles):
-    n = 2 * q.k
+    """Raise AssertionError naming q's first defect.  A valid table passes a
+    row at a time: it is symmetric, and each row is None on its own hole and
+    as a set is None and the symbols outside it, n - 1 values in n cells, so
+    a bijection off the hole; by symmetry each product also avoids its
+    column's hole.  Any other table is walked cell by cell to name a defect."""
+    n, table = 2 * q.k, q.table
+    symbols = {None, *range(n)}
+    if len(table) == n and tuple(zip(*table)) == table and all(
+            row[x & -2] is row[x | 1] is None and set(row) == symbols - {x & -2, x | 1}
+            for x, row in enumerate(table)):
+        return
     for x in range(n):
         seen = []
         for y in range(n):
-            z = q.table[x][y]
+            z = table[x][y]
             if x // 2 == y // 2:
                 if z is not None:
                     raise AssertionError("hole cell is filled")
                 continue
-            if z != q.table[y][x]:
+            if z != table[y][x]:
                 raise AssertionError("table is not symmetric")
             if z is None or z // 2 in (x // 2, y // 2):
                 raise AssertionError(f"cell ({x}, {y}) = {z} is empty or in an operand's hole")

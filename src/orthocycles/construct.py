@@ -31,11 +31,12 @@ placement order, checked once per key, so a pair is placed by laying its
 target lists end to end.  _assemble resolves each key once, certifies that
 the hosts cover K_v exactly, and only then emits cycles.  They are built
 canonical: placed cycles stay so under increasing vertex maps, holed pairs
-are relabelled by rank first, and cross cycles are emitted canonical, one
-rotation per group of quasigroup pairs keyed by the parities of x, y and the
-place of z = x * y among them.  A certificate failure is a bug, not an input
-error, and raises the verifier's AssertionError; the full verifier still
-runs where a pair is published, in `orthocycles generate`.
+are relabelled by rank first, and cross cycles are zipped canonical from a
+table of column rows per group of quasigroup pairs, one rotation per group,
+keyed by the parities of x, y and the place of z = x * y among them.  A
+certificate failure is a bug, not an input error, and raises the verifier's
+AssertionError; the full verifier still runs where a pair is published, in
+`orthocycles generate`.
 """
 
 from __future__ import annotations
@@ -223,13 +224,15 @@ _CROSS = {5: (((0, 0), (1, 0), (0, 1), (2, 3), (1, 1)), ((0, 0), (1, 0), (0, 2),
 def _quasigroup_cross(l: int, k: int):
     """Cycles of each system joining the columns of symbols x < y from
     different holes, one orbit of l per pair, steered by z = x * y in the
-    quasigroup with k holes.  Pairs whose columns lie in the same order
-    need, at each shift i, the same rotation and reflection to make a
-    template cycle canonical, found once per group from its first pair.  z avoids both
-    holes, so its place among the columns is (z > x) + (z > y); for l = 7,
-    x ^ 1 and y ^ 1 lie above x and y exactly when these are even.  The
-    bases pass verify_orbits on their host, whose parts are each hole's two
-    columns (the cross parts of _placements), before their orbits are emitted.
+    quasigroup with k holes.  Pairs whose columns lie in the same order form
+    a group: at each shift i they need the same rotation and reflection to
+    make a template cycle canonical, found from the group's first pair.  z
+    avoids both holes, so its place is (z > x) + (z > y); for l = 7, x ^ 1
+    and y ^ 1 lie above x and y exactly when these are even.  A group's
+    table cells[c][r] holds its pairs' vertices in row r of column slot c;
+    the bases, certified by verify_orbits on the cross host (each hole's two
+    columns, the cross parts of _placements), and every shift's cycles are
+    zips of its tuples.
 
     They depend on (l, k) alone and are kept, as sorted tuples that an
     assembly merges as one presorted run, for the last (l, k) built only: a
@@ -244,21 +247,19 @@ def _quasigroup_cross(l: int, k: int):
             z = products[y]
             groups.setdefault(((z > x) + (z > y), x & bit, y & bit), []).append(
                 (l * x, l * y, l * z, l * (x ^ 1), l * (y ^ 1))[:m])
-    # at[j]: the j-th vertex of each pair's base cycle, its template at shift 0
-    ats = [[[tuple(map(add, cols[c], repeat(s))) for c, s in template] for template in _CROSS[l]]
-           for cols in (list(zip(*members)) for members in groups.values())]
+    cells = [[[tuple(map(add, col, repeat(r))) for r in range(l)] for col in zip(*members)]
+             for members in groups.values()]
     host = GraphSpec("multipartite", tuple(map(str, range(l * n))),
                      parts=tuple(tuple(range(2 * l * i, 2 * l * i + 2 * l)) for i in range(k)))
-    verify_orbits(host, l, l, *([b for group in ats for b in zip(*group[t])] for t in (0, 1))
-                  ).check("cross cycles")
+    verify_orbits(host, l, l, *([b for cell in cells for b in zip(*[cell[c][s] for c, s in template])]
+                                for template in _CROSS[l])).check("cross cycles")
     first, second = [], []
-    for group in ats:
-        for at, template, out in zip(group, _CROSS[l], (first, second)):
+    for cell in cells:
+        for template, out in zip(_CROSS[l], (first, second)):
             for i in range(l):
-                shift = [(s + i) % l - s for _, s in template]
-                rep = [a[0] + d for a, d in zip(at, shift)]
-                out.extend(zip(*[map(add, at[j], repeat(shift[j]))
-                                 for j in map(rep.index, canonical_cycle(rep))]))
+                slots = [cell[c][(s + i) % l] for c, s in template]
+                rep = [slot[0] for slot in slots]
+                out.extend(zip(*map(slots.__getitem__, map(rep.index, canonical_cycle(rep)))))
     return tuple(sorted(first)), tuple(sorted(second))
 
 

@@ -318,7 +318,7 @@ def verify_orbits(spec, length: int, m: int, first_bases, second_bases) -> Verif
     once; and the pair is orthogonal iff no first base i and second base j
     share two classes at one phase offset o.  Deficits are keyed by (tag,
     class); max_cross_intersection is the largest (i, j, o) count, witness
-    its first (i, j)."""
+    its first (i, j), counted only when one set shows a repeated meet."""
     v = spec.v
     report = VerificationReport()
     bad = report.bad_cycles
@@ -360,11 +360,15 @@ def verify_orbits(spec, length: int, m: int, first_bases, second_bases) -> Verif
     # first base i meets second base j at phase offset o as (i * t + j) * m + o
     t = len(second_bases)
     owner = dict(zip(keys, phases))
-    meets = [(p // m * t + q // m) * m + (p - q) % m
-             for p, q in zip(map(owner.get, second_keys), second_phases) if p is not None]
-    shared = Counter(meets)
-    if shared:
+    found = zip(map(owner.get, second_keys), second_phases)
+    if bad or report.edge_deficits:  # else both systems meet each class once
+        found = [pq for pq in found if pq[0] is not None]
+    meets = [(p // m * t + q // m) * m + (p - q) % m for p, q in found]
+    if len(set(meets)) < len(meets):
+        shared = Counter(meets)
         best = report.max_cross_intersection = max(shared.values())
         report.witness = divmod(next(meet for meet, k in shared.items() if k == best) // m, t)
+    elif meets:
+        report.max_cross_intersection, report.witness = 1, divmod(meets[0] // m, t)
     report.ok = not (bad or report.edge_deficits or report.max_cross_intersection > 1)
     return report

@@ -505,3 +505,51 @@ def general_pair(spec, l, max_nodes, seed):
         return "exhausted", max_nodes, first, None, rng.getstate()
     status = "exhausted" if second is None else "found"
     return status, max_nodes - left[0], first, second, rng.getstate()
+
+
+# template cycles of the quasigroup route's cross, per length and system:
+# slot (c, s) is row s of column c, where c indexes x, y, z = x * y, x ^ 1, y ^ 1
+CROSS_TEMPLATES = {
+    5: (((0, 0), (1, 0), (0, 1), (2, 3), (1, 1)), ((0, 0), (1, 0), (0, 2), (2, 3), (1, 2))),
+    7: (((0, 0), (1, 0), (0, 1), (1, 3), (2, 6), (0, 3), (1, 1)),
+        ((0, 0), (1, 0), (3, 3), (1, 4), (2, 6), (0, 4), (4, 3))),
+}
+
+
+def cross_bases(l, table):
+    """The first and second bases _quasigroup_cross certified, in its earlier
+    nested layout: the pairs x < y from different holes of the quasigroup
+    table, grouped by the place of z = x * y among x and y and, for l = 7,
+    the parities of x and y, groups in order of first appearance; per group
+    and template, one list per slot of the members' vertices at shift 0."""
+    n, m, bit = len(table), 3 if l == 5 else 5, int(l == 7)
+    groups = {}
+    for x, products in enumerate(table):
+        for y in range((x | 1) + 1, n):
+            z = products[y]
+            groups.setdefault(((z > x) + (z > y), x & bit, y & bit), []).append(
+                (l * x, l * y, l * z, l * (x ^ 1), l * (y ^ 1))[:m])
+    ats = [[[tuple(a + s for a in cols[c]) for c, s in template] for template in CROSS_TEMPLATES[l]]
+           for cols in (list(zip(*members)) for members in groups.values())]
+    return tuple([b for group in ats for b in zip(*group[t])] for t in (0, 1))
+
+
+def check_qh(k, table):
+    """_check_qh as it was, cell by cell: raise AssertionError naming the
+    first defect of a symmetric quasigroup table with holes {2i, 2i+1}."""
+    n = 2 * k
+    for x in range(n):
+        seen = []
+        for y in range(n):
+            z = table[x][y]
+            if x // 2 == y // 2:
+                if z is not None:
+                    raise AssertionError("hole cell is filled")
+                continue
+            if z != table[y][x]:
+                raise AssertionError("table is not symmetric")
+            if z is None or z // 2 in (x // 2, y // 2):
+                raise AssertionError(f"cell ({x}, {y}) = {z} is empty or in an operand's hole")
+            seen.append(z)
+        if sorted(seen) != [z for z in range(n) if z // 2 != x // 2]:
+            raise AssertionError(f"row {x} is not a bijection outside its hole")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import check_qh
 from orthocycles import auxiliary
 from orthocycles.auxiliary import (
     GroupDivisibleDesign,
@@ -296,3 +297,38 @@ def test_quasigroup_with_an_empty_cell_fails_its_check():
     q = _broken_qh(3, {(0, 2): None, (2, 0): None})
     with pytest.raises(AssertionError, match=r"cell \(0, 2\) = None is empty"):
         _check_qh(q)
+
+
+def test_quasigroup_with_a_filled_hole_cell_fails_its_check():
+    with pytest.raises(AssertionError, match="hole cell is filled"):
+        _check_qh(_broken_qh(3, {(0, 1): 4, (1, 0): 4}))
+
+
+def test_quasigroup_with_a_product_in_an_operands_hole_fails_its_check():
+    with pytest.raises(AssertionError, match=r"cell \(0, 2\) = 2 is empty or in an operand's hole"):
+        _check_qh(_broken_qh(3, {(0, 2): 2, (2, 0): 2}))
+
+
+def _qh_refusal(check, *args):
+    try:
+        check(*args)
+    except AssertionError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_quasigroup_check_reports_as_the_earlier_cell_loop(k):
+    # every single-cell and every symmetric two-cell edit, to None or to any
+    # symbol up to one past the last: the same acceptance or the same message
+    n = 2 * k
+    values = [None, *range(n + 1)]
+    edits = [{(x, y): z} for x in range(n) for y in range(n) for z in values]
+    edits += [{(x, y): z, (y, x): z} for x in range(n) for y in range(x + 1, n) for z in values]
+    kinds = Counter()
+    for cells in edits:
+        q = _broken_qh(k, cells)
+        want = _qh_refusal(check_qh, k, q.table)
+        assert _qh_refusal(_check_qh, q) == want, cells
+        kinds[want and want.split(" ")[0]] += 1
+    assert set(kinds) == {None, "hole", "table", "cell", "row"}, kinds

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cycle_edges, hamiltonian_decompositions, orbits_report, report_fields
+from oracles import cross_bases, cycle_edges, hamiltonian_decompositions, orbits_report, report_fields
 from orthocycles import construct
 from orthocycles.auxiliary import GroupDivisibleDesign, build_gdd, build_quasigroup_with_holes
 from orthocycles.catalog import get_ingredient, has_ingredient
@@ -533,6 +533,21 @@ def test_cross_certificate_reports_as_the_earlier_implementation(monkeypatch, l)
             got = verify_orbits(spec, length, m, *bases)
             want = orbits_report(spec, length, m, *bases)
             assert repr(report_fields(got)) == repr(want), (l, spec.v)
+
+
+@pytest.mark.parametrize("l", [5, 7])
+def test_cross_bases_are_the_earlier_layout(monkeypatch, l):
+    # the bases _quasigroup_cross hands to its certificate, in order; k = 3..20
+    # takes all three quasigroup constructions (odd k, k = 0 or 1 mod 3, the rest)
+    calls = []
+    monkeypatch.setattr(construct, "verify_orbits",
+                        lambda *args: calls.append(tuple(map(list, args[3:]))) or verify_orbits(*args))
+    for k in range(3, 21):
+        _quasigroup_cross.cache_clear()
+        _quasigroup_cross(l, k)
+        assert calls.pop() == cross_bases(l, build_quasigroup_with_holes(k).table), (l, k)
+    monkeypatch.undo()
+    _quasigroup_cross.cache_clear()
 
 
 def test_cross_cycles_are_built_and_certified_once_per_l_and_k(monkeypatch):
