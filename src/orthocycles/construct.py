@@ -29,14 +29,15 @@ the cross host.  Every key is a catalog key, and its target lists are its
 host's parts.  Every catalog host numbers its parts from vertex 0 in
 placement order, checked once per key, so a pair is placed by laying its
 target lists end to end.  _assemble resolves each key once, certifies that
-the hosts cover K_v exactly, and only then emits cycles.  They are built
-canonical: placed cycles stay so under increasing vertex maps, holed pairs
-are relabelled by rank first, and cross cycles are zipped canonical from a
-table of column rows per group of quasigroup pairs, one rotation per group,
-keyed by the parities of x, y and the place of z = x * y among them.  A
-certificate failure is a bug, not an input error, and raises the verifier's
-AssertionError; the full verifier still runs where a pair is published, in
-`orthocycles generate`.
+the hosts cover K_v exactly, and only then emits cycles, batched by key and
+map rank: one zip per template cycle through the batch's table of vertex
+images makes all its placed copies.  They are built canonical: placed cycles
+stay so under increasing vertex maps, holed pairs are relabelled by rank
+first, and cross cycles are zipped canonical from a table of column rows per
+group of quasigroup pairs, one rotation per group, keyed by the parities of
+x, y and the place of z = x * y among them.  A certificate failure is a bug,
+not an input error, and raises the verifier's AssertionError; the full
+verifier still runs where a pair is published, in `orthocycles generate`.
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross_parts=()) -> Ort
     """Place each (key, target lists) of _placements, next to the quasigroup
     route's cross cycles when it has cross parts.  Each key is resolved to
     its catalog pair once per assembly, its layout checked and the pair
-    verified once per key (_catalog_report).  Each distinct pair's flat
-    systems, relabelled by rank for a map that is not increasing, are
-    prepared once per assembly.
+    verified once per key (_catalog_report).  Placements batch by key and
+    the rank of their maps (none for an increasing map); a batch's pair,
+    relabelled by that rank, emits each cycle once for every placement, by
+    a zip over the table of its vertices' images, and its maps are dropped.
 
     The result is certified, as the paper proves it, from parts certified
     already and verify_cover's exact cover of K_v by their hosts, whose
@@ -191,20 +193,22 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross_parts=()) -> Ort
     # paste's atoms are vertex pairs: all its parts are even but the last vertex
     verify_cover(spec.v, hosts, 2 if plan.route == "paste" else plan.h).check("assembled pair")
     first, second = map(list, _quasigroup_cross(plan.l, plan.k) if cross_parts else ((), ()))
-    flats = {}  # (key, rank): its pair's two systems relabelled by rank and flattened
+    batches = {}  # (key, rank): the ascending vertex maps of its placements
     for key, targets in placements:
         mapping = list(chain.from_iterable(targets))
         ascending = sorted(mapping)
         rank = () if mapping == ascending else tuple(map(ascending.index, mapping))
-        if (key, rank) not in flats:
-            systems = pairs[key].first.cycles, pairs[key].second.cycles
-            if rank:
-                systems = [sorted(canonical_cycle(map(rank.__getitem__, c)) for c in cycles)
-                           for cycles in systems]
-            flats[key, rank] = [tuple(chain.from_iterable(cycles)) for cycles in systems]
-        at = ascending.__getitem__
-        for flat, out in zip(flats[key, rank], (first, second)):
-            out.extend(zip(*[map(at, flat)] * plan.l))
+        batches.setdefault((key, rank), []).append(ascending)
+    for (key, rank), maps in batches.items():
+        images = list(zip(*maps))  # images[x]: vertex x's target in each placement
+        maps.clear()
+        systems = pairs[key].first.cycles, pairs[key].second.cycles
+        if rank:
+            systems = [sorted(canonical_cycle(map(rank.__getitem__, c)) for c in cycles)
+                       for cycles in systems]
+        for cycles, out in zip(systems, (first, second)):
+            for c in cycles:
+                out.extend(zip(*map(images.__getitem__, c)))
     scaffold = {} if plan.route == "paste" else {"k": plan.k, "r": plan.r}
     m = meta(source="construct", route=plan.route, length=plan.l, order=plan.v, **scaffold)
     return OrthogonalPair(spec, CycleSystem._of_canonical(spec, first, meta=m),

@@ -553,3 +553,17 @@ def check_qh(k, table):
             seen.append(z)
         if sorted(seen) != [z for z in range(n) if z // 2 != x // 2]:
             raise AssertionError(f"row {x} is not a bijection outside its hole")
+
+
+def placed_cycles(cycles, targets):
+    """One system of a placed catalog pair, as assembly emitted it one
+    placement at a time: the host's vertex x goes to the x-th target laid
+    end to end.  When that map is not increasing, the cycles are first
+    relabelled by the rank of their targets and made canonical again, then
+    every cycle is mapped through the sorted targets."""
+    mapping = [x for part in targets for x in part]
+    ascending = sorted(mapping)
+    if mapping != ascending:
+        rank = [ascending.index(x) for x in mapping]
+        cycles = sorted(_canonical(rank[x] for x in c) for c in cycles)
+    return [tuple(ascending[x] for x in c) for c in cycles]

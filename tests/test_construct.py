@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cross_bases, cycle_edges, hamiltonian_decompositions, orbits_report, report_fields
+from oracles import (cross_bases, cycle_edges, hamiltonian_decompositions, orbits_report, placed_cycles,
+                     report_fields)
 from orthocycles import construct
 from orthocycles.auxiliary import GroupDivisibleDesign, build_gdd, build_quasigroup_with_holes
 from orthocycles.catalog import get_ingredient, has_ingredient
@@ -303,9 +304,14 @@ def test_construction_is_deterministic():
 def _placed_alone(monkeypatch, l, key, targets):
     # one placement assembled on its own, its cover taken as proven, so the
     # assembled systems are the placed pair's mapped onto the targets
+    return _assembled_alone(monkeypatch, l, [(key, targets)])
+
+
+def _assembled_alone(monkeypatch, l, placements):
+    # placements assembled with no cross, their cover taken as proven
     monkeypatch.setattr(construct, "verify_cover", lambda v, hosts, m: VerificationReport())
-    v = max(chain.from_iterable(targets)) + 1
-    pair = _assemble(ConstructionPlan(l, v, "one-placement", ()), None, [(key, targets)])
+    v = max(chain.from_iterable(chain.from_iterable(targets for _, targets in placements))) + 1
+    pair = _assemble(ConstructionPlan(l, v, "one-placement", ()), None, placements)
     return [pair.first.cycles, pair.second.cycles]
 
 
@@ -336,6 +342,26 @@ def test_placement_rejects_targets_that_disagree_with_the_host_parts(monkeypatch
                             (6, "l6_K444", [range(4), range(4), range(5)])):
         with pytest.raises(ValueError, match="disagree with the host parts"):
             _placed_alone(monkeypatch, l, key, targets)
+
+
+@pytest.mark.parametrize("l,key,increasing,other", [
+    (5, "l5_v11", [range(20, 31)], [range(60, 49, -1)]),
+    (5, "l5_K15mK5", [range(20, 25), range(30, 40)], [range(90, 95), range(60, 70)]),
+    (6, "l6_K444", [range(10, 14), range(20, 24), range(30, 34)],
+     [range(70, 74), range(50, 54), range(60, 64)]),
+])
+def test_one_key_under_an_increasing_and_another_map_places_both(monkeypatch, l, key, increasing, other):
+    # one key, two vertex maps in one assembly: each placement keeps its own
+    # rank relabelling, whichever order the two come in
+    pair = get_ingredient(key)
+    # the other map is not increasing, so its rank relabelling matters
+    assert placed_cycles(pair.first.cycles, other) != placed_cycles(pair.first.cycles,
+                                                                    [sorted(chain.from_iterable(other))])
+    for targets in ([increasing, other], [other, increasing]):
+        want = [sorted(chain.from_iterable(placed_cycles(system.cycles, t) for t in targets))
+                for system in (pair.first, pair.second)]
+        got = _assembled_alone(monkeypatch, l, [(key, t) for t in targets])
+        assert [list(cycles) for cycles in got] == want
 
 
 def test_assembly_with_a_placement_dropped_raises_through_the_verifier(monkeypatch):
@@ -674,6 +700,27 @@ def test_holed_placement_matches_per_cycle_canonicalisation(l, v):
         for block, m in blocks:
             cycles += [tuple(map(m.__getitem__, c)) for c in (block.first, block.second)[i].cycles]
         assert system == CycleSystem(spec, cycles)
+
+
+def test_assembled_sweep_orders_are_the_cross_and_the_per_placement_cycles():
+    # every assembled order of the sweep, all five routes, against the
+    # per-placement emission kept in the oracles
+    routes = set()
+    for l, v in _sweep():
+        plan = plan_for(l, v)
+        if plan.route == "catalog":
+            continue
+        routes.add(plan.route)
+        labels, placements, cross_parts = _placements(plan)
+        pair = construct_pair(l, v)
+        cross = _quasigroup_cross(l, plan.k) if cross_parts else ((), ())
+        for i, (system, generated) in enumerate(zip((pair.first, pair.second), cross)):
+            cycles = list(generated)
+            for key, targets in placements:
+                cycles += placed_cycles((get_ingredient(key).first, get_ingredient(key).second)[i].cycles,
+                                        targets)
+            assert system == CycleSystem(complete(v, labels), cycles), (l, v)
+    assert routes == {"quasigroup-columns", "four-level-gdd", "sixteen-blocks", "nine-level-gdd", "paste"}
 
 
 def test_canonical_constructor_sorts():
