@@ -24,33 +24,34 @@ group after the first takes the holed l{l}_K{h*s+f}mK{f} instead, its hole on
 the fixed points.
 
 _placements turns a plan into its layout, as data and with no cycle built:
-the vertex labels, each placement as (key, target lists), and the parts of
-the cross host.  Every key is a catalog key, and its target lists are its
-host's parts.  Every catalog host numbers its parts from vertex 0 in
-placement order, checked once per key, so a pair is placed by laying its
-target lists end to end.  _assemble resolves each key once, certifies that
-the hosts cover K_v exactly, and only then emits cycles, batched by key and
-map rank: one zip per template cycle through the batch's table of vertex
-images makes all its placed copies.  They are built canonical: placed cycles
-stay so under increasing vertex maps, holed pairs are relabelled by rank
-first, and cross cycles are zipped canonical from a table of column rows per
-group of quasigroup pairs, one rotation per group, keyed by the parities of
-x, y and the place of z = x * y among them.  A certificate failure is a bug,
-not an input error, and raises the verifier's AssertionError; the full
-verifier still runs where a pair is published, in `orthocycles generate`.
+the vertex labels, each group's placement as (key, target lists), all the
+blocks as one (key, Batch) of start columns, and the cross host's parts.
+Every key is a catalog key, and its target lists are its host's parts,
+which every catalog host numbers from vertex 0 in placement order (checked
+once per key), so a pair is placed by laying its target lists end to end.
+_assemble resolves each key once, certifies that the hosts cover K_v
+exactly, and only then emits cycles: one zip per template cycle through a
+table of vertex images places all copies of a batch, or of the placements
+of one key and map rank.  They are built canonical: placed cycles stay so
+under increasing vertex maps, holed pairs are relabelled by rank first, and
+cross cycles are zipped canonical from a table of column rows per group of
+quasigroup pairs, one rotation per group, keyed by the parities of x, y and
+the place of z = x * y among them.  A certificate failure is a bug, not an
+input error, and raises the verifier's AssertionError; the full verifier
+still runs where a pair is published, in `orthocycles generate`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, repeat
-from operator import add
+from itertools import chain, combinations, product, repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from .auxiliary import build_gdd, build_quasigroup_with_holes
 from .catalog import get_ingredient, has_ingredient
 from .core import CycleSystem, GraphSpec, OrthogonalPair, canonical_cycle, complete, meta
-from .verify import verify_cover, verify_orbits, verify_pair
+from .verify import Batch, verify_cover, verify_orbits, verify_pair
 
 
 class NotAdmissibleError(ValueError):
@@ -164,18 +165,18 @@ def _layout(spec) -> tuple[list, tuple]:
 
 
 def _assemble(plan: ConstructionPlan, labels, placements, cross_parts=()) -> OrthogonalPair:
-    """Place each (key, target lists) of _placements, next to the quasigroup
+    """Place each placement and batch of _placements, next to the quasigroup
     route's cross cycles when it has cross parts.  Each key is resolved to
-    its catalog pair once per assembly, its layout checked and the pair
-    verified once per key (_catalog_report).  Placements batch by key and
-    the rank of their maps (none for an increasing map); a batch's pair,
-    relabelled by that rank, emits each cycle once for every placement, by
-    a zip over the table of its vertices' images, and its maps are dropped.
+    its catalog pair, its layout checked and the pair verified once per key
+    (_catalog_report), and a batch's widths once.  Each cycle of a pair is
+    zipped through a table of vertex images, an ascending batch's columns
+    plus each offset or the maps of one key and rank (none for increasing
+    maps; the pair relabelled by it), for all their placements at once.
 
     The result is certified, as the paper proves it, from parts certified
     already and verify_cover's exact cover of K_v by their hosts, whose
     parts are the target lists: cycles on different hosts share no edge.
-    Only then are the cross cycles read.  The cover refuses a target outside
+    Only then are cycles emitted.  The cover refuses a target outside
     0..v-1, so the systems are stored without another vertex walk."""
     spec = complete(plan.v, labels)
     pairs = dict.fromkeys(key for key, _ in placements)
@@ -183,25 +184,28 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross_parts=()) -> Ort
         _catalog_report(key, plan.l).check(f"catalog pair {key}")
         pairs[key] = get_ingredient(key)
     layouts = {key: _layout(pair.spec) for key, pair in pairs.items()}
-    hosts = [(cross_parts, ())]
-    for key, targets in placements:
+    hosts, batches = [(cross_parts, ())], {}  # (key, rank[, index]): maps, or a batch's table
+    for i, (key, targets) in enumerate(placements):
         sizes, inner = layouts[key]
-        if sizes != list(map(len, targets)):
-            raise ValueError(f"target sizes {list(map(len, targets))} disagree "
-                             f"with the host parts {sizes}")
-        hosts.append((targets, inner))
+        batched = type(targets) is Batch
+        widths = list(targets.widths if batched else map(len, targets))
+        if sizes != widths:
+            raise ValueError(f"target sizes {widths} disagree with the host parts {sizes}")
+        hosts.append(targets._replace(inner=inner) if batched else (targets, inner))
+        if batched and targets.whole(plan.v, 1):  # ascending parts within 0..v-1
+            batches[key, (), i] = [tuple(map(add, s, repeat(r))) for s, w in zip(targets.starts, widths)
+                                   for r in range(w)]
+            continue
+        for parts in [p for p, _ in targets.expand()] if batched else [targets]:
+            mapping = list(chain.from_iterable(parts))
+            ascending = sorted(mapping)
+            rank = () if mapping == ascending else tuple(map(ascending.index, mapping))
+            batches.setdefault((key, rank), []).append(ascending)
     # paste's atoms are vertex pairs: all its parts are even but the last vertex
     verify_cover(spec.v, hosts, 2 if plan.route == "paste" else plan.h).check("assembled pair")
     first, second = map(list, _quasigroup_cross(plan.l, plan.k) if cross_parts else ((), ()))
-    batches = {}  # (key, rank): the ascending vertex maps of its placements
-    for key, targets in placements:
-        mapping = list(chain.from_iterable(targets))
-        ascending = sorted(mapping)
-        rank = () if mapping == ascending else tuple(map(ascending.index, mapping))
-        batches.setdefault((key, rank), []).append(ascending)
-    for (key, rank), maps in batches.items():
-        images = list(zip(*maps))  # images[x]: vertex x's target in each placement
-        maps.clear()
+    for (key, rank, *table), images in batches.items():
+        images = images if table else list(zip(*images))  # images[x]: x's target in each placement
         systems = pairs[key].first.cycles, pairs[key].second.cycles
         if rank:
             systems = [sorted(canonical_cycle(map(rank.__getitem__, c)) for c in cycles)
@@ -268,10 +272,10 @@ def _quasigroup_cross(l: int, k: int):
 
 
 def _placements(plan: ConstructionPlan):
-    """The layout of an assembly, as data: the vertex labels, each placement
-    as (key, target lists), one target list per part of the key's host in
-    _layout order, and the cross host's parts (the quasigroup route's holes,
-    two columns each; none on other routes).  Every key is a catalog key.
+    """The layout of an assembly, as data: the vertex labels, each group as
+    (key, target lists) and the blocks as (key, Batch), a list or column per
+    part of the key's host in _layout order, and the cross host's parts (the
+    quasigroup route's holes, two columns each).  Every key is a catalog key.
 
     All routes but paste lay columns of height h over the points of a
     scaffold, plus fixed points.  Each group's columns and the fixed points
@@ -283,17 +287,17 @@ def _placements(plan: ConstructionPlan):
     groups, every pair of points a block.
 
     Paste, order v = 24t + 21: the order-(24t+1) layout on n = 24t points,
-    its fixed point n renamed v-1, shares it with an order-21 pair on the 20
-    points between; 8t complete bipartite 6x10 pairs bridge the n x 20 rest."""
+    its fixed point n renamed v-1 on its groups, shares it with an order-21
+    pair on the 20 points between; 8t 6x10 pairs bridge the n x 20 rest."""
     if plan.route == "paste":
         n = plan.v - 21
         labels = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(20)] + ["inf0"]
+        *groups, blocks = _placements(plan_for(6, n + 1))[1]
         placements = [(key, [[plan.v - 1 if x == n else x for x in t] if n in t else t for t in targets])
-                      for key, targets in _placements(plan_for(6, n + 1))[1]]
-        placements.append((plan.group_keys[0], [range(n, n + 21)]))
-        placements += [(plan.block_key, [range(6 * i, 6 * i + 6), range(n + 10 * j, n + 10 * j + 10)])
-                       for i in range(n // 6) for j in range(2)]
-        return labels, placements, ()
+                      for key, targets in groups]
+        bridges = Batch(tuple(zip(*product(range(0, n, 6), range(n, n + 20, 10)))), (6, 10))
+        return labels, placements + [blocks, (plan.group_keys[0], [range(n, n + 21)]),
+                                     (plan.block_key, bridges)], ()
     h, fixed, sizes = plan.h, plan.fixed, plan.group_sizes
     n = sum(sizes)
     infs = range(h * n, h * n + fixed)
@@ -309,8 +313,8 @@ def _placements(plan: ConstructionPlan):
         return labels, placements, [range(2 * h * i, 2 * h * i + 2 * h) for i in range(plan.k)]
     blocks = (combinations(range(plan.k), 2) if plan.route == "sixteen-blocks"
               else build_gdd(sizes).triples)
-    placements += [(plan.block_key, [range(h * x, h * x + h) for x in b]) for b in blocks]
-    return labels, placements, ()
+    starts = tuple(tuple(map(mul, col, repeat(h))) for col in zip(*blocks))
+    return labels, placements + [(plan.block_key, Batch(starts, (h,) * len(starts)))], ()
 
 
 def construct_pair(l: int, v: int) -> OrthogonalPair:

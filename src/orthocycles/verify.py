@@ -24,8 +24,9 @@ of two bases by one integer.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain, combinations
+from collections import Counter, namedtuple
+from itertools import chain, combinations, product, repeat
+from operator import add, floordiv, le, mod, mul
 
 
 class VerificationReport:
@@ -244,27 +245,40 @@ def verify_pair(pair, length: int) -> VerificationReport:
 
 # ---------------------------------------------------- assembly certificates
 
+class Batch(namedtuple("Batch", "starts widths inner", defaults=((),))):
+    """Hosts of one shape as column tables, a start column and a width per
+    part: part p of placement i is range(starts[p][i], starts[p][i] +
+    widths[p]), and inner is as in a host."""
+
+    def expand(self):
+        """The placements as hosts (parts, inner), in order."""
+        for row in zip(*self.starts):
+            yield [range(s, s + w) for s, w in zip(row, self.widths)], self.inner
+
+    def whole(self, v: int, m: int) -> bool:
+        """Whether the columns show each placement a host _host_atoms passes,
+        none inner: whole runs of m in 0..v-1, each ending by the next's start."""
+        starts, widths, inner = self
+        return not (inner or len(set(map(len, starts))) != 1 or any(w % m or w < 0 for w in widths)
+                    or any(map(mod, chain.from_iterable(starts), repeat(m)))
+                    or min(starts[0], default=0) < 0 or max(starts[-1], default=0) + widths[-1] > v
+                    or not all(all(map(le, map(add, s, repeat(w)), t))
+                               for s, w, t in zip(starts, widths, starts[1:])))
+
+
 def _host_atoms(parts, v: int, m: int, tag, bad: list) -> list:
     """The atoms, runs x // m of 0..v-1, that each part is the union of, []
     for a bad part: one that repeats or leaves the vertices, holds part of an
     atom, or shares an atom with an earlier part.  Appends ((tag, part
-    index), reason) to bad for each.  A step-1 range within 0..v-1 is
-    checked by arithmetic: it repeats no vertex, and it is whole runs iff it
-    starts on one and ends on one or at v."""
+    index), reason) to bad for each."""
     out, seen = [], set()
     for p, part in enumerate(parts):
-        if type(part) is range and part.step == 1 and 0 <= part.start < part.stop <= v:
-            atoms, repeats, leaves = range(part.start // m, -(-part.stop // m)), False, False
-            whole = part.start % m == 0 and (part.stop % m == 0 or part.stop == v)
-        else:
-            atoms = sorted({x // m for x in part})
-            repeats, leaves = len(set(part)) != len(part), part and (min(part) < 0 or max(part) >= v)
-            whole = sum(min(m, v - a * m) for a in atoms) == len(part)
-        if repeats:
+        atoms = sorted({x // m for x in part})
+        if len(set(part)) != len(part):
             reason = "repeats a vertex"
-        elif leaves:
+        elif part and (min(part) < 0 or max(part) >= v):
             reason = f"leaves the vertex range 0..{v - 1}"
-        elif not whole:
+        elif sum(min(m, v - a * m) for a in atoms) != len(part):
             reason = f"is not a union of whole runs of {m}"
         elif not seen.isdisjoint(atoms):
             reason = "shares a run with another part"
@@ -283,25 +297,37 @@ def verify_cover(v: int, hosts, m: int) -> VerificationReport:
     two parts, and inside each part whose index is in inner.  Every part must
     be a union of whole atoms (_host_atoms), so an atom pair's count is that
     of each of its edges.  Deficits are keyed by atom pair (a, b), a <= b;
-    bad_cycles lists ((host index, part index), reason)."""
+    bad_cycles lists ((host index, part index), reason).  A Batch reports as
+    its hosts: counted from its columns when whole, else host by host."""
     n = -(-v // m)
     single = [min(m, v - a * m) == 1 for a in range(n)]  # no edge inside
     cover = [0] * (n * n)
-    report = VerificationReport()
-    for h, (parts, inner) in enumerate(hosts):
-        atoms = _host_atoms(parts, v, m, h, report.bad_cycles)
-        for p, q in combinations(atoms, 2):
-            for a in p:
-                for b in q:
+    report, h = VerificationReport(), -1  # h: the index of the last host counted
+    for host in hosts:
+        if type(host) is Batch and host.whole(v, m):
+            atoms = [tuple(map(floordiv, s, repeat(m))) for s in host.starts]
+            for (a, wa), (b, wb) in combinations(zip(atoms, host.widths), 2):
+                base = list(map(add, map(mul, a, repeat(n)), b))  # the first atoms' pair keys
+                for d in [x + y for x in range(0, wa // m * n, n) for y in range(wb // m)]:
+                    for key in map(add, base, repeat(d)):
+                        cover[key] += 1
+            h += len(host.starts[0])
+            continue
+        for h, (parts, inner) in enumerate(host.expand() if type(host) is Batch else [host], h + 1):
+            atoms = _host_atoms(parts, v, m, h, report.bad_cycles)
+            for p, q in combinations(atoms, 2):
+                for a, b in product(p, q):
                     cover[a * n + b if a < b else b * n + a] += 1
-        for p in inner:
-            for i, a in enumerate(atoms[p]):
-                for b in atoms[p][i + single[a]:]:
-                    cover[a * n + b] += 1
+            for p in inner:
+                for i, a in enumerate(atoms[p]):
+                    for b in atoms[p][i + single[a]:]:
+                        cover[a * n + b] += 1
     for a in range(n):
-        for b in range(a + single[a], n):
-            if cover[a * n + b] != 1:
-                report.edge_deficits[(a, b)] = cover[a * n + b] - 1
+        row = cover[a * n + a + single[a]:a * n + n]
+        if row.count(1) < len(row):
+            for b, k in enumerate(row, a + single[a]):
+                if k != 1:
+                    report.edge_deficits[(a, b)] = k - 1
     report.ok = not (report.bad_cycles or report.edge_deficits)
     return report
 

@@ -28,7 +28,7 @@ from orthocycles.construct import (
 )
 from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, canonical_cycle, complete
 from orthocycles.search import SearchBudget, search_pair
-from orthocycles.verify import VerificationReport, verify_cover, verify_orbits, verify_pair
+from orthocycles.verify import Batch, VerificationReport, verify_cover, verify_orbits, verify_pair
 from test_cli import GENERATED_SHA256
 
 PINNED = [
@@ -232,6 +232,13 @@ def _host_layout(key):
     return construct._layout(get_ingredient(key).spec)
 
 
+def _flat(placements):
+    # the layout one (key, target lists) placement at a time, every batch
+    # expanded in place
+    return [(key, parts) for key, targets in placements
+            for parts in ([p for p, _ in targets.expand()] if type(targets) is Batch else [targets])]
+
+
 def test_plans_certify_their_cover_without_building_a_cycle(monkeypatch):
     # verify_cover on the layouts alone, past the built sweep: every
     # assembled order to 401, the largest admissible order to 2,001 per
@@ -256,8 +263,10 @@ def test_plans_certify_their_cover_without_building_a_cycle(monkeypatch):
         hosts = [(cross_parts, ())]
         for key, targets in placements:
             sizes, inner = _host_layout(key)
-            assert list(map(len, targets)) == sizes, (plan.l, plan.v, key)
-            hosts.append((targets, inner))
+            for _, parts in _flat([(key, targets)]):
+                assert list(map(len, parts)) == sizes, (plan.l, plan.v, key)
+            # the hosts as assembly hands them to the cover, a batch whole
+            hosts.append(targets._replace(inner=inner) if type(targets) is Batch else (targets, inner))
         m = 2 if plan.route == "paste" else plan.h
         verify_cover(plan.v, hosts, m).check(f"layout of ({plan.l}, {plan.v})")
 
@@ -277,9 +286,10 @@ def test_paste_places_its_order_v_minus_20_layout_flat(monkeypatch, v):
     n = v - 21
     at = [*range(n), v - 1]
     inner = [(key, [[at[x] for x in t] for t in targets])
-             for key, targets in _placements(plan_for(6, n + 1))[1]]
-    i = [key for key, _ in placements].index("l6_v21")
-    assert [(key, list(map(list, targets))) for key, targets in placements[:i]] == inner
+             for key, targets in _flat(_placements(plan_for(6, n + 1))[1])]
+    flat = _flat(placements)
+    i = [key for key, _ in flat].index("l6_v21")
+    assert [(key, list(map(list, targets))) for key, targets in flat[:i]] == inner
     assert all(type(key) is str for key, _ in placements)
     text = design_text(_assemble(plan, labels, placements, cross_parts), 6)
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_SHA256[(6, v)]
@@ -364,6 +374,38 @@ def test_one_key_under_an_increasing_and_another_map_places_both(monkeypatch, l,
         assert [list(cycles) for cycles in got] == want
 
 
+@pytest.mark.parametrize("key,starts,ascending", [
+    ("l6_K444", ((0, 12, 32), (4, 24, 40), (8, 36, 44)), True),
+    ("l6_K444", ((0, 12, 32), (8, 24, 40), (4, 36, 44)), False),
+    ("l8_K16x16", ((0, 32), (16, 48)), True),
+    ("l6_K6x10", ((10, 20, 40), (0, 30, 50)), False),
+], ids=["K444", "K444-one-descending", "K16x16", "K6x10-one-descending"])
+def test_a_batch_assembles_as_its_expansion(monkeypatch, key, starts, ascending):
+    # an ascending batch is emitted from its image table, any other one as
+    # its placements; both place every placement as the oracle does
+    monkeypatch.setattr(construct, "verify_cover", lambda v, hosts, m: VerificationReport())
+    pair = get_ingredient(key)
+    batch = Batch(starts, tuple(_host_layout(key)[0]))
+    assert batch.whole(64, 1) == ascending
+    plan = ConstructionPlan(int(key[1]), 64, "one-placement", ())
+    got = _assemble(plan, None, [(key, batch)])
+    assert got == _assemble(plan, None, _flat([(key, batch)]))
+    for system, built in zip((pair.first, pair.second), (got.first, got.second)):
+        want = chain.from_iterable(placed_cycles(system.cycles, parts) for parts, _ in batch.expand())
+        assert list(built.cycles) == sorted(want)
+    with pytest.raises(ValueError, match="disagree with the host parts"):
+        _assemble(plan, None, [(key, batch._replace(widths=batch.widths[::-1] + (1,)))])
+
+
+def test_a_batch_of_a_complete_pair_takes_its_inner_part_from_the_layout():
+    # the batch says no part is inner; the cover counts the edges inside
+    # K_11's one part because assembly takes inner from the catalog host
+    plan = ConstructionPlan(5, 11, "one-placement", (), h=1)
+    got = _assemble(plan, None, [("l5_v11", Batch(((0,),), (11,)))])
+    pair = get_ingredient("l5_v11")
+    assert (got.first.cycles, got.second.cycles) == (pair.first.cycles, pair.second.cycles)
+
+
 def test_assembly_with_a_placement_dropped_raises_through_the_verifier(monkeypatch):
     plan = plan_for(9, 91)
     checked, check = [], VerificationReport.check
@@ -375,6 +417,7 @@ def test_assembly_with_a_placement_dropped_raises_through_the_verifier(monkeypat
     _placements(plan)  # the scaffold checks itself once, when it is first built
     monkeypatch.setattr(VerificationReport, "check", spy)
     labels, placements, cross_parts = _placements(plan)
+    placements = _flat(placements)
     assert verify_pair(_assemble(plan, labels, placements, cross_parts), 9).ok
     with pytest.raises(AssertionError, match=r"assembled pair is invalid \(bug\): \d+ edge deficits"):
         _assemble(plan, labels, placements[:-1], cross_parts)
@@ -393,6 +436,7 @@ def _refused(plan, labels, placements, cross_parts=(),
 def test_assembly_with_target_lists_swapped_between_blocks_is_refused():
     plan = plan_for(9, 91)
     labels, placements, cross_parts = _placements(plan)
+    placements = _flat(placements)
     (a, ta), (b, tb) = placements[4], placements[7]
     assert ta[0] != tb[0] and ta[1:] != tb[1:]  # two triples through different points
     placements[4], placements[7] = (a, [tb[0], *ta[1:]]), (b, [ta[0], *tb[1:]])
@@ -416,6 +460,7 @@ def test_assembly_with_a_part_repeating_a_vertex_of_its_atom_is_refused():
     # repeated vertex tells it from the column
     plan = plan_for(8, 33)
     labels, placements, cross_parts = _placements(plan)
+    placements = _flat(placements)
     key, (left, right) = placements[-1]
     placements[-1] = (key, [[left[0], *left[:-1]], right])
     _refused(plan, labels, placements, cross_parts, match="repeats a vertex")
@@ -427,6 +472,7 @@ def test_assembly_with_targets_off_the_vertex_range_is_refused_before_storing(mo
     # must refuse the placement before any system is stored
     plan = plan_for(9, 91)
     labels, placements, cross_parts = _placements(plan)
+    placements = _flat(placements)
     stored, of_canonical = [], CycleSystem._of_canonical
     monkeypatch.setattr(CycleSystem, "_of_canonical",
                         lambda *args, **kw: stored.append(args) or of_canonical(*args, **kw))
@@ -688,7 +734,8 @@ def test_quasigroup_cross_cycles_are_the_canonical_template_cycles():
 def test_holed_placement_matches_per_cycle_canonicalisation(l, v):
     plan = plan_for(l, v)
     labels, placements, cross_parts = _placements(plan)
-    blocks = [(get_ingredient(key), list(chain.from_iterable(targets))) for key, targets in placements]
+    blocks = [(get_ingredient(key), list(chain.from_iterable(targets)))
+              for key, targets in _flat(placements)]
     # the hole goes onto the fixed points, the highest ids: not an increasing map
     holed = [m for block, m in blocks if block.spec.kind == "complete_minus_hole"]
     assert holed and all(m != sorted(m) for m in holed)
@@ -716,7 +763,7 @@ def test_assembled_sweep_orders_are_the_cross_and_the_per_placement_cycles():
         cross = _quasigroup_cross(l, plan.k) if cross_parts else ((), ())
         for i, (system, generated) in enumerate(zip((pair.first, pair.second), cross)):
             cycles = list(generated)
-            for key, targets in placements:
+            for key, targets in _flat(placements):
                 cycles += placed_cycles((get_ingredient(key).first, get_ingredient(key).second)[i].cycles,
                                         targets)
             assert system == CycleSystem(complete(v, labels), cycles), (l, v)

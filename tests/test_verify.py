@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
-from oracles import (cross, cycle_edges, graph_edges, host_cover_is_exact, orbits_report,
+from oracles import (cross, cross_bases, cycle_edges, graph_edges, host_cover_is_exact, orbits_report,
                      report_fields, scan)
 from orthocycles import verify
+from orthocycles.auxiliary import build_quasigroup_with_holes
 from orthocycles.catalog import cycle_length, get_ingredient
 from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, complete
-from orthocycles.verify import (VerificationReport, verify_cover, verify_decomposition,
+from orthocycles.verify import (Batch, VerificationReport, verify_cover, verify_decomposition,
                                 verify_orbits, verify_pair)
 
 # K5 decomposes into two 5-cycles, and this particular pair shares <= 1 edge
@@ -88,6 +89,42 @@ def test_orthogonality_detects_two_shared_edges():
     assert not rep.ok
     assert rep.max_cross_intersection == 3
     assert rep.witness == (0, 0)
+
+
+def test_a_pair_sharing_exactly_two_edges_is_refused():
+    # the first system of l5_v11 against a relabelled copy, the first copy of
+    # a seeded search that shares at most two edges cycle against cycle
+    pair, rng = get_ingredient("l5_v11"), random.Random(5)
+    while True:
+        at = list(range(11))
+        rng.shuffle(at)
+        copy = raw(pair.spec, [[at[x] for x in c] for c in pair.first.cycles])
+        if brute_orthogonal(pair.first, copy) == 2:
+            break
+    rep = verify_pair(SimpleNamespace(spec=pair.spec, first=pair.first, second=copy), 5)
+    assert (rep.edge_deficits, rep.bad_cycles, rep.max_cross_intersection) == ({}, [], 2)
+    assert not rep.ok
+
+
+def _owned_ids(v, *cycles):
+    return [[min(a, b) * v + max(a, b) for a, b in zip(c, c[1:] + c[:1])] for c in cycles]
+
+
+def test_cross_counts_a_twice_covered_edge_against_both_owners():
+    # second cycles 0 and 1 both hold {0, 1}: the first cycle's edges have
+    # distinct owners, the fast path's shape, yet it meets cycle 1 in {0, 1}
+    # and {1, 2}
+    first, second = _owned_ids(6, (0, 1, 2)), _owned_ids(6, (0, 1, 3), (1, 2, 4, 0))
+    assert verify._cross(first, second, 6) == cross(first, second, 6) == (2, (0, 1))
+
+
+def test_cross_counts_no_owner_for_an_edge_the_second_system_misses():
+    # of the first cycle 0, only {0, 1} is covered, by second cycle 1; of the
+    # first cycle 1, only {4, 5}, by second cycle 0
+    first = _owned_ids(6, (0, 1, 2), (3, 4, 5))
+    second = _owned_ids(6, (2, 4, 5), (0, 1, 3))
+    assert verify._cross(first, second, 6) == cross(first, second, 6) == (1, (0, 1))
+    assert verify._cross(first[:1], second[:1], 6) == (0, None)
 
 
 def test_orthogonal_pair_end_to_end():
@@ -172,6 +209,16 @@ def test_raw_cycles_with_a_loop_or_repeat_are_reported_not_raised():
         # share three edges with (0, 1, 2, 3, 4)
         pair = SimpleNamespace(spec=spec, first=system, second=raw(spec, K5_FIRST[:1]))
         assert verify_pair(pair, 5).max_cross_intersection == 0
+
+
+def test_a_loop_at_every_position_is_named_a_loop():
+    # the loop between positions i and i + 1 of a 4-cycle, the last one
+    # between the cycle's last vertex and its first
+    for i in range(4):
+        cyc = [0, 1, 2, 3]
+        cyc[(i + 1) % 4] = cyc[i]
+        [(where, reason)] = verify_decomposition(raw(complete(5), [cyc]), 4).bad_cycles
+        assert reason == f"loop at vertex {cyc[i]} in cycle {tuple(cyc)}", i
 
 
 def test_short_and_out_of_range_cycles_are_reported():
@@ -350,6 +397,18 @@ def test_cover_of_an_order_with_a_single_vertex_atom():
     assert verify_cover(5, star[:1], 2).edge_deficits == {(0, 2): -1, (1, 2): -1}
 
 
+def test_cover_counts_an_inner_part_that_begins_with_a_single_vertex_atom():
+    # m = 1: every atom is one vertex, with no edge inside, so an inner part
+    # counts each pair of its atoms once, its first atom's pairs too; the same
+    # hosts as batches report the same
+    hosts = [([range(0, 3)], (0,)), ([range(0, 3), range(3, 4)], ())]
+    batches = [Batch(((0,),), (3,), (0,)), Batch(((0,), (3,)), (3, 1))]
+    for given in (hosts, batches):
+        assert verify_cover(4, given, 1).ok
+        assert verify_cover(4, given[:1], 1).edge_deficits == {(0, 3): -1, (1, 3): -1, (2, 3): -1}
+    assert repr(verify_cover(4, batches[1:], 1)) == repr(verify_cover(4, hosts[1:], 1))
+
+
 def _shifted(base, m, i):
     return tuple(x - x % m + (x % m + i) % m for x in base)
 
@@ -382,6 +441,29 @@ def test_orbits_certify_a_triangle_pair_and_refuse_its_mutants():
     assert ("second", (0, 0, 1)) in inside.edge_deficits and not inside.ok
     with pytest.raises(AssertionError, match="cross cycles is invalid"):
         verify_orbits(multipartite((4, 6, 5)), 3, 5, first, second).check("cross cycles")
+
+
+def test_orbits_meeting_twice_at_one_offset_are_refused():
+    # the first cross bases of (l, k) = (5, 3) against a relabelled copy, the
+    # first of a seeded search whose bases meet at most twice at one phase
+    # offset: holes permuted, the columns of a hole maybe swapped, and each
+    # column's rows turned, a map that keeps the host and commutes with the
+    # row shift, so the copy's orbits decompose the host too
+    first, _ = cross_bases(5, build_quasigroup_with_holes(3).table)
+    spec = multipartite((10, 10, 10))
+    rng = random.Random(2)
+    while True:
+        holes, swap = rng.sample(range(3), 3), [rng.randrange(2) for _ in range(3)]
+        turn = [rng.randrange(5) for _ in range(6)]
+        cols = [2 * holes[c // 2] + (c % 2 ^ swap[c // 2]) for c in range(6)]
+        copy = [tuple(cols[x // 5] * 5 + (x + turn[x // 5]) % 5 for x in b) for b in first]
+        rep = verify_orbits(spec, 5, 5, first, copy)
+        if rep.max_cross_intersection == 2:
+            break
+    assert (rep.edge_deficits, rep.bad_cycles) == ({}, []) and not rep.ok
+    developed = _orbit_pair(spec, 5, first, copy)
+    assert brute_orthogonal(developed.first, developed.second) == 2
+    assert verify_pair(developed, 5).max_cross_intersection == 2
 
 
 def _cover_case(rng):
@@ -518,11 +600,83 @@ def test_cover_of_range_parts_agrees_with_the_oracle_and_the_listed_parts():
         v, m, hosts, aligned = _run_cover_case(rng)
         got = verify_cover(v, hosts, m)
         assert got.ok == (host_cover_is_exact(v, hosts) and aligned), (v, m, hosts)
-        # ranges are checked by arithmetic, lists vertex by vertex: one report
+        # parts given as ranges or as lists of the same vertices: one report
         listed = verify_cover(v, [([list(x) for x in parts], inner) for parts, inner in hosts], m)
         assert repr(got) == repr(listed), (v, m, hosts)
         seen[got.ok, aligned] += 1
     assert seen[True, True] > 300 and seen[False, True] > 100 and seen[False, False] > 100
+
+
+def _batch_case(rng):
+    """(v, m, hosts, b, edit): hosts[b] is a Batch of 2 or 3 parts, each a
+    group of g whole atoms, the rest per-host.  With 2 parts the batch holds
+    every pair of groups, in random order, and the hosts cover K_v exactly;
+    then the batch maybe gets one edit, and the hosts maybe a last one with
+    a part off the vertices, whose index counts the batch's placements."""
+    m, g, k = rng.randint(1, 4), rng.randint(1, 3), rng.randint(4, 6)
+    w = g * m
+    v = k * w + rng.choice((0, 0, 1))
+    hosts = [([range(i * w, i * w + w)], (0,)) for i in range(k)]
+    if v > k * w:
+        hosts.append(([range(k * w), range(k * w, v)], ()))
+    blocks = list(combinations(range(k), rng.choice((2, 2, 3))))
+    rng.shuffle(blocks)
+    starts = [[x * w for x in col] for col in zip(*blocks)]
+    widths, inner = [w] * len(starts), ()
+    i, j = rng.sample(range(len(blocks)), 2)
+    p, q = rng.sample(range(len(starts)), 2)
+    edit = rng.choice(("none", "none", "off a run", "leaves", "one run twice", "one pair twice",
+                       "width", "negative width", "descending", "inner", "ragged"))
+    if edit == "off a run" and m > 1:
+        starts[p][i] += rng.randrange(1, m)
+    elif edit == "leaves":
+        starts[p][i] = rng.choice((-m * rng.randint(1, 2), v - w + m, v))
+    elif edit == "one run twice":
+        starts[q][i] = starts[p][i] + rng.randrange(max(1, w - m + 1))
+    elif edit == "one pair twice":
+        for col in starts:
+            col[j] = col[i]
+    elif edit == "width" and m > 1:
+        widths[p] += rng.randrange(1, m)
+    elif edit == "negative width":
+        widths[-2] = -w
+        if len(starts) == 3:  # part 1 now ends where it starts, and parts 0 and 2 share runs
+            starts[1][i], starts[2][i] = starts[0][i] + w, starts[0][i]
+    elif edit == "descending":
+        starts[p][i], starts[q][i] = starts[q][i], starts[p][i]
+    elif edit == "inner":
+        inner = (p,)
+    elif edit == "ragged":
+        starts[p].pop()
+    if rng.random() < 0.3:
+        hosts.append(([range(v, v + 1)], ()))
+    b = rng.randrange(len(hosts) + 1)
+    hosts.insert(b, Batch(tuple(map(tuple, starts)), tuple(widths), inner))
+    return v, m, hosts, b, edit
+
+
+def test_a_batch_reports_as_its_expansion():
+    # every report field, the host indices of bad parts too, whether the
+    # column tables certify the batch or it is walked host by host
+    star = [([range(0, 2)], (0,)), ([range(0, 2), range(2, 3)], ())]
+    for empty in (Batch((), ()), Batch(((), ()), (2, 2))):  # no part, or no placement
+        assert list(empty.expand()) == []
+        assert repr(verify_cover(3, [empty, star[1], empty], 1)) == repr(verify_cover(3, star[1:], 1))
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(1500):
+        v, m, hosts, b, edit = _batch_case(rng)
+        expanded = hosts[:b] + list(hosts[b].expand()) + hosts[b + 1:]
+        got = verify_cover(v, hosts, m)
+        assert repr(got) == repr(verify_cover(v, expanded, m)), (v, m, hosts)
+        assert not got.ok or host_cover_is_exact(v, expanded), (v, m, hosts)
+        fast = hosts[b].whole(v, m)
+        seen[edit, fast, got.ok] += 1
+    assert seen["none", True, True] > 100 and seen["none", True, False] > 50
+    assert seen["one pair twice", True, False] > 50
+    for edit in ("off a run", "leaves", "one run twice", "width", "descending", "inner", "ragged"):
+        assert seen[edit, False, False] > 20, edit
+    assert seen["negative width", False, False] > 20
 
 
 def _orbit_case(rng):
