@@ -27,18 +27,20 @@ _placements turns a plan into its layout, as data and with no cycle built:
 the vertex labels, each group's placement as (key, target lists), all the
 blocks as one (key, Batch) of start columns, and the cross host's parts.
 Every key is a catalog key, and its target lists are its host's parts,
-which every catalog host numbers from vertex 0 in placement order (checked
-once per key), so a pair is placed by laying its target lists end to end.
-_assemble resolves each key once, certifies that the hosts cover K_v
-exactly, and only then emits cycles: one zip per template cycle through a
-table of vertex images places all copies of a batch, or of the placements
-of one key and map rank.  They are built canonical: placed cycles stay so
-under increasing vertex maps, holed pairs are relabelled by rank first, and
-cross cycles are zipped canonical from a table of column rows per group of
-quasigroup pairs, one rotation per group, keyed by the parities of x, y and
-the place of z = x * y among them.  A certificate failure is a bug, not an
-input error, and raises the verifier's AssertionError; the full verifier
-still runs where a pair is published, in `orthocycles generate`.
+which every catalog host numbers from vertex 0 in placement order, so a pair
+is placed by laying its target lists end to end.  _certify resolves each key
+once (_ingredient checks that numbering and verifies the pair), certifies
+that the hosts cover K_v exactly and returns tables of vertex images, so an
+order is certified before any placed cycle exists; _emit only emits: one zip
+per template cycle through a table places all copies of a batch, or of the
+placements of one key and map rank.  Cycles are built canonical: placed
+cycles stay so under increasing vertex maps, holed pairs are relabelled by
+rank first, and cross cycles are zipped canonical from a table of column
+rows per group of quasigroup pairs, one rotation per group, keyed by the
+parities of x, y and the place of z = x * y among them.  A certificate
+failure is a bug, not an input error, and raises the verifier's
+AssertionError; the full verifier still runs where a pair is published, in
+`orthocycles generate`.
 """
 
 from __future__ import annotations
@@ -141,54 +143,43 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
 # ----------------------------------------------------------------- assembly
 
 @lru_cache(maxsize=None)
-def _catalog_report(key: str, l: int):
-    """The full verifier's report on the catalog pair under key; first an
-    AssertionError unless its host numbers its parts from vertex 0 in
-    _layout order, as assembly lays out their targets."""
-    spec = get_ingredient(key).spec
+def _ingredient(key: str, l: int):
+    """The catalog pair under key, verified in full, with its host's part
+    sizes in placement order and the indices of those with edges inside: a
+    complete host's one part, a holed host's hole then rest, or none of a
+    multipartite host's parts.  Raises, caching nothing, unless the pair
+    verifies and its host numbers those parts from vertex 0, as assembly
+    lays out their targets."""
+    pair = get_ingredient(key)
+    spec = pair.spec
     laid = [*sorted(spec.hole), *chain.from_iterable(spec.parts)]
     if laid != list(range(len(laid))):
         raise AssertionError(f"catalog pair {key} is invalid (bug): its host's parts "
                              f"are not numbered from 0 in placement order")
-    return verify_pair(get_ingredient(key), l)
-
-
-def _layout(spec) -> tuple[list, tuple]:
-    """The sizes of a host's parts in placement order, and the indices of
-    those with edges inside: every vertex of a complete host, the hole and
-    then the rest of a holed host, each part of a multipartite host."""
+    verify_pair(pair, l).check(f"catalog pair {key}")
     if spec.kind == "complete":
-        return [spec.v], (0,)
+        return pair, (spec.v,), (0,)
     if spec.kind == "complete_minus_hole":
-        return [len(spec.hole), spec.v - len(spec.hole)], (1,)
-    return list(map(len, spec.parts)), ()
+        return pair, (len(spec.hole), spec.v - len(spec.hole)), (1,)
+    return pair, tuple(map(len, spec.parts)), ()
 
 
-def _assemble(plan: ConstructionPlan, labels, placements, cross_parts=()) -> OrthogonalPair:
-    """Place each placement and batch of _placements, next to the quasigroup
-    route's cross cycles when it has cross parts.  Each key is resolved to
-    its catalog pair, its layout checked and the pair verified once per key
-    (_catalog_report), and a batch's widths once.  Each cycle of a pair is
-    zipped through a table of vertex images, an ascending batch's columns
-    plus each offset or the maps of one key and rank (none for increasing
-    maps; the pair relabelled by it), for all their placements at once.
-
-    The result is certified, as the paper proves it, from parts certified
-    already and verify_cover's exact cover of K_v by their hosts, whose
-    parts are the target lists: cycles on different hosts share no edge.
-    Only then are cycles emitted.  The cover refuses a target outside
-    0..v-1, so the systems are stored without another vertex walk."""
+def _certify(plan: ConstructionPlan, labels, placements, cross_parts=()):
+    """Certify the placements and batches of _placements, and the quasigroup
+    route's cross cycles when it has cross parts, as the paper proves it:
+    from parts certified already (_ingredient, _quasigroup_cross) and
+    verify_cover's exact cover of K_v by their hosts, whose parts are the
+    target lists.  The cover refuses a target outside 0..v-1, so _emit needs
+    no vertex walk.  Returns K_v, the cross cycles, and a (pair, rank,
+    images) table per ascending batch (its columns plus each offset) and per
+    key and map rank (none if increasing) of the rest, images[x] being x's
+    target in each placement."""
     spec = complete(plan.v, labels)
-    pairs = dict.fromkeys(key for key, _ in placements)
-    for key in pairs:
-        _catalog_report(key, plan.l).check(f"catalog pair {key}")
-        pairs[key] = get_ingredient(key)
-    layouts = {key: _layout(pair.spec) for key, pair in pairs.items()}
-    hosts, batches = [(cross_parts, ())], {}  # (key, rank[, index]): maps, or a batch's table
+    pairs, hosts, batches = {}, [(cross_parts, ())], {}  # (key, rank[, index]): maps, or a batch's table
     for i, (key, targets) in enumerate(placements):
-        sizes, inner = layouts[key]
+        pairs[key], sizes, inner = _ingredient(key, plan.l)
         batched = type(targets) is Batch
-        widths = list(targets.widths if batched else map(len, targets))
+        widths = tuple(targets.widths if batched else map(len, targets))
         if sizes != widths:
             raise ValueError(f"target sizes {widths} disagree with the host parts {sizes}")
         hosts.append(targets._replace(inner=inner) if batched else (targets, inner))
@@ -203,10 +194,18 @@ def _assemble(plan: ConstructionPlan, labels, placements, cross_parts=()) -> Ort
             batches.setdefault((key, rank), []).append(ascending)
     # paste's atoms are vertex pairs: all its parts are even but the last vertex
     verify_cover(spec.v, hosts, 2 if plan.route == "paste" else plan.h).check("assembled pair")
-    first, second = map(list, _quasigroup_cross(plan.l, plan.k) if cross_parts else ((), ()))
-    for (key, rank, *table), images in batches.items():
-        images = images if table else list(zip(*images))  # images[x]: x's target in each placement
-        systems = pairs[key].first.cycles, pairs[key].second.cycles
+    cross = _quasigroup_cross(plan.l, plan.k) if cross_parts else ((), ())
+    return spec, cross, [(pairs[key], rank, images if table else list(zip(*images)))
+                         for (key, rank, *table), images in batches.items()]
+
+
+def _emit(plan: ConstructionPlan, spec, cross, tables) -> OrthogonalPair:
+    """The pair _certify certified: each template cycle of a table's pair,
+    relabelled by its rank first, zipped through the table into all its
+    placed copies, next to the cross cycles."""
+    first, second = map(list, cross)
+    for pair, rank, images in tables:
+        systems = pair.first.cycles, pair.second.cycles
         if rank:
             systems = [sorted(canonical_cycle(map(rank.__getitem__, c)) for c in cycles)
                        for cycles in systems]
@@ -274,7 +273,7 @@ def _quasigroup_cross(l: int, k: int):
 def _placements(plan: ConstructionPlan):
     """The layout of an assembly, as data: the vertex labels, each group as
     (key, target lists) and the blocks as (key, Batch), a list or column per
-    part of the key's host in _layout order, and the cross host's parts (the
+    part of the key's host in placement order, and the cross host's parts (the
     quasigroup route's holes, two columns each).  Every key is a catalog key.
 
     All routes but paste lay columns of height h over the points of a
@@ -328,4 +327,4 @@ def construct_pair(l: int, v: int) -> OrthogonalPair:
     plan = plan_for(l, v)
     if plan.route == "catalog":
         return get_ingredient(plan.group_keys[0])
-    return _assemble(plan, *_placements(plan))
+    return _emit(plan, *_certify(plan, *_placements(plan)))

@@ -4,6 +4,7 @@ code and its oracle.  It also keeps the package's earlier versions of the
 loops that were rewritten for speed, so the rewrites can be held to the
 very same results."""
 
+import json
 from collections import Counter
 from itertools import compress, permutations
 from math import gcd
@@ -55,6 +56,42 @@ def host_cover_is_exact(v, hosts):
             for a, b in pairs:
                 counts[edge(a, b)] = counts.get(edge(a, b), 0) + 1
     return counts == {(a, b): 1 for a in range(v) for b in range(a + 1, v)}
+
+
+def design_defects(text):
+    """Defects of the pair in a design file, read from the file alone: the
+    host is K_v on the file's labels less every edge inside its hole or
+    inside one of its parts.  Each system must cover each host edge exactly
+    once with cycles of meta.length distinct vertices, and an owner map from
+    each first-system edge to its cycle must show no second cycle sharing
+    two edges with one first cycle.  [] for a valid pair."""
+    doc = json.loads(text)
+    spec, l = doc["spec"], doc["meta"]["length"]
+    at = {label: i for i, label in enumerate(spec["labels"])}
+    group = {at[x]: g for g, labels in enumerate([spec.get("hole", []), *spec.get("parts", [])])
+             for x in labels}
+    host = {(a, b) for a in range(len(at)) for b in range(a + 1, len(at))
+            if a not in group or group[a] != group.get(b)}
+    defects, owner = [], {}
+    for tag in ("first", "second"):
+        covered = Counter()
+        for i, labels in enumerate(doc["systems"][tag]):
+            cyc = [at.get(x) for x in labels]
+            if len(cyc) != l or None in cyc or len(set(cyc)) != l:
+                defects.append(f"{tag} cycle {i}: not {l} distinct vertices of the host: {labels}")
+                continue
+            edges = [edge(cyc[j - 1], cyc[j]) for j in range(l)]
+            covered.update(edges)
+            if tag == "first":
+                owner.update(dict.fromkeys(edges, i))
+                continue
+            for j, shared in Counter(owner[e] for e in edges if e in owner).items():
+                if shared > 1:
+                    defects.append(f"second cycle {i} shares {shared} edges with first cycle {j}")
+        for e in sorted(host | set(covered)):
+            if covered[e] != (e in host):
+                defects.append(f"{tag}: edge {e} covered {covered[e]} times, the host has it {int(e in host)}")
+    return defects
 
 
 def hamiltonian_decompositions(n):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import design_defects
 from orthocycles import catalog
 from orthocycles.catalog import (
     cycle_length,
@@ -11,6 +12,7 @@ from orthocycles.catalog import (
     list_ingredients,
     verify_catalog,
 )
+from orthocycles.cli import design_text, load_design
 from orthocycles.core import CycleSystem, OrthogonalPair
 from orthocycles.verify import verify_pair
 
@@ -129,3 +131,35 @@ def test_verifier_catches_tampered_entry():
     tampered = CycleSystem(pair.spec, [tuple(c0)] + list(pair.first.cycles[1:]))
     report = verify_pair(OrthogonalPair(pair.spec, tampered, pair.second), 6)
     assert not report.ok
+
+
+def test_every_entry_passes_a_design_file_checker_apart_from_the_package():
+    # the holed and multipartite hosts included: the checker takes the host
+    # from the file's own hole or parts labels
+    kinds = set()
+    for key, _ in list_ingredients():
+        text = design_text(get_ingredient(key), cycle_length(key))
+        assert design_defects(text) == [], key
+        assert verify_pair(*load_design(text)).ok, key
+        kinds.add(json.loads(text)["spec"]["kind"])
+    assert kinds == {"complete", "complete_minus_hole", "multipartite"}
+
+
+@pytest.mark.parametrize("key,edited,foreign", [
+    # 0 and 1 both lie in the hole {0..4}
+    ("l5_K15mK5", ["0", "1", "11", "6", "10"], [(0, 1)]),
+    # 0, 3 and 1 all lie in the first part {0..3}
+    ("l6_K444", ["0", "3", "1", "5", "2", "6"], [(0, 3), (1, 3)]),
+], ids=["edge-inside-the-hole", "edge-inside-a-part"])
+def test_an_edge_the_host_lacks_is_refused_by_both_checkers(key, edited, foreign):
+    doc = json.loads(design_text(get_ingredient(key), cycle_length(key)))
+    first = doc["systems"]["first"]
+    assert len(first[0]) == len(edited) and first[0] != edited
+    first[0] = edited
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    defects = design_defects(text)
+    for e in foreign:
+        assert f"first: edge {e} covered 1 times, the host has it 0" in defects, (key, e)
+    report = verify_pair(*load_design(text))
+    assert not report.ok
+    assert all(report.edge_deficits[("first", e)] == 1 for e in foreign)

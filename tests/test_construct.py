@@ -20,7 +20,8 @@ from orthocycles.construct import (
     NotAdmissibleError,
     UnsatisfiableError,
     admissible,
-    _assemble,
+    _certify,
+    _emit,
     _placements,
     _quasigroup_cross,
     construct_pair,
@@ -28,7 +29,7 @@ from orthocycles.construct import (
 )
 from orthocycles.core import CycleSystem, GraphSpec, OrthogonalPair, canonical_cycle, complete
 from orthocycles.search import SearchBudget, search_pair
-from orthocycles.verify import Batch, VerificationReport, verify_cover, verify_orbits, verify_pair
+from orthocycles.verify import Batch, VerificationReport, verify_orbits, verify_pair
 from test_cli import GENERATED_SHA256
 
 PINNED = [
@@ -229,7 +230,12 @@ def test_plans_to_ten_thousand_name_fitting_pairs_and_cover_k_v():
 
 def _host_layout(key):
     # a placed catalog key's host parts and inner parts
-    return construct._layout(get_ingredient(key).spec)
+    _, sizes, inner = construct._ingredient(key, int(key[1]))
+    return list(sizes), inner
+
+
+def _assemble(plan, *layout):
+    return _emit(plan, *_certify(plan, *layout))
 
 
 def _flat(placements):
@@ -240,14 +246,15 @@ def _flat(placements):
 
 
 def test_plans_certify_their_cover_without_building_a_cycle(monkeypatch):
-    # verify_cover on the layouts alone, past the built sweep: every
-    # assembled order to 401, the largest admissible order to 2,001 per
-    # length and the largest paste order to 2,001; near 10,000 the length-6
-    # scaffold alone takes seconds
+    # _certify on the layouts alone, past the built sweep: every assembled
+    # order to 401, the largest admissible order to 2,001 per length and the
+    # largest paste order to 2,001; near 10,000 the length-6 scaffold alone
+    # takes seconds
     def unbuilt(*args):
         raise AssertionError(f"no assembly cycle is built for a layout, called with {args}")
 
-    monkeypatch.setattr(construct, "_quasigroup_cross", unbuilt)
+    monkeypatch.setattr(construct, "_quasigroup_cross", lambda l, k: ((), ()))
+    monkeypatch.setattr(construct, "_emit", unbuilt)
     monkeypatch.setattr(construct, "construct_pair", unbuilt)
     plans = [plan_for(l, v) for l in range(5, 10) for v in _admissible_orders(l, 401)
              if (l, v) not in UNSATISFIABLE]
@@ -260,15 +267,12 @@ def test_plans_certify_their_cover_without_building_a_cycle(monkeypatch):
         labels, placements, cross_parts = _placements(plan)
         assert len(labels) == len(set(labels)) == plan.v
         assert bool(cross_parts) == (plan.route == "quasigroup-columns")
-        hosts = [(cross_parts, ())]
         for key, targets in placements:
-            sizes, inner = _host_layout(key)
+            sizes, _ = _host_layout(key)
             for _, parts in _flat([(key, targets)]):
                 assert list(map(len, parts)) == sizes, (plan.l, plan.v, key)
-            # the hosts as assembly hands them to the cover, a batch whole
-            hosts.append(targets._replace(inner=inner) if type(targets) is Batch else (targets, inner))
-        m = 2 if plan.route == "paste" else plan.h
-        verify_cover(plan.v, hosts, m).check(f"layout of ({plan.l}, {plan.v})")
+        spec, cross, _ = _certify(plan, labels, placements, cross_parts)
+        assert spec.v == plan.v and cross == ((), ())
 
 
 @pytest.mark.parametrize("v", [45, 69, 189])
@@ -418,13 +422,80 @@ def test_assembly_with_a_placement_dropped_raises_through_the_verifier(monkeypat
     monkeypatch.setattr(VerificationReport, "check", spy)
     labels, placements, cross_parts = _placements(plan)
     placements = _flat(placements)
+    construct._ingredient.cache_clear()
     assert verify_pair(_assemble(plan, labels, placements, cross_parts), 9).ok
+    construct._ingredient.cache_clear()
     with pytest.raises(AssertionError, match=r"assembled pair is invalid \(bug\): \d+ edge deficits"):
         _assemble(plan, labels, placements[:-1], cross_parts)
     # per assembly, each catalog key placed as it is resolved, then the cover
     # of the whole
     keys = ["catalog pair l9_v37", "catalog pair l9_v19", "catalog pair l9_K999"]
     assert checked == [*keys, "assembled pair"] * 2
+
+
+@pytest.mark.parametrize("l,v", [(5, 31), (6, 25), (8, 33), (9, 55), (6, 45)],
+                         ids=["quasigroup-columns", "four-level-gdd", "sixteen-blocks", "nine-level-gdd",
+                              "paste"])
+def test_every_certificate_finishes_before_emission(monkeypatch, l, v):
+    # one order per assembly route, every certificate reached: each call
+    # into the verifier returns before _emit is entered, and _emit, entered
+    # once, checks nothing
+    events = []
+
+    def spied(name, fn):
+        def call(*args):
+            events.append((name, "enter"))
+            result = fn(*args)
+            events.append((name, "exit"))
+            return result
+        return call
+
+    for name in ("verify_cover", "verify_orbits", "verify_pair", "_emit"):
+        monkeypatch.setattr(construct, name, spied(name, getattr(construct, name)))
+    monkeypatch.setattr(VerificationReport, "check", spied("check", VerificationReport.check))
+    _quasigroup_cross.cache_clear()
+    construct._ingredient.cache_clear()
+    pair = construct_pair(l, v)
+    monkeypatch.undo()
+    entered = events.index(("_emit", "enter"))
+    assert events[entered:] == [("_emit", "enter"), ("_emit", "exit")]
+    certified = {name for name, _ in events[:entered]}
+    assert certified - {"verify_orbits"} == {"verify_cover", "verify_pair", "check"}
+    assert ("verify_orbits" in certified) == (l in (5, 7))
+    assert verify_pair(pair, l).ok
+
+
+def test_a_refused_assembly_never_reaches_emission(monkeypatch):
+    # a placement dropped fails the cover, and a refused catalog key is not
+    # cached: it is verified and refused again on the next assembly
+    emitted, verified, placements = [], [], construct._placements
+
+    def dropped(plan):
+        labels, placed, cross_parts = placements(plan)
+        return labels, _flat(placed)[:-1], cross_parts
+
+    monkeypatch.setattr(construct, "_emit", lambda *args: emitted.append(args))
+    monkeypatch.setattr(construct, "_placements", dropped)
+    with pytest.raises(AssertionError, match=r"assembled pair is invalid \(bug\): \d+ edge deficits"):
+        construct_pair(9, 91)
+    monkeypatch.setattr(construct, "_placements", placements)
+    real = get_ingredient("l9_K999")
+    fake = OrthogonalPair(real.spec, real.first, real.first)
+    monkeypatch.setattr(construct, "get_ingredient",
+                        lambda key: fake if key == "l9_K999" else get_ingredient(key))
+    monkeypatch.setattr(construct, "verify_pair",
+                        lambda pair, l: verified.append(pair.spec.v) or verify_pair(pair, l))
+    construct._ingredient.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(AssertionError, match=r"catalog pair l9_K999 is invalid \(bug\)"):
+                construct_pair(9, 55)
+    finally:
+        monkeypatch.undo()
+        construct._ingredient.cache_clear()
+    # l9_v19 once, then l9_K999 on each assembly
+    assert verified == [19, 27, 27] and emitted == []
+    assert verify_pair(construct_pair(9, 55), 9).ok
 
 
 def _refused(plan, labels, placements, cross_parts=(),
@@ -498,14 +569,14 @@ def test_a_catalog_host_renumbered_off_its_layout_is_refused(monkeypatch):
     assert verify_pair(moved, 5).ok and spec.hole == frozenset(range(f, 2 * f))
     monkeypatch.setattr(construct, "get_ingredient",
                         lambda key: moved if key == "l5_K15mK5" else get_ingredient(key))
-    construct._catalog_report.cache_clear()
+    construct._ingredient.cache_clear()
     try:
         with pytest.raises(AssertionError, match=r"catalog pair l5_K15mK5 is invalid \(bug\): "
                                                  r"its host's parts are not numbered from 0"):
             construct_pair(5, 35)
     finally:
         monkeypatch.undo()
-        construct._catalog_report.cache_clear()
+        construct._ingredient.cache_clear()
     assert verify_pair(construct_pair(5, 35), 5).ok
 
 
@@ -531,13 +602,13 @@ def test_a_catalog_entry_of_the_right_shape_but_the_wrong_content_is_refused(mon
         assert report.max_cross_intersection == 9
     monkeypatch.setattr(construct, "get_ingredient",
                         lambda key: fake if key == "l9_K999" else get_ingredient(key))
-    construct._catalog_report.cache_clear()
+    construct._ingredient.cache_clear()
     try:
         with pytest.raises(AssertionError, match=r"catalog pair l9_K999 is invalid \(bug\)"):
             construct_pair(9, 55)
     finally:
         monkeypatch.undo()
-        construct._catalog_report.cache_clear()
+        construct._ingredient.cache_clear()
     assert verify_pair(construct_pair(9, 55), 9).ok
 
 
@@ -651,7 +722,7 @@ def test_assembly_runs_the_full_verifier_once_per_catalog_key(monkeypatch):
     sizes = []
     monkeypatch.setattr(construct, "verify_pair",
                         lambda pair, l: sizes.append(pair.spec.v) or verify_pair(pair, l))
-    construct._catalog_report.cache_clear()
+    construct._ingredient.cache_clear()
     for l, v in ((5, 31), (5, 41), (5, 51), (8, 33), (8, 49), (6, 45)):
         construct_pair(l, v)
     # l5_v11; l8_v17 and l8_K16x16; for (6, 45) first its order-25 layout's
