@@ -10,10 +10,15 @@ is run through four layers, each in its own interpreter:
 - serialise: design_text on the pair just built, written to a scratch file;
 - load: load_design on the text of that file.
 
-Only the layer itself is timed, in CPU seconds of its process.  Each row
-gives those seconds, the peak resident set of the process (peak_rss_mb)
-and that peak just before the layer began (base_rss_mb), so a layer
-lighter than the steps before it shows as equal figures.  The output is one JSON object;
+Only the layer itself is timed, in CPU seconds of its process, and it starts
+from a collected heap: the untimed set-up before it (the build before verify
+and serialise, the read before load) is followed by gc.collect(), so young
+objects a paused construct_pair leaves are not collected, and charged, inside
+the next layer.  Each row gives those seconds, the peak resident set of the
+process (peak_rss_mb), that peak just before the layer began (base_rss_mb),
+so a layer lighter than the steps before it shows as equal figures, and the
+garbage collections started during the layer (gc_collections, summed over
+generations).  The output is one JSON object;
 --repeats runs each layer that many times and keeps the least seconds
 (other work can only add to them) and the largest peak.
 
@@ -21,6 +26,7 @@ Run from anywhere:  python3 scripts/scale.py --near 1000 2000
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -67,6 +73,8 @@ def run_layer(layer: str, l: int, v: int, path: str) -> dict:
         text = Path(path).read_text()
     elif layer != "build":
         pair = construct_pair(l, v)
+    gc.collect()
+    before = gc.get_stats()
     base = _peak_mb()
     t0 = time.process_time()
     if layer == "build":
@@ -76,13 +84,18 @@ def run_layer(layer: str, l: int, v: int, path: str) -> dict:
     elif layer == "serialise":
         text = design_text(pair, l)
     else:
-        loaded, length = load_design(text)
-        if (loaded.spec.v, length) != (v, l):
-            raise AssertionError(f"({l}, {v}) loaded as ({length}, {loaded.spec.v})")
+        loaded = load_design(text)
     seconds = time.process_time() - t0
+    # get_stats copies the counts before it builds its list, so a collection
+    # that list starts (the first after a paused layer) is not counted here
+    after = gc.get_stats()
     if layer == "serialise":
         Path(path).write_text(text)
-    return {"seconds": seconds, "peak_rss_mb": _peak_mb(), "base_rss_mb": base}
+    elif layer == "load" and (loaded[0].spec.v, loaded[1]) != (v, l):
+        raise AssertionError(f"({l}, {v}) loaded as ({loaded[1]}, {loaded[0].spec.v})")
+    return {"seconds": seconds, "peak_rss_mb": _peak_mb(), "base_rss_mb": base,
+            "gc_collections": sum(a["collections"] - b["collections"]
+                                  for a, b in zip(after, before))}
 
 
 def _child(layer: str, l: int, v: int, path: str) -> dict:
@@ -117,6 +130,7 @@ def main() -> int:
                     row[f"{layer}_s"] = round(min(r["seconds"] for r in runs), 4)
                     row[f"{layer}_peak_rss_mb"] = round(max(r["peak_rss_mb"] for r in runs), 1)
                     row[f"{layer}_base_rss_mb"] = round(max(r["base_rss_mb"] for r in runs), 1)
+                    row[f"{layer}_gc_collections"] = max(r["gc_collections"] for r in runs)
                 row["design_bytes"] = os.path.getsize(path)
                 rows.append(row)
                 print(json.dumps(row), file=sys.stderr, flush=True)

@@ -128,7 +128,7 @@ def _gdd_four_twos(m: int) -> GroupDivisibleDesign:
     return GroupDivisibleDesign((4,) + (2,) * m, tuple(sorted(triples)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def build_gdd(group_sizes: tuple) -> GroupDivisibleDesign:
     """Group divisible design with block size 3 of type 2^u (u = 0, 1 mod 3),
     3^u (u odd) or 4.2^m (m = 0 mod 3), laid out on consecutive point ranges
@@ -236,7 +236,7 @@ def _check_qh(q: QuasigroupWithHoles):
             raise AssertionError(f"row {x} is not a bijection outside its hole")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def build_quasigroup_with_holes(k: int) -> QuasigroupWithHoles:
     """Symmetric quasigroup of order 2k with holes {2i, 2i+1}; k >= 3."""
     if k < 3:

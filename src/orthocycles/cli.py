@@ -22,7 +22,7 @@ from .construct import NotAdmissibleError, UnsatisfiableError, construct_pair, n
 from .core import GraphSpec, OrthogonalPair, complete
 from .heffter import check_simple, parse_array, validate_heffter
 from .search import SearchBudget, search_pair
-from .verify import VerificationReport, verify_pair
+from .verify import VerificationReport, gc_paused, verify_pair
 
 FORMAT_VERSION = 1
 # the JSON text of one value, as json.dumps writes it inside a document
@@ -85,6 +85,7 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+@gc_paused
 def load_design(text: str) -> tuple[OrthogonalPair, int]:
     """Parse a design file back into a pair of DesignSystems and its cycle
     length.  A file written by design_text reads back to the same bytes.
@@ -294,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@gc_paused
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return args.fn(args)

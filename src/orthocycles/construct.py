@@ -53,7 +53,7 @@ from typing import NamedTuple
 from .auxiliary import build_gdd, build_quasigroup_with_holes
 from .catalog import get_ingredient, has_ingredient
 from .core import CycleSystem, GraphSpec, OrthogonalPair, canonical_cycle, complete, meta
-from .verify import Batch, verify_cover, verify_orbits, verify_pair
+from .verify import Batch, gc_paused, verify_cover, verify_orbits, verify_pair
 
 
 class NotAdmissibleError(ValueError):
@@ -316,6 +316,7 @@ def _placements(plan: ConstructionPlan):
     return labels, placements + [(plan.block_key, Batch(starts, (h,) * len(starts)))], ()
 
 
+@gc_paused
 def construct_pair(l: int, v: int) -> OrthogonalPair:
     """Orthogonal pair of l-cycle systems of order v, certified from its
     parts: verified catalog pairs, template cycles checked by orbit, and an

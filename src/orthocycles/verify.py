@@ -24,7 +24,9 @@ of two bases by one integer.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter, namedtuple
+from functools import wraps
 from itertools import chain, combinations, product, repeat
 from operator import add, floordiv, le, mod, mul
 
@@ -203,6 +205,24 @@ def _cross(first_ids: list, second_ids: list, v: int) -> tuple[int, tuple | None
 
 # ---------------------------------------------------------------- checks
 
+def gc_paused(fn):
+    """Run fn with the cyclic garbage collector off: the package's bulk
+    tuples and lists hold no cycles, so collecting them is pure cost.  Called
+    with it off already, fn runs as it is, so nested calls stay paused.  The
+    collector is process-wide: cyclic garbage another thread makes during a
+    long call is not collected until the call returns."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 def verify_decomposition(system, length: int, tag="") -> VerificationReport:
     """Check that the cycles partition the host's edge set into `length`-cycles.
 
@@ -216,6 +236,7 @@ def verify_decomposition(system, length: int, tag="") -> VerificationReport:
     return report
 
 
+@gc_paused
 def verify_pair(pair, length: int) -> VerificationReport:
     """Full certificate: both systems decompose the host into `length`-cycles
     and the two systems are orthogonal.
