@@ -167,8 +167,10 @@ def _qh_from_hole_level(k: int):
 
 
 def _qh_from_gdd(k: int):
-    # x*y = third point of the unique triple through {x, y}
-    gdd = build_gdd((2,) * k)
+    # x*y = third point of the unique triple through {x, y}; built here, not
+    # through build_gdd, so the GDD routes keep that cache's one design
+    gdd = _gdd_from_point_deletion(k)
+    _check_gdd(gdd)
     third: dict = {}
     for a, b, c in gdd.triples:
         third[(a, b)] = c

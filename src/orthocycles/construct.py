@@ -24,29 +24,29 @@ group after the first takes the holed l{l}_K{h*s+f}mK{f} instead, its hole on
 the fixed points.
 
 _placements turns a plan into its layout, as data and with no cycle built:
-the vertex labels, each group's placement as (key, target lists), all the
-blocks as one (key, Batch) of start columns, and the cross host's parts.
-Every key is a catalog key, and its target lists are its host's parts,
-which every catalog host numbers from vertex 0 in placement order, so a pair
-is placed by laying its target lists end to end.  _certify resolves each key
-once (_ingredient checks that numbering and verifies the pair), certifies
-that the hosts cover K_v exactly and returns tables of vertex images, so an
-order is certified before any placed cycle exists; _emit only emits: one zip
-per template cycle through a table places all copies of a batch, or of the
-placements of one key and map rank.  Cycles are built canonical: placed
-cycles stay so under increasing vertex maps, holed pairs are relabelled by
-rank first, and cross cycles are zipped canonical from a table of column
-rows per group of quasigroup pairs, one rotation per group, keyed by the
-parities of x, y and the place of z = x * y among them.  A certificate
-failure is a bug, not an input error, and raises the verifier's
-AssertionError; the full verifier still runs where a pair is published, in
-`orthocycles generate`.
+the vertex labels, the groups of each key and all the blocks as one (key,
+Batch) of start columns each, and the cross host as a Batch of hole pairs.
+A group's runs are its columns and the fixed points every group shares; a
+complete host's one part is the two laid end to end, a holed host's parts
+are the fixed points (its hole) then the columns, as every catalog host
+numbers its parts from vertex 0 in placement order.  _certify resolves each
+key once (_ingredient checks that numbering and verifies the pair),
+certifies that the hosts cover K_v exactly and returns tables of vertex
+images, so an order is certified before any placed cycle exists; _emit only
+emits: one zip per template cycle through a table places all copies of a
+batch.  Cycles are built canonical: placed cycles stay so under increasing
+vertex maps, a holed pair's cycles are relabelled by rank once per process
+(_ranked), and cross cycles are zipped canonical from a table of column rows
+per group of quasigroup pairs, one rotation per group, keyed by the parities
+of x, y and the place of z = x * y among them.  A certificate failure is a
+bug, not an input error, and raises the verifier's AssertionError; the full
+verifier still runs where a pair is published, in `orthocycles generate`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, product, repeat
+from itertools import accumulate, chain, combinations, islice, product, repeat
 from operator import add, mul
 from typing import NamedTuple
 
@@ -164,51 +164,61 @@ def _ingredient(key: str, l: int):
     return pair, tuple(map(len, spec.parts)), ()
 
 
-def _certify(plan: ConstructionPlan, labels, placements, cross_parts=()):
-    """Certify the placements and batches of _placements, and the quasigroup
-    route's cross cycles when it has cross parts, as the paper proves it:
-    from parts certified already (_ingredient, _quasigroup_cross) and
-    verify_cover's exact cover of K_v by their hosts, whose parts are the
-    target lists.  The cover refuses a target outside 0..v-1, so _emit needs
-    no vertex walk.  Returns K_v, the cross cycles, and a (pair, rank,
-    images) table per ascending batch (its columns plus each offset) and per
-    key and map rank (none if increasing) of the rest, images[x] being x's
-    target in each placement."""
+@lru_cache(maxsize=None)
+def _ranked(key: str, l: int, order: tuple):
+    """The two systems of the pair under key, for targets that sort its
+    vertices into order: as they are when order is increasing, else each
+    cycle relabelled by the rank of its vertices' targets and made canonical
+    again, so an increasing table of images keeps it canonical."""
+    pair = _ingredient(key, l)[0]
+    systems = pair.first.cycles, pair.second.cycles
+    if order == tuple(range(len(order))):
+        return systems
+    rank = sorted(range(len(order)), key=order.__getitem__)
+    return [sorted(canonical_cycle(map(rank.__getitem__, c)) for c in cycles) for cycles in systems]
+
+
+def _certify(plan: ConstructionPlan, labels, placements, cross_host=()):
+    """Certify the placements of _placements, and the quasigroup route's
+    cross cycles when it has a cross host, as the paper proves it: from parts
+    certified already (_ingredient, _quasigroup_cross) and verify_cover's
+    exact cover of K_v by their hosts, whose parts are the target lists or a
+    batch's runs (a one-part host's runs laid end to end).  The cover refuses
+    a target outside 0..v-1, so _emit needs no vertex walk.  Returns K_v, the
+    cross cycles, and (systems, images) per batch whose runs keep one order
+    (its columns plus each offset) and per placement of the rest, images[x]
+    the x-th least target in each placement, systems ranked to match."""
     spec = complete(plan.v, labels)
-    pairs, hosts, batches = {}, [(cross_parts, ())], {}  # (key, rank[, index]): maps, or a batch's table
-    for i, (key, targets) in enumerate(placements):
-        pairs[key], sizes, inner = _ingredient(key, plan.l)
+    hosts, tables = [cross_host] if cross_host else [], []
+    for key, targets in placements:
+        _, sizes, inner = _ingredient(key, plan.l)
         batched = type(targets) is Batch
         widths = tuple(targets.widths if batched else map(len, targets))
+        if batched and len(sizes) == 1:
+            widths, inner = (sum(widths),), tuple(range(len(widths)))
         if sizes != widths:
             raise ValueError(f"target sizes {widths} disagree with the host parts {sizes}")
         hosts.append(targets._replace(inner=inner) if batched else (targets, inner))
-        if batched and targets.whole(plan.v, 1):  # ascending parts within 0..v-1
-            batches[key, (), i] = [tuple(map(add, s, repeat(r))) for s, w in zip(targets.starts, widths)
-                                   for r in range(w)]
-            continue
-        for parts in [p for p, _ in targets.expand()] if batched else [targets]:
+        whole = batched and targets.whole(plan.v, 1)  # one order of the runs: one table
+        placed = targets.expand() if batched else [(targets, inner)]
+        for parts, _ in islice(placed, 1) if whole else placed:
             mapping = list(chain.from_iterable(parts))
-            ascending = sorted(mapping)
-            rank = () if mapping == ascending else tuple(map(ascending.index, mapping))
-            batches.setdefault((key, rank), []).append(ascending)
+            order = tuple(sorted(range(len(mapping)), key=mapping.__getitem__))
+            images = ([tuple(map(add, s, repeat(r))) for s, w in zip(targets.starts, targets.widths)
+                       for r in range(w)] if whole else list(zip(mapping)))
+            tables.append((key, order, list(map(images.__getitem__, order))))
     # paste's atoms are vertex pairs: all its parts are even but the last vertex
     verify_cover(spec.v, hosts, 2 if plan.route == "paste" else plan.h).check("assembled pair")
-    cross = _quasigroup_cross(plan.l, plan.k) if cross_parts else ((), ())
-    return spec, cross, [(pairs[key], rank, images if table else list(zip(*images)))
-                         for (key, rank, *table), images in batches.items()]
+    cross = _quasigroup_cross(plan.l, plan.k) if cross_host else ((), ())
+    return spec, cross, [(_ranked(key, plan.l, order), images) for key, order, images in tables]
 
 
 def _emit(plan: ConstructionPlan, spec, cross, tables) -> OrthogonalPair:
-    """The pair _certify certified: each template cycle of a table's pair,
-    relabelled by its rank first, zipped through the table into all its
-    placed copies, next to the cross cycles."""
+    """The pair _certify certified: each template cycle of a table's
+    systems zipped through its images into all its placed copies, next to
+    the cross cycles."""
     first, second = map(list, cross)
-    for pair, rank, images in tables:
-        systems = pair.first.cycles, pair.second.cycles
-        if rank:
-            systems = [sorted(canonical_cycle(map(rank.__getitem__, c)) for c in cycles)
-                       for cycles in systems]
+    for systems, images in tables:
         for cycles, out in zip(systems, (first, second)):
             for c in cycles:
                 out.extend(zip(*map(images.__getitem__, c)))
@@ -238,8 +248,7 @@ def _quasigroup_cross(l: int, k: int):
     and y ^ 1 lie above x and y exactly when these are even.  A group's
     table cells[c][r] holds its pairs' vertices in row r of column slot c;
     the bases, certified by verify_orbits on the cross host (each hole's two
-    columns, the cross parts of _placements), and every shift's cycles are
-    zips of its tuples.
+    columns a part), and every shift's cycles are zips of its tuples.
 
     They depend on (l, k) alone and are kept, as sorted tuples that an
     assembly merges as one presorted run, for the last (l, k) built only: a
@@ -271,10 +280,11 @@ def _quasigroup_cross(l: int, k: int):
 
 
 def _placements(plan: ConstructionPlan):
-    """The layout of an assembly, as data: the vertex labels, each group as
-    (key, target lists) and the blocks as (key, Batch), a list or column per
-    part of the key's host in placement order, and the cross host's parts (the
-    quasigroup route's holes, two columns each).  Every key is a catalog key.
+    """The layout of an assembly, as data: the vertex labels, the groups
+    and the blocks as (key, Batch) per key, one run per part of the key's
+    host in placement order (a complete host's one part is its runs laid end
+    to end), and the quasigroup route's cross host, a Batch of K_{2h,2h} on
+    every two holes' columns.  Every key is a catalog key.
 
     All routes but paste lay columns of height h over the points of a
     scaffold, plus fixed points.  Each group's columns and the fixed points
@@ -291,25 +301,27 @@ def _placements(plan: ConstructionPlan):
     if plan.route == "paste":
         n = plan.v - 21
         labels = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(20)] + ["inf0"]
-        *groups, blocks = _placements(plan_for(6, n + 1))[1]
-        placements = [(key, [[plan.v - 1 if x == n else x for x in t] if n in t else t for t in targets])
-                      for key, targets in groups]
+        placements = [(key, b._replace(starts=tuple((plan.v - 1,) * len(c) if c[:1] == (n,) else c
+                                                     for c in b.starts)))
+                      for key, b in _placements(plan_for(6, n + 1))[1]]
         bridges = Batch(tuple(zip(*product(range(0, n, 6), range(n, n + 20, 10)))), (6, 10))
-        return labels, placements + [blocks, (plan.group_keys[0], [range(n, n + 21)]),
+        return labels, placements + [(plan.group_keys[0], Batch(((n,),), (21,))),
                                      (plan.block_key, bridges)], ()
     h, fixed, sizes = plan.h, plan.fixed, plan.group_sizes
     n = sum(sizes)
-    infs = range(h * n, h * n + fixed)
     labels = ([f"({x},{t})" for x in range(n) for t in range(h)]
               + [f"inf{j}" for j in range(fixed)])
-    placements, start = [], 0
-    for s, key in zip(sizes, plan.group_keys, strict=True):
-        cols = range(h * start, h * (start + s))
-        start += s
-        holed = get_ingredient(key).spec.kind == "complete_minus_hole"
-        placements.append((key, [infs, cols] if holed else [[*cols, *infs]]))
+    cols = {}  # key: the first column of each group that takes it
+    for key, start in zip(plan.group_keys, accumulate(sizes[:-1], initial=0), strict=True):
+        cols.setdefault(key, []).append(h * start)
+    placements = []
+    for key, col in cols.items():  # a group's columns, then the fixed points; a hole first
+        spec = get_ingredient(key).spec
+        runs = ((tuple(col), spec.v - fixed), ((h * n,) * len(col), fixed))[::-1 if spec.hole else 1]
+        placements.append((key, Batch(*zip(*runs))))
     if plan.route == "quasigroup-columns":
-        return labels, placements, [range(2 * h * i, 2 * h * i + 2 * h) for i in range(plan.k)]
+        holes = tuple(zip(*combinations(range(0, 2 * h * plan.k, 2 * h), 2)))  # k start objects, shared
+        return labels, placements, Batch(holes, (2 * h, 2 * h))
     blocks = (combinations(range(plan.k), 2) if plan.route == "sixteen-blocks"
               else build_gdd(sizes).triples)
     starts = tuple(tuple(map(mul, col, repeat(h))) for col in zip(*blocks))

@@ -269,7 +269,8 @@ def verify_pair(pair, length: int) -> VerificationReport:
 class Batch(namedtuple("Batch", "starts widths inner", defaults=((),))):
     """Hosts of one shape as column tables, a start column and a width per
     part: part p of placement i is range(starts[p][i], starts[p][i] +
-    widths[p]), and inner is as in a host."""
+    widths[p]), and inner is as in a host.  Parts need not ascend, and one
+    may be shared (a constant column, as a scaffold's groups share points)."""
 
     def expand(self):
         """The placements as hosts (parts, inner), in order."""
@@ -277,14 +278,18 @@ class Batch(namedtuple("Batch", "starts widths inner", defaults=((),))):
             yield [range(s, s + w) for s, w in zip(row, self.widths)], self.inner
 
     def whole(self, v: int, m: int) -> bool:
-        """Whether the columns show each placement a host _host_atoms passes,
-        none inner: whole runs of m in 0..v-1, each ending by the next's start."""
-        starts, widths, inner = self
-        return not (inner or len(set(map(len, starts))) != 1 or any(w % m or w < 0 for w in widths)
-                    or any(map(mod, chain.from_iterable(starts), repeat(m)))
-                    or min(starts[0], default=0) < 0 or max(starts[-1], default=0) + widths[-1] > v
-                    or not all(all(map(le, map(add, s, repeat(w)), t))
-                               for s, w, t in zip(starts, widths, starts[1:])))
+        """Whether the columns show each placement a host _host_atoms passes:
+        runs of whole atoms of m in 0..v-1 (one may end at v on a short last
+        atom), in the same order in every placement, each ending by the next's
+        start, so all lie between the first's start and the last's end."""
+        starts, widths, _ = self
+        ordered = sorted(zip(starts, widths), key=lambda run: run[0][:1])  # as in the first placement
+        return (len(starts) == len(widths) and len(set(map(len, starts))) == 1
+                and all(w >= 0 and (w % m == 0 or set(s) == {v - w}) for s, w in ordered)
+                and not any(map(mod, chain.from_iterable(starts), repeat(m)))
+                and 0 <= min(ordered[0][0], default=0) and max(ordered[-1][0], default=0) <= v - ordered[-1][1]
+                and all(all(map(le, map(add, s, repeat(w)), t))
+                        for (s, w), (t, _) in zip(ordered, ordered[1:])))
 
 
 def _host_atoms(parts, v: int, m: int, tag, bad: list) -> list:
@@ -319,17 +324,23 @@ def verify_cover(v: int, hosts, m: int) -> VerificationReport:
     be a union of whole atoms (_host_atoms), so an atom pair's count is that
     of each of its edges.  Deficits are keyed by atom pair (a, b), a <= b;
     bad_cycles lists ((host index, part index), reason).  A Batch reports as
-    its hosts: counted from its columns when whole, else host by host."""
+    its hosts: when whole, counted from its columns, a pass over them per
+    pair of its parts in their order and per inner part, else host by host."""
     n = -(-v // m)
     single = [min(m, v - a * m) == 1 for a in range(n)]  # no edge inside
     cover = [0] * (n * n)
     report, h = VerificationReport(), -1  # h: the index of the last host counted
     for host in hosts:
         if type(host) is Batch and host.whole(v, m):
-            atoms = [tuple(map(floordiv, s, repeat(m))) for s in host.starts]
-            for (a, wa), (b, wb) in combinations(zip(atoms, host.widths), 2):
+            # per part as in the first placement, its first atoms and atom count
+            runs = {p: (tuple(map(floordiv, host.starts[p], repeat(m))), -(-host.widths[p] // m), p)
+                    for p in sorted(range(len(host.widths)), key=lambda p: host.starts[p][:1])}
+            for (a, ka, p), (b, kb, q) in chain(combinations(runs.values(), 2),
+                                                ((runs[p], runs[p]) for p in host.inner)):
                 base = list(map(add, map(mul, a, repeat(n)), b))  # the first atoms' pair keys
-                for d in [x + y for x in range(0, wa // m * n, n) for y in range(wb // m)]:
+                # atoms a + x and b + y, y >= x inside a part (a one-vertex atom's
+                # own count is never read)
+                for d in [x * n + y for x in range(ka) for y in range(kb) if p != q or y >= x]:
                     for key in map(add, base, repeat(d)):
                         cover[key] += 1
             h += len(host.starts[0])

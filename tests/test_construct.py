@@ -1,6 +1,6 @@
 import hashlib
-from functools import reduce
-from itertools import chain
+from functools import lru_cache, reduce
+from itertools import chain, combinations
 from math import comb
 from operator import or_
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (cross_bases, cycle_edges, hamiltonian_decompositions, orbits_report, placed_cycles,
                      report_fields)
-from orthocycles import construct
+from orthocycles import construct, verify
 from orthocycles.auxiliary import GroupDivisibleDesign, build_gdd, build_quasigroup_with_holes
 from orthocycles.catalog import get_ingredient, has_ingredient
 from orthocycles.cli import design_text
@@ -240,8 +240,9 @@ def _assemble(plan, *layout):
 
 def _flat(placements):
     # the layout one (key, target lists) placement at a time, every batch
-    # expanded in place
-    return [(key, parts) for key, targets in placements
+    # expanded in place, a complete key's runs laid end to end as its one part
+    return [(key, [[*chain.from_iterable(parts)]] if len(_host_layout(key)[0]) == 1 else parts)
+            for key, targets in placements
             for parts in ([p for p, _ in targets.expand()] if type(targets) is Batch else [targets])]
 
 
@@ -378,19 +379,26 @@ def test_one_key_under_an_increasing_and_another_map_places_both(monkeypatch, l,
         assert [list(cycles) for cycles in got] == want
 
 
-@pytest.mark.parametrize("key,starts,ascending", [
-    ("l6_K444", ((0, 12, 32), (4, 24, 40), (8, 36, 44)), True),
-    ("l6_K444", ((0, 12, 32), (8, 24, 40), (4, 36, 44)), False),
-    ("l8_K16x16", ((0, 32), (16, 48)), True),
-    ("l6_K6x10", ((10, 20, 40), (0, 30, 50)), False),
-], ids=["K444", "K444-one-descending", "K16x16", "K6x10-one-descending"])
-def test_a_batch_assembles_as_its_expansion(monkeypatch, key, starts, ascending):
-    # an ascending batch is emitted from its image table, any other one as
-    # its placements; both place every placement as the oracle does
+@pytest.mark.parametrize("key,starts,widths,whole", [
+    ("l6_K444", ((0, 12, 32), (4, 24, 40), (8, 36, 44)), (4, 4, 4), True),
+    ("l6_K444", ((0, 12, 32), (8, 24, 40), (4, 36, 44)), (4, 4, 4), False),
+    ("l8_K16x16", ((0, 32), (16, 48)), (16, 16), True),
+    ("l6_K6x10", ((10, 20, 40), (0, 30, 50)), (6, 10), False),
+    ("l5_v11", ((0, 10, 40), (63, 63, 63)), (10, 1), True),
+    ("l5_K15mK5", ((59, 59, 59), (0, 20, 40)), (5, 10), True),
+    ("l5_K15mK5", ((59, 0, 59), (0, 5, 40)), (5, 10), False),
+], ids=["K444", "K444-one-descending", "K16x16", "K6x10-one-descending", "v11-fixed-point", "K15mK5-holed",
+        "K15mK5-mixed"])
+def test_a_batch_assembles_as_its_expansion(monkeypatch, key, starts, widths, whole):
+    # a batch whose runs lie in one order in every placement is emitted from
+    # its image table, any other one as its placements; both place every
+    # placement as the oracle does, a complete pair's runs laid end to end
+    # as its one part (the group columns, then the shared fixed point), a
+    # holed pair's hole (the shared fixed points) above the rest
     monkeypatch.setattr(construct, "verify_cover", lambda v, hosts, m: VerificationReport())
     pair = get_ingredient(key)
-    batch = Batch(starts, tuple(_host_layout(key)[0]))
-    assert batch.whole(64, 1) == ascending
+    batch = Batch(starts, widths)
+    assert batch.whole(64, 1) == whole
     plan = ConstructionPlan(int(key[1]), 64, "one-placement", ())
     got = _assemble(plan, None, [(key, batch)])
     assert got == _assemble(plan, None, _flat([(key, batch)]))
@@ -758,6 +766,34 @@ def _sweep():
             if (l, v) not in UNSATISFIABLE]
 
 
+def test_a_cold_sweep_certifies_every_layout_from_its_columns(monkeypatch):
+    # over the 132 orders, from cold scaffold caches: verify_cover walks no
+    # host of a layout part by part, a holed key's ranked template cycles
+    # are built once per process, and the quasigroup route builds its
+    # point-deletion design beside build_gdd, whose one entry the GDD routes
+    # keep (pinned counts: every quasigroup build is a miss)
+    walks, ranked, walk, rank = [], [], verify._host_atoms, construct._ranked.__wrapped__
+
+    def walked(parts, v, m, tag, bad):
+        walks.append(tag)
+        return walk(parts, v, m, tag, bad)
+
+    def built(key, l, order):
+        if order != tuple(range(len(order))):
+            ranked.append(key)
+        return rank(key, l, order)
+
+    monkeypatch.setattr(verify, "_host_atoms", walked)
+    monkeypatch.setattr(construct, "_ranked", lru_cache(maxsize=None)(built))
+    for cached in (build_gdd, build_quasigroup_with_holes, _quasigroup_cross):
+        cached.cache_clear()
+    for l, v in _sweep():
+        construct_pair(l, v)
+    assert [tag for tag in walks if tag != "host"] == []  # verify_orbits walks its cross host
+    assert ranked == ["l5_K15mK5", "l7_K21mK7", "l9_K27mK9"]
+    assert (build_gdd.cache_info().misses, build_quasigroup_with_holes.cache_info().misses) == (39, 30)
+
+
 def test_assembled_cycles_equal_their_canonical_forms_sorted():
     # assembly builds cycles canonical instead of canonicalising them; this
     # is the per-cycle canonicalisation it skips
@@ -796,9 +832,12 @@ def test_quasigroup_cross_cycles_are_the_canonical_template_cycles():
         for got, want in zip(_quasigroup_cross(l, k), _template_cross(l, build_quasigroup_with_holes(k)),
                              strict=True):
             assert sorted(got) == sorted(map(canonical_cycle, want)), (l, k)
-        # the cross host: one part per hole, its two columns of height l
-        parts = _placements(plan_for(l, 2 * l * k + 1))[2]
-        assert list(map(list, parts)) == [list(range(2 * l * i, 2 * l * (i + 1))) for i in range(k)]
+        # the cross host: per pair of holes i < j, a K_{2l,2l} on their two
+        # columns of height l each
+        host = _placements(plan_for(l, 2 * l * k + 1))[2]
+        hole = [list(range(2 * l * i, 2 * l * (i + 1))) for i in range(k)]
+        assert [(list(map(list, parts)), inner) for parts, inner in host.expand()] == [
+            ([hole[i], hole[j]], ()) for i, j in combinations(range(k), 2)]
 
 
 @pytest.mark.parametrize("l,v", [(5, 35), (7, 49), (9, 63)])

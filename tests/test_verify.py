@@ -608,25 +608,50 @@ def test_cover_of_range_parts_agrees_with_the_oracle_and_the_listed_parts():
 
 
 def _batch_case(rng):
-    """(v, m, hosts, b, edit): hosts[b] is a Batch of 2 or 3 parts, each a
-    group of g whole atoms, the rest per-host.  With 2 parts the batch holds
-    every pair of groups, in random order, and the hosts cover K_v exactly;
-    then the batch maybe gets one edit, and the hosts maybe a last one with
+    """(v, m, hosts, b, shape, edit): hosts[b] is a Batch, the rest per-host,
+    and the hosts cover K_v exactly before the edit.  k groups of g whole
+    atoms each, and in the group shapes a fixed run of f <= m vertices
+    after them (the short last atom when f < m).  The batch's shape:
+
+    - blocks: 2 or 3 parts, each a group; with 2 the batch holds every pair
+      of groups, in random order;
+    - reversed, mixed: the pairs of groups with their parts in descending
+      order in every placement, or in a random order per placement;
+    - groups: every group and the fixed run, both inner (the run's edges
+      inside once more, on a host of its own, when it has any);
+    - holed groups: the fixed run, then a group, inner, for every group but
+      the first, which is a host of its own with the run.
+
+    Then the batch maybe gets one edit, and the hosts maybe a last one with
     a part off the vertices, whose index counts the batch's placements."""
     m, g, k = rng.randint(1, 4), rng.randint(1, 3), rng.randint(4, 6)
     w = g * m
-    v = k * w + rng.choice((0, 0, 1))
+    shape = rng.choice(("blocks", "blocks", "blocks", "reversed", "mixed", "groups", "holed groups"))
+    f = rng.randint(1, m) if shape in ("groups", "holed groups") else rng.choice((0, 0, 1))
+    v = k * w + f
+    fixed = range(k * w, v)
     hosts = [([range(i * w, i * w + w)], (0,)) for i in range(k)]
-    if v > k * w:
-        hosts.append(([range(k * w), range(k * w, v)], ()))
-    blocks = list(combinations(range(k), rng.choice((2, 2, 3))))
+    inner = ()
+    if shape == "groups":
+        blocks, hosts = [(i, k) for i in range(k)], [([fixed], (0,))] if f > 1 else []
+        inner = (0, 1) if f == 1 else (0,)
+    elif shape == "holed groups":
+        blocks, hosts, inner = [(k, i) for i in range(1, k)], [([range(w), fixed], (0, 1))], (1,)
+    else:
+        blocks = list(combinations(range(k), 2 if shape != "blocks" else rng.choice((2, 2, 3))))
+        blocks = [b[::-1] if shape == "reversed" or shape == "mixed" and rng.random() < 0.5 else b
+                  for b in blocks]
+    if shape in ("groups", "holed groups"):
+        hosts += [([range(i * w, i * w + w), range(j * w, j * w + w)], ()) for i, j in combinations(range(k), 2)]
+    elif v > k * w:
+        hosts.append(([range(k * w), fixed], ()))
     rng.shuffle(blocks)
     starts = [[x * w for x in col] for col in zip(*blocks)]
-    widths, inner = [w] * len(starts), ()
+    widths = [f if col[0] == k * w else w for col in starts]
     i, j = rng.sample(range(len(blocks)), 2)
     p, q = rng.sample(range(len(starts)), 2)
     edit = rng.choice(("none", "none", "off a run", "leaves", "one run twice", "one pair twice",
-                       "width", "negative width", "descending", "inner", "ragged"))
+                       "width", "negative width", "descending", "inner", "ragged", "middle leaves"))
     if edit == "off a run" and m > 1:
         starts[p][i] += rng.randrange(1, m)
     elif edit == "leaves":
@@ -648,11 +673,14 @@ def _batch_case(rng):
         inner = (p,)
     elif edit == "ragged":
         starts[p].pop()
+    elif edit == "middle leaves" and len(starts) == 3:
+        # below 0 or past v in every placement, so the parts keep one order
+        starts[1] = [rng.choice((-w, v))] * len(blocks)
     if rng.random() < 0.3:
         hosts.append(([range(v, v + 1)], ()))
     b = rng.randrange(len(hosts) + 1)
     hosts.insert(b, Batch(tuple(map(tuple, starts)), tuple(widths), inner))
-    return v, m, hosts, b, edit
+    return v, m, hosts, b, shape, edit
 
 
 def test_a_batch_reports_as_its_expansion():
@@ -663,20 +691,31 @@ def test_a_batch_reports_as_its_expansion():
         assert list(empty.expand()) == []
         assert repr(verify_cover(3, [empty, star[1], empty], 1)) == repr(verify_cover(3, star[1:], 1))
     rng = random.Random(31)
-    seen = Counter()
-    for _ in range(1500):
-        v, m, hosts, b, edit = _batch_case(rng)
+    seen, shapes, short = Counter(), Counter(), Counter()
+    for _ in range(3000):
+        v, m, hosts, b, shape, edit = _batch_case(rng)
         expanded = hosts[:b] + list(hosts[b].expand()) + hosts[b + 1:]
         got = verify_cover(v, hosts, m)
         assert repr(got) == repr(verify_cover(v, expanded, m)), (v, m, hosts)
         assert not got.ok or host_cover_is_exact(v, expanded), (v, m, hosts)
         fast = hosts[b].whole(v, m)
         seen[edit, fast, got.ok] += 1
+        shapes[shape, edit, fast, got.ok] += 1
+        if shape in ("groups", "holed groups") and fast and got.ok and v % m:
+            short[v % m == 1] += 1  # the fixed run on a short last atom
     assert seen["none", True, True] > 100 and seen["none", True, False] > 50
     assert seen["one pair twice", True, False] > 50
-    for edit in ("off a run", "leaves", "one run twice", "width", "descending", "inner", "ragged"):
+    for edit in ("off a run", "leaves", "one run twice", "width", "descending", "ragged"):
         assert seen[edit, False, False] > 20, edit
     assert seen["negative width", False, False] > 20
+    # an inner part is counted from the columns too, and a middle part
+    # outside 0..v-1 is refused although the parts keep one order
+    assert seen["inner", True, False] > 20 and seen["middle leaves", False, False] > 20
+    for shape in ("reversed", "groups", "holed groups"):
+        assert shapes[shape, "none", True, True] > 20, shape
+        assert shapes[shape, "inner", True, False] > 5, shape
+    assert sum(n for (shape, _, fast, _), n in shapes.items() if shape == "mixed" and not fast) > 100
+    assert short[True] > 20 and short[False] > 10  # a last atom of one vertex, and of more
 
 
 def _orbit_case(rng):
