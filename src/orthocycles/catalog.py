@@ -73,23 +73,31 @@ def json_object(value, name: str) -> dict:
     return value
 
 
-def spec_from_dict(g: dict) -> GraphSpec:
-    # the complete host checks the labels; its ids() looks up hole and parts
+def spec_from_dict(g: dict) -> tuple:
+    # the complete host checks the labels; ids() looks up hole, parts and cycles
     labels = json_array(g["labels"], "labels")
-    bad = next((i for i, x in enumerate(labels) if type(x) in (list, dict)), None)
-    if bad is not None:
+    if not (types := set(map(type, labels))) <= {str, int, float}:
+        bad = next(i for i, x in enumerate(labels) if type(x) not in (str, int, float))
         raise ValueError(f"labels[{bad}] is not a JSON string or number")
     host = GraphSpec("complete", tuple(labels))
+    ids = host.ids  # all-string labels (design_text writes no other) need no type check
+    if types - {str}:  # a label matches by JSON type too: true == 1 == 1.0 in Python
+        def ids(values) -> tuple:
+            found = host.ids(values)
+            for x, i in zip(values, found):
+                if type(x) is not type(labels[i]):
+                    raise ValueError(f"label {x!r} not in graph")
+            return found
     if g["kind"] == "complete":
-        return host
+        return host, ids
     if g["kind"] == "complete_minus_hole":
-        hole = host.ids(json_array(g["hole"], "hole"))
+        hole = ids(json_array(g["hole"], "hole"))
         if len(set(hole)) != len(hole):
             raise ValueError("hole repeats a label")
-        return GraphSpec("complete_minus_hole", host.labels, hole=frozenset(hole))
+        return GraphSpec("complete_minus_hole", host.labels, hole=frozenset(hole)), ids
     if g["kind"] == "multipartite":
         parts = json_array(g["parts"], "parts", nested=True)
-        return GraphSpec("multipartite", host.labels, parts=tuple(map(host.ids, parts)))
+        return GraphSpec("multipartite", host.labels, parts=tuple(map(ids, parts))), ids
     raise ValueError(f"unknown graph kind {g['kind']!r}")
 
 
@@ -159,13 +167,13 @@ def _label_cycles(payload: dict) -> list:
 @lru_cache(maxsize=None)
 def get_ingredient(key: str) -> OrthogonalPair:
     d = _load(key)
-    spec = spec_from_dict(d["graph"])
+    spec, ids = spec_from_dict(d["graph"])
     meta = tuple(sorted({"source": "catalog", "key": key,
                          "citation": d["citation"], **d.get("meta", {})}.items()))
     systems = []
     for name in ("first", "second"):
         label_cycles = _label_cycles(d["systems"][name])
-        systems.append(CycleSystem(spec, map(spec.ids, label_cycles), meta=meta))
+        systems.append(CycleSystem(spec, map(ids, label_cycles), meta=meta))
     return OrthogonalPair(spec, systems[0], systems[1])
 
 

@@ -102,7 +102,7 @@ def load_design(text: str) -> tuple[OrthogonalPair, int]:
         version = _json_int(doc["format_version"], "format_version")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {version}")
-        spec = spec_from_dict(json_object(doc["spec"], "spec"))
+        spec, ids = spec_from_dict(json_object(doc["spec"], "spec"))
         if _json_int(doc["spec"].get("v", spec.v), "spec.v") != spec.v:
             raise ValueError("declared vertex count disagrees with the labels")
         meta = json_object(doc.get("meta", {}), "meta")
@@ -111,7 +111,7 @@ def load_design(text: str) -> tuple[OrthogonalPair, int]:
         for name in ("first", "second"):
             cycles = json_array(json_object(doc["systems"], "systems")[name],
                                 f"systems.{name}", nested=True)
-            systems.append(DesignSystem(spec, tuple(map(spec.ids, cycles)),
+            systems.append(DesignSystem(spec, tuple(map(ids, cycles)),
                                         tuple(sorted(meta.items()))))
         return OrthogonalPair(spec, *systems), length
     except (KeyError, TypeError) as exc:

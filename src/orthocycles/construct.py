@@ -24,29 +24,28 @@ group after the first takes the holed l{l}_K{h*s+f}mK{f} instead, its hole on
 the fixed points.
 
 _placements turns a plan into its layout, as data and with no cycle built:
-the vertex labels, the groups of each key and all the blocks as one (key,
-Batch) of start columns each, and the cross host as a Batch of hole pairs.
-A group's runs are its columns and the fixed points every group shares; a
-complete host's one part is the two laid end to end, a holed host's parts
-are the fixed points (its hole) then the columns, as every catalog host
-numbers its parts from vertex 0 in placement order.  _certify resolves each
-key once (_ingredient checks that numbering and verifies the pair),
-certifies that the hosts cover K_v exactly and returns tables of vertex
-images, so an order is certified before any placed cycle exists; _emit only
-emits: one zip per template cycle through a table places all copies of a
-batch.  Cycles are built canonical: placed cycles stay so under increasing
-vertex maps, a holed pair's cycles are relabelled by rank once per process
-(_ranked), and cross cycles are zipped canonical from a table of column rows
-per group of quasigroup pairs, one rotation per group, keyed by the parities
-of x, y and the place of z = x * y among them.  A certificate failure is a
-bug, not an input error, and raises the verifier's AssertionError; the full
-verifier still runs where a pair is published, in `orthocycles generate`.
+the vertex labels, every placement as a batch of start columns, one (key,
+Batch) for the groups of each key and one for all the blocks, and the cross
+host as a Batch of hole pairs.  _certify resolves each key once (_ingredient
+checks that its host numbers its parts from vertex 0 in placement order, as
+the runs are laid, and verifies the pair), certifies that the hosts cover K_v
+exactly, refuses a batch whose runs change order between placements and
+returns one table of vertex images per batch, so an order is certified before
+any placed cycle exists; _emit only emits: one zip per template cycle through
+a table places all copies of a batch.  Cycles are built canonical: placed
+cycles stay so under increasing vertex maps, a holed pair's cycles are
+relabelled by rank once per process (_ranked), and cross cycles are zipped
+canonical from a table of column rows per group of quasigroup pairs, one
+rotation per group, keyed by the parities of x, y and the place of z = x * y
+among them.  A certificate failure is a bug, not an input error, and raises
+the verifier's AssertionError; the full verifier still runs where a pair is
+published, in `orthocycles generate`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, islice, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from operator import add, mul
 from typing import NamedTuple
 
@@ -145,11 +144,9 @@ def plan_for(l: int, v: int) -> ConstructionPlan:
 @lru_cache(maxsize=None)
 def _ingredient(key: str, l: int):
     """The catalog pair under key, verified in full, with its host's part
-    sizes in placement order and the indices of those with edges inside: a
-    complete host's one part, a holed host's hole then rest, or none of a
-    multipartite host's parts.  Raises, caching nothing, unless the pair
-    verifies and its host numbers those parts from vertex 0, as assembly
-    lays out their targets."""
+    sizes in placement order (one part, hole then rest, or the parts) and
+    its inner parts (a holed host's rest).  Raises, caching nothing, unless
+    the pair verifies and its host numbers those parts from vertex 0."""
     pair = get_ingredient(key)
     spec = pair.spec
     laid = [*sorted(spec.hole), *chain.from_iterable(spec.parts)]
@@ -157,11 +154,9 @@ def _ingredient(key: str, l: int):
         raise AssertionError(f"catalog pair {key} is invalid (bug): its host's parts "
                              f"are not numbered from 0 in placement order")
     verify_pair(pair, l).check(f"catalog pair {key}")
-    if spec.kind == "complete":
-        return pair, (spec.v,), (0,)
     if spec.kind == "complete_minus_hole":
         return pair, (len(spec.hole), spec.v - len(spec.hole)), (1,)
-    return pair, tuple(map(len, spec.parts)), ()
+    return pair, tuple(map(len, spec.parts)) or (spec.v,), ()
 
 
 @lru_cache(maxsize=None)
@@ -179,38 +174,33 @@ def _ranked(key: str, l: int, order: tuple):
 
 
 def _certify(plan: ConstructionPlan, labels, placements, cross_host=()):
-    """Certify the placements of _placements, and the quasigroup route's
-    cross cycles when it has a cross host, as the paper proves it: from parts
-    certified already (_ingredient, _quasigroup_cross) and verify_cover's
-    exact cover of K_v by their hosts, whose parts are the target lists or a
-    batch's runs (a one-part host's runs laid end to end).  The cover refuses
-    a target outside 0..v-1, so _emit needs no vertex walk.  Returns K_v, the
-    cross cycles, and (systems, images) per batch whose runs keep one order
-    (its columns plus each offset) and per placement of the rest, images[x]
-    the x-th least target in each placement, systems ranked to match."""
+    """Certify the placements of _placements, each a (key, Batch), and the
+    quasigroup route's cross cycles when it has a cross host, as the paper
+    proves it: from parts certified already (_ingredient, _quasigroup_cross)
+    and verify_cover's exact cover of K_v by their hosts, whose parts are a
+    batch's runs (a one-part host's runs laid end to end), which refuses a
+    target outside 0..v-1.  Then refuses a batch whose runs change order
+    between placements, which one table cannot emit canonically.  Returns
+    K_v, the cross cycles and (systems, images) per batch, images[x] the x-th
+    least target in each placement, so _emit needs no vertex walk."""
     spec = complete(plan.v, labels)
     hosts, tables = [cross_host] if cross_host else [], []
-    for key, targets in placements:
+    for key, batch in placements:
         _, sizes, inner = _ingredient(key, plan.l)
-        batched = type(targets) is Batch
-        widths = tuple(targets.widths if batched else map(len, targets))
-        if batched and len(sizes) == 1:
-            widths, inner = (sum(widths),), tuple(range(len(widths)))
-        if sizes != widths:
-            raise ValueError(f"target sizes {widths} disagree with the host parts {sizes}")
-        hosts.append(targets._replace(inner=inner) if batched else (targets, inner))
-        whole = batched and targets.whole(plan.v, 1)  # one order of the runs: one table
-        placed = targets.expand() if batched else [(targets, inner)]
-        for parts, _ in islice(placed, 1) if whole else placed:
-            mapping = list(chain.from_iterable(parts))
-            order = tuple(sorted(range(len(mapping)), key=mapping.__getitem__))
-            images = ([tuple(map(add, s, repeat(r))) for s, w in zip(targets.starts, targets.widths)
-                       for r in range(w)] if whole else list(zip(mapping)))
-            tables.append((key, order, list(map(images.__getitem__, order))))
+        one = len(sizes) == 1  # a complete host: all its runs one part, every run inner
+        if sizes != ((sum(batch.widths),) if one else batch.widths):
+            raise ValueError(f"run widths {batch.widths} disagree with the host parts {sizes}")
+        hosts.append(batch._replace(inner=tuple(range(len(batch.widths))) if one else inner))
     # paste's atoms are vertex pairs: all its parts are even but the last vertex
     verify_cover(spec.v, hosts, 2 if plan.route == "paste" else plan.h).check("assembled pair")
+    if mixed := [key for key, batch in placements if not batch.whole(plan.v, 1)]:
+        raise ValueError(f"batch {mixed[0]} is refused: its runs change order between placements")
     cross = _quasigroup_cross(plan.l, plan.k) if cross_host else ((), ())
-    return spec, cross, [(_ranked(key, plan.l, order), images) for key, order, images in tables]
+    for key, batch in placements:  # the runs as in the first placement, with their offsets
+        runs = sorted(zip(batch.starts, batch.widths, accumulate(batch.widths, initial=0)))
+        tables.append((_ranked(key, plan.l, tuple(chain.from_iterable(range(o, o + w) for _, w, o in runs))),
+                       [tuple(map(add, s, repeat(r))) for s, w, _ in runs for r in range(w)]))
+    return spec, cross, tables
 
 
 def _emit(plan: ConstructionPlan, spec, cross, tables) -> OrthogonalPair:
@@ -280,11 +270,12 @@ def _quasigroup_cross(l: int, k: int):
 
 
 def _placements(plan: ConstructionPlan):
-    """The layout of an assembly, as data: the vertex labels, the groups
-    and the blocks as (key, Batch) per key, one run per part of the key's
-    host in placement order (a complete host's one part is its runs laid end
-    to end), and the quasigroup route's cross host, a Batch of K_{2h,2h} on
-    every two holes' columns.  Every key is a catalog key.
+    """The layout of an assembly, as data: the vertex labels, every
+    placement in a batch, the groups and the blocks as (key, Batch) per key,
+    one run per part of the key's host in placement order (a complete host's
+    one part is its runs laid end to end), and the quasigroup route's cross
+    host, a Batch of K_{2h,2h} on every two holes' columns.  Every key is a
+    catalog key.
 
     All routes but paste lay columns of height h over the points of a
     scaffold, plus fixed points.  Each group's columns and the fixed points

@@ -236,6 +236,8 @@ _HOLE, _PART = ("spec", "hole", 0), ("spec", "parts", 1, 0)
     ("l5_K15mK5", ("systems",), 3, "systems is not a JSON object (got int)"),
     ("l5_K15mK5", ("spec", "labels", 1), ["x"], "labels[1] is not a JSON string or number"),
     ("l5_K15mK5", ("spec", "labels", 1), {"x": 1}, "labels[1] is not a JSON string or number"),
+    ("l5_K15mK5", ("spec", "labels", 1), True, "labels[1] is not a JSON string or number"),
+    ("l5_K15mK5", ("spec", "labels", 1), None, "labels[1] is not a JSON string or number"),
 ])
 def test_verify_names_a_bad_host_label_or_non_object_field(tmp_path, capsys, key, path,
                                                           value, reason):
@@ -249,6 +251,30 @@ def test_verify_names_a_bad_host_label_or_non_object_field(tmp_path, capsys, key
     assert run("verify", str(bad)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"cannot load {bad}: {reason}\n"
+
+
+def test_verify_matches_numeric_labels_by_json_type(tmp_path, capsys):
+    # labels may be JSON numbers, and a hole, part or cycle label matches one
+    # only in its own JSON type: true == 1 == 1.0 in Python, so a lookup by
+    # equality alone would read true as 1 and 2.0 as 2
+    doc = json.loads(design_text(get_ingredient("l5_v11"), 5))
+    doc["spec"]["labels"] = list(range(11))
+    for name in ("first", "second"):
+        doc["systems"][name] = [list(map(int, c)) for c in doc["systems"][name]]
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", str(path)) == 0
+    capsys.readouterr()
+    # true for 1 in a first-system cycle, 2.0 for 2 in a second-system cycle
+    first = next(c for c in doc["systems"]["first"] if 1 in c)
+    second = next(c for c in doc["systems"]["second"] if 2 in c)
+    i, j = first.index(1), second.index(2)
+    for (a, b), reason in (((True, 2.0), "label True not in graph"), ((1, 2.0), "label 2.0 not in graph")):
+        first[i], second[j] = a, b
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"cannot load {path}: {reason}\n"
 
 
 def test_verify_names_a_design_file_that_is_not_an_object(tmp_path, capsys):

@@ -239,11 +239,31 @@ def _assemble(plan, *layout):
 
 
 def _flat(placements):
-    # the layout one (key, target lists) placement at a time, every batch
-    # expanded in place, a complete key's runs laid end to end as its one part
+    # for the oracles: the layout one (key, target lists) placement at a
+    # time, every batch expanded in place, a complete key's runs laid end to
+    # end as its one part
     return [(key, [[*chain.from_iterable(parts)]] if len(_host_layout(key)[0]) == 1 else parts)
-            for key, targets in placements
-            for parts in ([p for p, _ in targets.expand()] if type(targets) is Batch else [targets])]
+            for key, batch in placements for parts, _ in batch.expand()]
+
+
+def _one(*runs):
+    # one placement as a batch: a start column of one entry and a width per run
+    return Batch(tuple((run.start,) for run in runs), tuple(map(len, runs)))
+
+
+def _moved(placements, i, p, j, start):
+    # the layout with start j of run p in batch i moved to start
+    placements, (key, batch) = list(placements), placements[i]
+    starts = list(map(list, batch.starts))
+    starts[p][j] = start
+    placements[i] = (key, batch._replace(starts=tuple(map(tuple, starts))))
+    return placements
+
+
+def _dropped(placements):
+    # the layout with the last placement of its last batch dropped
+    key, batch = placements[-1]
+    return [*placements[:-1], (key, batch._replace(starts=tuple(col[:-1] for col in batch.starts)))]
 
 
 def test_plans_certify_their_cover_without_building_a_cycle(monkeypatch):
@@ -268,6 +288,11 @@ def test_plans_certify_their_cover_without_building_a_cycle(monkeypatch):
         labels, placements, cross_parts = _placements(plan)
         assert len(labels) == len(set(labels)) == plan.v
         assert bool(cross_parts) == (plan.route == "quasigroup-columns")
+        # every batch, and the cross host, is served by the one-table path:
+        # its runs keep one order, whole vertices and whole cover atoms
+        m = 2 if plan.route == "paste" else plan.h
+        for key, batch in placements + [("cross", cross_parts)] * bool(cross_parts):
+            assert batch.whole(plan.v, 1) and batch.whole(plan.v, m), (plan.l, plan.v, key)
         for key, targets in placements:
             sizes, _ = _host_layout(key)
             for _, parts in _flat([(key, targets)]):
@@ -325,7 +350,7 @@ def _placed_alone(monkeypatch, l, key, targets):
 def _assembled_alone(monkeypatch, l, placements):
     # placements assembled with no cross, their cover taken as proven
     monkeypatch.setattr(construct, "verify_cover", lambda v, hosts, m: VerificationReport())
-    v = max(chain.from_iterable(chain.from_iterable(targets for _, targets in placements))) + 1
+    v = max(max(col) + w for _, batch in placements for col, w in zip(batch.starts, batch.widths))
     pair = _assemble(ConstructionPlan(l, v, "one-placement", ()), None, placements)
     return [pair.first.cycles, pair.second.cycles]
 
@@ -339,43 +364,46 @@ def _mapped(key, at):
 
 def test_placement_rejects_targets_that_disagree_with_the_host_parts(monkeypatch):
     # l5_v11: complete K11; l5_K15mK5: hole of 5, rest of 10; l6_K444: parts 4, 4, 4
-    assert _placed_alone(monkeypatch, 5, "l5_v11", [range(100, 111)]) == _mapped(
+    assert _placed_alone(monkeypatch, 5, "l5_v11", _one(range(100, 111))) == _mapped(
         "l5_v11", {x: 100 + x for x in range(11)})
     # the hole's targets, then the rest's, land on the hole's and the rest's ids
     holed = get_ingredient("l5_K15mK5").spec
     hole = sorted(holed.hole)
     rest = sorted(set(range(15)) - holed.hole)
     at = dict(zip(hole + rest, [*range(100, 105), *range(200, 210)]))
-    assert _placed_alone(monkeypatch, 5, "l5_K15mK5", [range(100, 105), range(200, 210)]) == _mapped(
+    assert _placed_alone(monkeypatch, 5, "l5_K15mK5", _one(range(100, 105), range(200, 210))) == _mapped(
         "l5_K15mK5", at)
     tri = [range(10, 14), range(20, 24), range(30, 34)]
     at = dict(zip(chain.from_iterable(get_ingredient("l6_K444").spec.parts), chain.from_iterable(tri)))
-    assert _placed_alone(monkeypatch, 6, "l6_K444", tri) == _mapped("l6_K444", at)
-    for l, key, targets in ((5, "l5_v11", [range(10)]), (5, "l5_v11", [range(5), range(6)]),
-                            (5, "l5_K15mK5", [range(15)]), (5, "l5_K15mK5", [range(10), range(5)]),
-                            (6, "l6_K444", [range(4), range(4)]),
-                            (6, "l6_K444", [range(4), range(4), range(5)])):
+    assert _placed_alone(monkeypatch, 6, "l6_K444", _one(*tri)) == _mapped("l6_K444", at)
+    # a complete host's one part is its runs laid end to end, so two runs
+    # disagree with K11 by their sum
+    for l, key, runs in ((5, "l5_v11", [range(10)]), (5, "l5_v11", [range(5), range(5, 10)]),
+                         (5, "l5_K15mK5", [range(15)]), (5, "l5_K15mK5", [range(10), range(5)]),
+                         (6, "l6_K444", [range(4), range(4)]),
+                         (6, "l6_K444", [range(4), range(4), range(5)])):
         with pytest.raises(ValueError, match="disagree with the host parts"):
-            _placed_alone(monkeypatch, l, key, targets)
+            _placed_alone(monkeypatch, l, key, _one(*runs))
 
 
 @pytest.mark.parametrize("l,key,increasing,other", [
-    (5, "l5_v11", [range(20, 31)], [range(60, 49, -1)]),
+    (5, "l5_v11", [range(20, 24), range(24, 27), range(27, 31)], [range(50, 54), range(66, 69), range(58, 62)]),
     (5, "l5_K15mK5", [range(20, 25), range(30, 40)], [range(90, 95), range(60, 70)]),
     (6, "l6_K444", [range(10, 14), range(20, 24), range(30, 34)],
      [range(70, 74), range(50, 54), range(60, 64)]),
 ])
 def test_one_key_under_an_increasing_and_another_map_places_both(monkeypatch, l, key, increasing, other):
-    # one key, two vertex maps in one assembly: each placement keeps its own
-    # rank relabelling, whichever order the two come in
+    # one key, two batches under two vertex maps in one assembly: each keeps
+    # its own rank relabelling, whichever order the two come in
     pair = get_ingredient(key)
-    # the other map is not increasing, so its rank relabelling matters
+    # the other map is not increasing (nor a rotation, which l5_v11's cyclic
+    # development would absorb), so its rank relabelling matters
     assert placed_cycles(pair.first.cycles, other) != placed_cycles(pair.first.cycles,
                                                                     [sorted(chain.from_iterable(other))])
     for targets in ([increasing, other], [other, increasing]):
         want = [sorted(chain.from_iterable(placed_cycles(system.cycles, t) for t in targets))
                 for system in (pair.first, pair.second)]
-        got = _assembled_alone(monkeypatch, l, [(key, t) for t in targets])
+        got = _assembled_alone(monkeypatch, l, [(key, _one(*t)) for t in targets])
         assert [list(cycles) for cycles in got] == want
 
 
@@ -391,22 +419,53 @@ def test_one_key_under_an_increasing_and_another_map_places_both(monkeypatch, l,
         "K15mK5-mixed"])
 def test_a_batch_assembles_as_its_expansion(monkeypatch, key, starts, widths, whole):
     # a batch whose runs lie in one order in every placement is emitted from
-    # its image table, any other one as its placements; both place every
-    # placement as the oracle does, a complete pair's runs laid end to end
-    # as its one part (the group columns, then the shared fixed point), a
-    # holed pair's hole (the shared fixed points) above the rest
+    # its image table, and places every placement as the oracle does, a
+    # complete pair's runs laid end to end as its one part (the group
+    # columns, then the shared fixed point), a holed pair's hole (the shared
+    # fixed points) above the rest; one table cannot emit any other batch
+    # canonically, so it is refused by key
     monkeypatch.setattr(construct, "verify_cover", lambda v, hosts, m: VerificationReport())
     pair = get_ingredient(key)
     batch = Batch(starts, widths)
     assert batch.whole(64, 1) == whole
     plan = ConstructionPlan(int(key[1]), 64, "one-placement", ())
-    got = _assemble(plan, None, [(key, batch)])
-    assert got == _assemble(plan, None, _flat([(key, batch)]))
-    for system, built in zip((pair.first, pair.second), (got.first, got.second)):
-        want = chain.from_iterable(placed_cycles(system.cycles, parts) for parts, _ in batch.expand())
-        assert list(built.cycles) == sorted(want)
+    if whole:
+        got = _assemble(plan, None, [(key, batch)])
+        for system, built in zip((pair.first, pair.second), (got.first, got.second)):
+            want = chain.from_iterable(placed_cycles(system.cycles, parts) for parts, _ in batch.expand())
+            assert list(built.cycles) == sorted(want)
+    else:
+        with pytest.raises(ValueError, match=f"batch {key} is refused: its runs change order"):
+            _assemble(plan, None, [(key, batch)])
     with pytest.raises(ValueError, match="disagree with the host parts"):
         _assemble(plan, None, [(key, batch._replace(widths=batch.widths[::-1] + (1,)))])
+
+
+def test_a_cover_valid_batch_whose_runs_change_order_is_refused_after_the_cover(monkeypatch):
+    # parts 0 and 1 of the second K444 block swapped: the hosts still cover
+    # K_49 exactly, but the block's runs no longer keep one order, so the
+    # batch is refused by key once the cover has passed, before any ranked
+    # template or emission
+    plan = plan_for(6, 49)
+    labels, placements, cross_parts = _placements(plan)
+    key, blocks = placements[-1]
+    assert key == "l6_K444" and blocks.whole(49, 1)
+    a, b = blocks.starts[0][1], blocks.starts[1][1]
+    placements = _moved(_moved(placements, -1, 0, 1, b), -1, 1, 1, a)
+    assert not placements[-1][1].whole(49, 1)
+    events, cover = [], construct.verify_cover
+
+    def covered(v, hosts, m):
+        report = cover(v, hosts, m)
+        events.append(("verify_cover", report.ok))
+        return report
+
+    monkeypatch.setattr(construct, "verify_cover", covered)
+    monkeypatch.setattr(construct, "_ranked", lambda *args: events.append("_ranked"))
+    monkeypatch.setattr(construct, "_emit", lambda *args: events.append("_emit"))
+    with pytest.raises(ValueError, match="batch l6_K444 is refused: its runs change order"):
+        construct._emit(plan, *construct._certify(plan, labels, placements, cross_parts))
+    assert events == [("verify_cover", True)]
 
 
 def test_a_batch_of_a_complete_pair_takes_its_inner_part_from_the_layout():
@@ -429,12 +488,11 @@ def test_assembly_with_a_placement_dropped_raises_through_the_verifier(monkeypat
     _placements(plan)  # the scaffold checks itself once, when it is first built
     monkeypatch.setattr(VerificationReport, "check", spy)
     labels, placements, cross_parts = _placements(plan)
-    placements = _flat(placements)
     construct._ingredient.cache_clear()
     assert verify_pair(_assemble(plan, labels, placements, cross_parts), 9).ok
     construct._ingredient.cache_clear()
     with pytest.raises(AssertionError, match=r"assembled pair is invalid \(bug\): \d+ edge deficits"):
-        _assemble(plan, labels, placements[:-1], cross_parts)
+        _assemble(plan, labels, _dropped(placements), cross_parts)
     # per assembly, each catalog key placed as it is resolved, then the cover
     # of the whole
     keys = ["catalog pair l9_v37", "catalog pair l9_v19", "catalog pair l9_K999"]
@@ -480,7 +538,7 @@ def test_a_refused_assembly_never_reaches_emission(monkeypatch):
 
     def dropped(plan):
         labels, placed, cross_parts = placements(plan)
-        return labels, _flat(placed)[:-1], cross_parts
+        return labels, _dropped(placed), cross_parts
 
     monkeypatch.setattr(construct, "_emit", lambda *args: emitted.append(args))
     monkeypatch.setattr(construct, "_placements", dropped)
@@ -513,12 +571,14 @@ def _refused(plan, labels, placements, cross_parts=(),
 
 
 def test_assembly_with_target_lists_swapped_between_blocks_is_refused():
+    # the first starts of blocks 0 and 3 swapped in the blocks' batch
     plan = plan_for(9, 91)
     labels, placements, cross_parts = _placements(plan)
-    placements = _flat(placements)
-    (a, ta), (b, tb) = placements[4], placements[7]
+    key, blocks = placements[-1]
+    assert key == "l9_K999"
+    ta, tb = (tuple(col[j] for col in blocks.starts) for j in (0, 3))
     assert ta[0] != tb[0] and ta[1:] != tb[1:]  # two triples through different points
-    placements[4], placements[7] = (a, [tb[0], *ta[1:]]), (b, [ta[0], *tb[1:]])
+    placements = _moved(_moved(placements, -1, 0, 0, tb[0]), -1, 0, 3, ta[0])
     _refused(plan, labels, placements, cross_parts)
 
 
@@ -535,14 +595,18 @@ def test_assembly_with_a_wrong_group_key_is_refused():
 
 
 def test_assembly_with_a_part_repeating_a_vertex_of_its_atom_is_refused():
-    # the bridge's first part keeps its column's size and run, so only the
-    # repeated vertex tells it from the column
-    plan = plan_for(8, 33)
+    # the first group's fixed points moved onto its columns' second atom: the
+    # complete key's one part, its two runs laid end to end, keeps its size
+    # and repeats the vertices of that atom; the cover sees the runs as two
+    # parts of whole atoms, so only the shared atom tells them apart (host 3:
+    # the three hole pairs of the cross host come first)
+    plan = plan_for(5, 35)
     labels, placements, cross_parts = _placements(plan)
-    placements = _flat(placements)
-    key, (left, right) = placements[-1]
-    placements[-1] = (key, [[left[0], *left[:-1]], right])
-    _refused(plan, labels, placements, cross_parts, match="repeats a vertex")
+    key, groups = placements[0]
+    assert key == "l5_v15" and groups.starts == ((0,), (30,)) and groups.widths == (10, 5)
+    placements = _moved(placements, 0, 1, 0, 5)
+    _refused(plan, labels, placements, cross_parts,
+             match=r"first defect \(\(3, 1\), 'part \[5, 6, 7, 8, 9\] shares a run with another part'\)")
 
 
 @pytest.mark.parametrize("start", [87, -4], ids=["past-v", "below-0"])
@@ -551,14 +615,12 @@ def test_assembly_with_targets_off_the_vertex_range_is_refused_before_storing(mo
     # must refuse the placement before any system is stored
     plan = plan_for(9, 91)
     labels, placements, cross_parts = _placements(plan)
-    placements = _flat(placements)
     stored, of_canonical = [], CycleSystem._of_canonical
     monkeypatch.setattr(CycleSystem, "_of_canonical",
                         lambda *args, **kw: stored.append(args) or of_canonical(*args, **kw))
     assert verify_pair(_assemble(plan, labels, placements, cross_parts), 9).ok and len(stored) == 2
-    # the block's last part keeps its size of 9, and runs past 90 or below 0
-    key, targets = placements[-1]
-    placements[-1] = (key, [*targets[:-1], range(start, start + 9)])
+    # the last block's last part keeps its size of 9, and runs past 90 or below 0
+    placements = _moved(placements, -1, 2, -1, start)
     stored.clear()
     _refused(plan, labels, placements, cross_parts, match=r"\(bug\): .* leaves the vertex range 0\.\.90")
     assert stored == []
